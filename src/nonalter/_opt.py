@@ -1,4 +1,4 @@
-"""Deterministic one- and two-dimensional maximizers for concave functions.
+"""Deterministic one-dimensional maximizers for concave functions.
 
 Concave functions of one multiplier show up everywhere in this package
 (dual functions, minimum-eigenvalue pencils).  They are unimodal on their
@@ -10,7 +10,7 @@ is nonsmooth or jumps to -inf outside its domain.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -124,71 +124,3 @@ def maximize_concave_line(
     """Maximize concave ``fn`` over all of R through the v/(1-v^2) map."""
     v, y = maximize_on_interval(lambda v: fn(map_line(v)), -v_max, v_max, probes, iters)
     return (None, NEG_INF) if v is None else (map_line(v), y)
-
-
-def nelder_mead_max(
-    fn: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    step: float = 0.05,
-    bounds: Optional[Sequence[Tuple[float, float]]] = None,
-    iters: int = 200,
-) -> Tuple[np.ndarray, float, int]:
-    """Small deterministic Nelder-Mead maximizer with box clamping.
-
-    Infinite (-inf) values are tolerated: they simply rank worst.  Returns
-    (argmax, value, evaluations).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    evals = 0
-
-    def clamp(x):
-        if bounds is None:
-            return x
-        return np.array([min(max(x[i], bounds[i][0]), bounds[i][1]) for i in range(n)])
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return fn(clamp(x))
-
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += step
-        simplex.append(v)
-    values = [f(v) for v in simplex]
-
-    for _ in range(iters):
-        order = sorted(range(n + 1), key=lambda i: -values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = abs(values[0] - values[-1])
-        if spread <= 1e-13 * (1.0 + abs(values[0])) and values[0] > NEG_INF:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = f(refl)
-        if f_refl > values[0]:
-            expand = centroid + 2.0 * (centroid - worst)
-            f_exp = f(expand)
-            if f_exp > f_refl:
-                simplex[-1], values[-1] = expand, f_exp
-            else:
-                simplex[-1], values[-1] = refl, f_refl
-        elif f_refl > values[-2]:
-            simplex[-1], values[-1] = refl, f_refl
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_con = f(contr)
-            if f_con > values[-1]:
-                simplex[-1], values[-1] = contr, f_con
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = f(simplex[i])
-
-    i_best = max(range(n + 1), key=lambda i: values[i])
-    return clamp(simplex[i_best]), values[i_best], evals

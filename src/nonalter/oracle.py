@@ -9,6 +9,7 @@ deterministic for a fixed spec and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -64,9 +65,6 @@ class OracleResult:
 def _check_dim(n: int):
     if n > 3:
         raise ValueError("the brute-force oracle only handles n <= 3")
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=8)

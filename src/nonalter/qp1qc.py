@@ -71,7 +71,7 @@ def _stationary_point(f: QuadForm, g: QuadForm, lam: float) -> np.ndarray:
     values, vectors = np.linalg.eigh(Q)
     norm2 = float(np.abs(values).max(initial=0.0))
     zero = np.abs(values) <= INF_PSD_RTOL * (1.0 + norm2)
-    inv = np.where(zero, 0.0, np.divide(1.0, values, where=~zero))
+    inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
     return -(vectors * inv) @ (vectors.T @ v)
 
 

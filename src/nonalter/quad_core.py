@@ -270,7 +270,7 @@ def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:
     """
     ed = sym_eigen(M)
     zero = _zero_mask(ed.values, rtol)
-    inv = np.where(zero, 0.0, np.divide(1.0, ed.values, where=~zero))
+    inv = np.divide(1.0, ed.values, out=np.zeros_like(ed.values), where=~zero)
     return (ed.vectors * inv) @ ed.vectors.T
 
 
@@ -279,13 +279,6 @@ def null_basis(M, rtol: float = RANK_RTOL) -> np.ndarray:
     ed = sym_eigen(M)
     zero = _zero_mask(ed.values, rtol)
     return ed.vectors[:, zero].copy()
-
-
-def in_range(M, v, rtol: float = RANGE_RTOL) -> bool:
-    """Range-membership test: ||M M^+ v - v|| <= rtol * (1 + ||v||)."""
-    v = np.asarray(v, dtype=float)
-    resid = M @ (pseudo_inverse(M) @ v) - v
-    return float(np.linalg.norm(resid)) <= rtol * (1.0 + float(np.linalg.norm(v)))
 
 
 def restrict_affine(q: QuadForm, x0, N) -> QuadForm:
@@ -334,7 +327,7 @@ def quad_inf_closed_form(Q: np.ndarray, v: np.ndarray, s: float,
         resid = float(np.linalg.norm(coeffs[zero]))
         if resid > RANGE_RTOL * (1.0 + float(np.linalg.norm(v))):
             return -np.inf
-    inv = np.where(zero, 0.0, np.divide(1.0, values, where=~zero))
+    inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
     return float(s - coeffs @ (inv * coeffs))
 
 
@@ -374,7 +367,7 @@ def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
             return UnconstrainedMin(
                 status="unbounded_below", value=-np.inf, direction=d, kind="affine"
             )
-    inv = np.where(zero, 0.0, np.divide(1.0, ed.values, where=~zero))
+    inv = np.divide(1.0, ed.values, out=np.zeros_like(ed.values), where=~zero)
     x = -(ed.vectors * inv) @ (ed.vectors.T @ q.a)
     return UnconstrainedMin(status="attained", value=evaluate(q, x), x=x)
 

@@ -128,8 +128,7 @@ def test_criterion_2_strong_duality(corpus_reports):
         rep = classify_problem(g, h, spec=search)
         if rep.overall_class is not ArrangementClass.NON_ALTER:
             continue
-        d = solve_dual_2d(f, g, h, grid=32, simplex_iters=0,
-                          polish_probes=7, polish_iters=28, polish_edge_iters=20)
+        d = solve_dual_2d(f, g, h)
         if d.status != "finite":
             continue
         o = grid_min(f, g, h, spec)
@@ -159,8 +158,7 @@ def test_criterion_3_weak_duality():
         if o.feasible_count == 0:
             continue
         checked += 1
-        d = solve_dual_2d(f, g, h, grid=16, simplex_iters=0,
-                          polish_probes=5, polish_iters=16, polish_edge_iters=12)
+        d = solve_dual_2d(f, g, h)
         if d.status != "finite":
             continue  # a dual of -inf satisfies weak duality trivially
         finite_duals += 1

@@ -5,6 +5,7 @@ from conftest import poly2
 from nonalter import corpus
 from nonalter.duality import (
     DualPoint,
+    _probe,
     lagrangian_dual_value,
     sdp_certificate,
     slack_matrix,
@@ -78,22 +79,112 @@ class TestSolveDual2d:
         res = solve_dual_2d(f, g, h)
         assert res.status == "dual_infeasible_everywhere"
 
+    def test_domain_without_interior(self):
+        # psi is finite only on the line lam1 = 1, where Q vanishes: no
+        # barrier start exists and the best probe is the answer.
+        f = poly2(bx=1)
+        g = poly2(bx=-1, c=-1)
+        h = QuadForm.constant(2, -1.0)
+        res = solve_dual_2d(f, g, h)
+        assert res.status == "finite"
+        assert res.value == pytest.approx(-1.0, abs=1e-8)
+        assert res.best.lambda1 == pytest.approx(1.0, abs=1e-8)
+
     def test_trace_collection(self):
         f, g, h = two_point_instance()
         res = solve_dual_2d(f, g, h, collect_trace=True)
-        assert res.trace and all("value" in e for e in res.trace)
+        assert res.trace and all(set(e) == {"lambda1", "lambda2", "value"} for e in res.trace)
+        # One entry per Newton iterate, and the result is the best of them.
+        assert len(res.trace) < 1000
+        assert max(e["value"] for e in res.trace) == pytest.approx(res.value, rel=1e-12)
+
+    def test_unbounded_dual_is_not_finite(self):
+        # g > 0 everywhere: the primal is infeasible and psi grows without bound.
+        f = poly2(axx=1, ayy=1, bx=2)
+        g = poly2(axx=1, ayy=1, c=1)
+        h = poly2(axx=-1, ayy=-1, c=-1)
+        res = solve_dual_2d(f, g, h)
+        assert res.status == "numerical_failure"
 
     def test_reported_value_matches_best_point(self, rng):
         for _ in range(15):
             f = random_quadform(rng, 2, convex=rng.uniform() < 0.5)
             g = random_quadform(rng, 2)
             h = random_quadform(rng, 2)
-            res = solve_dual_2d(f, g, h, grid=16, simplex_iters=0,
-                                polish_probes=7, polish_iters=40)
+            res = solve_dual_2d(f, g, h)
             if res.status != "finite":
                 continue
             replay = lagrangian_dual_value(f, g, h, res.best.lambda1, res.best.lambda2)
             assert replay == pytest.approx(res.value, rel=1e-8, abs=1e-10)
+
+
+# Dual optimum of each corpus instance, as the grid/simplex/golden maximizer
+# reported it, except ex22 and ex25b.  There that maximizer returned
+# 49.00000018 and 4.00000004: it evaluated psi where Q had an eigenvalue of
+# about -1e-12, inside the closed form's PSD margin, so its value exceeded
+# the supremum.  The suprema, 49 and 4, follow by hand from the diagonal data.
+CORPUS_DUAL_VALUES = {
+    "ex22": 49.0,
+    "ex23": 1.000000000005,
+    "ex24": 23.633598912221238,
+    "ex25a": 2.000000000003,
+    "ex25b": 4.0,
+    "cdt_s2": 1.0,
+    "hqpd_s5a": 1.0,
+    "hqpd_s5b": 0.0,
+    "qp1qc_embed": 1.0,
+    "gtrs": 1.0,
+}
+
+
+class TestCorpusRegression:
+    @pytest.mark.parametrize("name", corpus.NAMES)
+    def test_value(self, name):
+        f, g, h, _ = corpus.load(name)
+        res = solve_dual_2d(f, g, h)
+        expected = CORPUS_DUAL_VALUES[name]
+        # hqpd_s5a: the optimal multipliers form an unbounded ray.
+        rtol = 1e-6 if name == "hqpd_s5a" else 1e-9
+        assert res.status == "finite"
+        assert abs(res.value - expected) <= rtol * (1.0 + abs(expected))
+        assert res.evaluations <= 4500
+
+    @pytest.mark.parametrize("name", corpus.NAMES)
+    def test_certificate_replay_and_swap(self, name):
+        f, g, h, _ = corpus.load(name)
+        res = solve_dual_2d(f, g, h)
+        b = res.best
+        assert sdp_certificate(f, g, h, b).feasible
+        assert b.gamma == res.value
+        replay = lagrangian_dual_value(f, g, h, b.lambda1, b.lambda2)
+        assert abs(replay - res.value) <= 1e-9 * (1.0 + abs(res.value))
+        swapped = solve_dual_2d(f, h, g)
+        assert abs(swapped.value - res.value) <= 1e-9 * (1.0 + abs(res.value))
+        # The swapped multipliers are optimal for the original order.
+        mirrored = lagrangian_dual_value(f, g, h, swapped.best.lambda2, swapped.best.lambda1)
+        assert abs(mirrored - res.value) <= 1e-9 * (1.0 + abs(res.value))
+
+
+class TestProbe:
+    def test_stacked_closed_form_matches_scalar(self, rng):
+        # The scalar closed form is the reference; the stacked one sums the
+        # same terms in another order.
+        finite = 0
+        for trial in range(20):
+            f, g, h = random_triple(rng)
+            if trial % 2:
+                f = random_quadform(rng, 2, convex=True)
+            lam1, lam2 = rng.uniform(0, 3, size=(2, 40))
+            lam1[:10] = 0.0
+            psi, strict = _probe(f, g, h, lam1, lam2)
+            for k in range(lam1.size):
+                ref = lagrangian_dual_value(f, g, h, lam1[k], lam2[k])
+                if ref == -np.inf:
+                    assert psi[k] == -np.inf and not strict[k]
+                else:
+                    assert psi[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                    finite += 1
+        assert finite >= 100
 
 
 class TestSdpCertificate:
@@ -109,7 +200,7 @@ class TestSdpCertificate:
             f = random_quadform(rng, 2, convex=True)
             g = random_quadform(rng, 2)
             h = random_quadform(rng, 2)
-            res = solve_dual_2d(f, g, h, grid=16, simplex_iters=0)
+            res = solve_dual_2d(f, g, h)
             if res.status != "finite":
                 continue
             b = res.best
@@ -194,8 +285,7 @@ class TestWeakDuality:
         checked = 0
         for _ in range(90):
             f, g, h = random_triple(rng)
-            res = solve_dual_2d(f, g, h, grid=16, simplex_iters=0,
-                                polish_probes=5, polish_iters=16, polish_edge_iters=12)
+            res = solve_dual_2d(f, g, h)
             if res.status != "finite":
                 continue
             o = grid_min(f, g, h, spec)

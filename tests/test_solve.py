@@ -63,6 +63,22 @@ class TestSolveExamples:
         assert rep.dual.value <= rep.nu_star + 1e-6
 
 
+class TestObjectiveScaling:
+    @pytest.mark.parametrize("name, nu_scaled", [
+        ("ex24", 236335.989122), ("ex25a", 2e4), ("gtrs", 1e4),
+    ])
+    def test_value_scales_with_objective(self, name, nu_scaled):
+        # Large multipliers must stay reachable: with f scaled by 1e4 the
+        # optimal lam is 1e4 times larger.
+        f, g, h, _ = corpus.load(name)
+        base = solve_nonalter(f, g, h)
+        rep = solve_nonalter(1e4 * f, g, h)
+        assert rep.status == "solved" and rep.certified and rep.attained
+        assert rep.nu_star == pytest.approx(1e4 * base.nu_star, rel=1e-9)
+        assert rep.nu_star == pytest.approx(nu_scaled, rel=1e-9)
+        assert sdp_certificate(1e4 * f, g, h, rep.dual.best).feasible
+
+
 class TestSideOfSublevel:
     def test_outside_ball(self):
         f = poly1(axx=1, bx=-6, c=9)  # (x-3)^2
