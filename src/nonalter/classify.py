@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _opt
+from . import qp1qc
 from .canonical import (
     AffineChange,
     FormTag,
@@ -37,6 +37,7 @@ from .quad_core import (
     gradient_many,
     lift,
     nonneg_everywhere,
+    psd_interval,
     psd_status,
     unconstrained_min,
 )
@@ -210,79 +211,30 @@ class TwoSidedSlater:
 
 def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
     """Does q take strictly negative / strictly positive values somewhere?"""
-    neg = not nonneg_everywhere(q, tol)
-    pos = not nonneg_everywhere(-q, tol)
+    neg, pos = find_negative_point(q, tol), find_negative_point(-q, tol)
     return TwoSidedSlater(
-        takes_negative=neg,
-        takes_positive=pos,
-        negative_point=find_negative_point(q, tol) if neg else None,
-        positive_point=find_negative_point(-q, tol) if pos else None,
+        takes_negative=neg is not None,
+        takes_positive=pos is not None,
+        negative_point=neg,
+        positive_point=pos,
     )
-
-
-def _pencil_objective(Mp: np.ndarray, Mq: np.ndarray):
-    def min_eig(lam: float) -> float:
-        return float(np.linalg.eigvalsh(Mp + lam * Mq)[0])
-
-    return min_eig
-
-
-def _shrink_toward_zero(feasible, lam: float, iters: int = 90) -> float:
-    """Smallest-|lambda| point of the feasible interval containing ``lam``.
-
-    The set of feasible multipliers of a matrix pencil is an interval, so a
-    bisection between 0 and a feasible point lands on its edge nearest zero.
-    Keeps certificates small and reproducible on flat plateaus.
-    """
-    if feasible(0.0):
-        return 0.0
-    a, b = 0.0, lam
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if feasible(mid):
-            b = mid
-        else:
-            a = mid
-    return b
 
 
 def pencil_psd_search(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
     """A real lambda with lift(p) + lambda*lift(q) PSD, if one exists.
 
-    The smallest eigenvalue of the pencil is concave in lambda, so the
-    maximum is found by golden section over a mapped copy of the real line;
-    the returned multiplier is then pulled back to the feasible point of
-    smallest magnitude.
+    The feasible multipliers form an interval (:func:`psd_interval`); the
+    point of it nearest zero is returned, which keeps certificates small
+    and reproducible.
     """
-    Mp, Mq = lift(p), lift(q)
-    if not Mq.any():
-        return 0.0 if psd_status(Mp, tol).verdict is not PsdVerdict.INDEFINITE else None
-
-    def feasible(mu: float) -> bool:
-        return psd_status(Mp + mu * Mq, tol).verdict is not PsdVerdict.INDEFINITE
-
-    rho = _pencil_objective(Mp, Mq)
-    lam, _ = _opt.maximize_concave_line(rho, probes=129, iters=90)
-    if lam is None or not feasible(lam):
-        return None
-    return float(_shrink_toward_zero(feasible, float(lam)))
+    iv = psd_interval(lift(p), lift(q), tol)
+    return None if iv is None else min(max(0.0, iv[0]), iv[1])
 
 
 def pencil_psd_search_nonneg(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
     """Like :func:`pencil_psd_search` but restricted to lambda >= 0."""
-    Mp, Mq = lift(p), lift(q)
-
-    def feasible(mu: float) -> bool:
-        return psd_status(Mp + mu * Mq, tol).verdict is not PsdVerdict.INDEFINITE
-
-    rho = _pencil_objective(Mp, Mq)
-    lam, _ = _opt.maximize_concave_ray(rho, probes=65, iters=90)
-    if lam is None:
-        return None
-    lam = max(float(lam), 0.0)
-    if not feasible(lam):
-        return None
-    return float(_shrink_toward_zero(feasible, lam))
+    iv = psd_interval(lift(p), lift(q), tol)
+    return None if iv is None or iv[1] < 0.0 else max(0.0, iv[0])
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +561,6 @@ def check_assumption2(
     return verdict, (i1, i2, i3, i4)
 
 
-def _min_over_single_constraint(objective: QuadForm, constraint: QuadForm, tol: float):
-    # Local import: qp1qc builds on this module's slater helper.
-    from .qp1qc import solve_qp1qc
-
-    return solve_qp1qc(objective, constraint, tol)
-
-
 def check_assumption3(
     g: QuadForm,
     h: QuadForm,
@@ -654,7 +599,7 @@ def check_assumption3(
         extra = _ray_candidates(g, h, spec)
     feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], g.n, spec, extra)
     if feas is None:
-        r = _min_over_single_constraint(g, h, tol)
+        r = qp1qc.solve_qp1qc(g, h, tol)
         if r.status == "infeasible" or (r.value is not None and r.value > tol * (1 + gs)):
             return AssumptionVerdict(
                 Verdict.FAILS, note="feasible set is empty", certificate={"case": "infeasible"}
@@ -720,7 +665,7 @@ def check_assumption1(
         return AssumptionVerdict(Verdict.HOLDS, note="one constraint is a nonpositive constant")
 
     for first, second, label in ((g, h, "g"), (h, g, "h")):
-        r = _min_over_single_constraint(first, second, tol)
+        r = qp1qc.solve_qp1qc(first, second, tol)
         if r.status == "infeasible":
             continue
         if r.status in ("attained", "unattained") and r.value is not None:

@@ -32,7 +32,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import _opt
 from .quad_core import (
     DEFAULT_TOL,
     INF_PSD_RTOL,
@@ -117,7 +116,8 @@ def sdp_certificate(
 
 #: Multiplier probes: a 64 x 64 grid of u = lam / (1 + lam) on [0, 1 - 1/1024],
 #: then rays along both axes and the diagonal.
-_PROBE_LAMBDAS = _opt.map_ray(np.linspace(0.0, 1.0 - 1.0 / 1024.0, 64))
+_PROBE_U = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 64)
+_PROBE_LAMBDAS = _PROBE_U / (1.0 - _PROBE_U)
 _AXIS_LAMBDAS = np.geomspace(1e-3, 1e8, 34)
 #: Barrier weight growth per outer step, relative target of the duality-gap
 #: bound, and the Newton steps one centering may take.

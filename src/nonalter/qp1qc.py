@@ -1,33 +1,41 @@
 """Global minimization of a quadratic under a single quadratic constraint.
 
 ``min f(x) s.t. g(x) <= 0`` is solved through its one-dimensional concave
-dual ``lam -> inf_x [f + lam*g](x)`` maximized over lam >= 0, followed by
-primal recovery ``x(lam*) = -Q(lam*)^+ v(lam*)``.  When the stationary
-system at the optimal multiplier is singular and complementarity fails, a
-kernel direction is added and scaled to reach the constraint boundary (the
-hard case).  Degenerate constraints (constants, everywhere-nonnegative g)
-are dispatched structurally before the dual is touched.
+dual ``lam -> inf_x [f + lam*g](x)``, maximized over lam >= 0 on the exact
+interval where f.A + lam*g.A is PSD by Newton's method on the dual's
+derivative, followed by primal recovery ``x(lam*) = -Q(lam*)^+ v(lam*)``.
+When the stationary system at the optimal multiplier is singular and
+complementarity fails, a kernel direction is added and scaled to reach the
+constraint boundary (the hard case).  Degenerate constraints (constants,
+everywhere-nonnegative g) are dispatched structurally before the dual is
+touched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import _opt
 from .quad_core import (
     DEFAULT_TOL,
     INF_PSD_RTOL,
+    RANGE_RTOL,
     RANK_RTOL,
     QuadForm,
     evaluate,
     null_basis,
+    psd_interval,
     quad_inf_closed_form,
     restrict_affine,
     unconstrained_min,
 )
+
+
+#: Newton or bisection steps on psi', and the relative step that ends them.
+_NEWTON_STEPS = 60
+_STEP_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -63,16 +71,52 @@ def _dual_1d(f: QuadForm, g: QuadForm, lam: float,
     return quad_inf_closed_form(Q, v, s, psd_tol)
 
 
-def _stationary_point(f: QuadForm, g: QuadForm, lam: float) -> np.ndarray:
-    # The zeroing margin matches the closed-form dual (unit-anchored), so a
-    # Q(lam) that the dual treated as singular is not inverted here either.
+class _DualPoint(NamedTuple):
+    """psi(lam), the stationary point x(lam) = -Q^+v, psi' and
+    psi'' = -2 w'Q^+w with w = Bx + b."""
+
+    value: float
+    x: np.ndarray
+    slope: float
+    curvature: float
+
+
+def _dual_at(f: QuadForm, g: QuadForm, lam: float) -> Optional[_DualPoint]:
+    """The dual and its derivatives at lam from one eigendecomposition.
+
+    None where psi(lam) = -inf.  The margins are those of
+    :func:`quad_inf_closed_form`, so a Q(lam) that the closed form treats as
+    singular is not inverted here either.
+    """
     Q = f.A + lam * g.A
     v = f.a + lam * g.a
     values, vectors = np.linalg.eigh(Q)
-    norm2 = float(np.abs(values).max(initial=0.0))
-    zero = np.abs(values) <= INF_PSD_RTOL * (1.0 + norm2)
+    margin = INF_PSD_RTOL * (1.0 + float(np.abs(values).max(initial=0.0)))
+    if values[0] < -margin:
+        return None
+    zero = values <= margin
+    coeffs = vectors.T @ v
+    if zero.any() and np.linalg.norm(coeffs[zero]) > RANGE_RTOL * (1.0 + np.linalg.norm(v)):
+        return None
     inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
-    return -(vectors * inv) @ (vectors.T @ v)
+    x = -vectors @ (inv * coeffs)
+    w = g.A @ x + g.a
+    wc = vectors.T @ w
+    # psi' = g(x(lam)) where Q(lam) is regular.  At a singular end of the
+    # domain it is the one-sided g(lim x(mu)) as mu comes in from the inside;
+    # the limit adds to x the kernel part Zc with Z'BZ c = -Z'w, where Z'BZ
+    # vanishes on a common kernel of f.A and g.A.
+    Z = vectors[:, zero]
+    ZBZ = Z.T @ g.A @ Z
+    cut = RANK_RTOL * (1.0 + float(np.abs(g.A).max()))
+    c = np.linalg.pinv(ZBZ, rcond=cut / max(float(np.abs(ZBZ).max(initial=0.0)), cut)) @ (Z.T @ w)
+    x_in = x - Z @ c
+    return _DualPoint(
+        value=float(f.a0 + lam * g.a0 - coeffs @ (inv * coeffs)),
+        x=x,
+        slope=evaluate(g, x_in),
+        curvature=float(-2.0 * wc @ (inv * wc)),
+    )
 
 
 def _near_kernel(Q: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
@@ -93,108 +137,61 @@ def _kkt(f: QuadForm, g: QuadForm, lam: float, x: np.ndarray) -> KktResiduals:
     )
 
 
-def _refine_multiplier(f: QuadForm, g: QuadForm, lam0: float) -> float:
-    """Polish the dual maximizer by monotone bisection on c(lam) = g(x(lam)).
+def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[_DualPoint]]:
+    """The maximizer of psi over lam >= 0, and the dual there.
 
-    c is the derivative of the concave one-dimensional dual, hence
-    nonincreasing; golden section localizes the maximum value but leaves the
-    argmax only sqrt(eps)-accurate on the flat top, which is not enough for
-    primal recovery.  Outside the dual domain c is treated as undefined and
-    the walk stops at the domain edge (the hard-case boundary).
+    (None, None) when psi = -inf for every lam >= 0.  The domain is
+    {lam >= 0 : f.A + lam*g.A PSD} with the margin of the closed form, less
+    the points where v(lam) leaves the range of Q(lam).  psi' = g(x(lam)) is
+    nonincreasing, so the maximizer is the lower end when psi' <= 0 there,
+    the upper end when psi' > 0 there (the hard case), and otherwise the root
+    of psi', found by Newton's method safeguarded by bisection.
     """
-
-    def c_of(lam: float):
-        if _dual_1d(f, g, lam) == -np.inf:
-            return None
-        return evaluate(g, _stationary_point(f, g, lam))
-
-    c0 = c_of(lam0)
-    if c0 is None:
-        return lam0
-    span = max(lam0, 1.0)
-    if c0 > 0.0:
-        lo, hi = lam0, None
-        step = 1e-8 * span
-        for _ in range(120):
-            cand = lo + step
-            c = c_of(cand)
-            if c is None:
-                # Bisect toward the domain edge; the maximizer sits there.
-                a, b = lo, cand
-                for _ in range(100):
-                    mid = 0.5 * (a + b)
-                    if c_of(mid) is None:
-                        b = mid
-                    else:
-                        a = mid
-                        if c_of(mid) <= 0.0:
-                            hi = mid
-                            break
-                if hi is None:
-                    return a
-                lo = a
-                break
-            if c <= 0.0:
-                hi = cand
-                break
-            lo = cand
-            step *= 4.0
-        if hi is None:
-            return lo
-    elif c0 < 0.0:
-        lo, hi = None, lam0
-        step = 1e-8 * span
-        for _ in range(120):
-            cand = hi - step
-            if cand <= 0.0:
-                c = c_of(0.0)
-                if c is not None and c <= 0.0:
-                    return 0.0  # interior optimum
-                cand = 0.0
-            c = c_of(cand)
-            if c is None:
-                a, b = cand, hi
-                for _ in range(100):
-                    mid = 0.5 * (a + b)
-                    if c_of(mid) is None:
-                        a = mid
-                    else:
-                        b = mid
-                        if c_of(mid) >= 0.0:
-                            lo = mid
-                            break
-                if lo is None:
-                    return b
-                hi = b
-                break
-            if c >= 0.0:
-                lo = cand
-                break
-            if cand == 0.0:
-                return 0.0
-            hi = cand
-            step *= 4.0
-        if lo is None:
-            return hi
-    else:
-        return lam0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        c = c_of(mid)
-        if c is None or c > 0.0:
-            lo = mid
+    iv = psd_interval(f.A, g.A, INF_PSD_RTOL)
+    if iv is None or iv[1] < 0.0:
+        return None, None
+    a, b = max(iv[0], 0.0), iv[1]
+    d = _dual_at(f, g, a)
+    if d is not None and d.slope <= 0.0:
+        return a, d
+    if b < np.inf:
+        d_hi = _dual_at(f, g, b)
+        if d_hi is not None and d_hi.slope > 0.0:
+            return b, d_hi
+    unit = f.data_scale() / g.data_scale()
+    lam = a
+    if d is None:
+        lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
+        d = _dual_at(f, g, lam)
+    for _ in range(_NEWTON_STEPS):
+        if d is None:
+            # Inside the PSD interval Q(lam) is singular only on the common
+            # kernel K of f.A and g.A, so psi is finite at most where
+            # K'(a + lam*b) = 0.
+            K = _near_kernel(f.A + lam * g.A)
+            kb = K.T @ g.a
+            if not kb.any():
+                return None, None
+            lam = -float((K.T @ f.a) @ kb) / float(kb @ kb)
+            return (lam, _dual_at(f, g, lam)) if lam >= 0.0 else (None, None)
+        if d.slope > 0.0:
+            a = lam
         else:
-            hi = mid
-    return hi if c_of(hi) is not None else lo
+            b = lam
+        nxt = lam - d.slope / d.curvature if d.curvature < 0.0 else np.nan
+        if not (a <= nxt <= b and np.isfinite(nxt)):
+            nxt = 0.5 * (a + b) if b < np.inf else 2.0 * lam + unit
+        if min(abs(nxt - lam), b - a) <= _STEP_RTOL * nxt:
+            break
+        lam, d = nxt, _dual_at(f, g, nxt)
+    return lam, d
 
 
 def _hard_case_step(f, g, lam, x_p, tol):
     """Move along a kernel direction of Q(lam*) to reach {g = 0}.
 
     The kernel cutoff is looser than the global rank threshold because lam*
-    carries the residual imprecision of the one-dimensional search.
+    is a computed root of det Q(lam) and carries its rounding.
     """
     Z = _near_kernel(f.A + lam * g.A)
     g_at = evaluate(g, x_p)
@@ -264,20 +261,14 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
             )
 
     # Slater regime: maximize the concave one-dimensional dual over lam >= 0.
-    def phi(lam):
-        return _dual_1d(f, g, lam)
-
-    lam_star, value = _opt.maximize_concave_ray(phi, probes=65, iters=110)
-    if lam_star is None or value == -np.inf:
+    lam_star, d = _maximize_dual(f, g)
+    if d is None:
         return Qp1qcResult(
             status="unbounded_below",
             value=None,
             note="dual is infeasible for every lam >= 0",
         )
-    lam_star = _refine_multiplier(f, g, max(float(lam_star), 0.0))
-    value = max(value, phi(lam_star))
-
-    x = _stationary_point(f, g, lam_star)
+    value, x = d.value, d.x
     feas = evaluate(g, x)
     comp_tol = tol * (1.0 + abs(value)) * max(1.0, lam_star)
     candidates = [x]

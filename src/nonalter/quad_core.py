@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -208,17 +208,9 @@ class PsdStatus:
     verdict: PsdVerdict
 
 
-def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
-    """Classify a symmetric matrix by its smallest eigenvalue.
-
-    The verdict uses the relative margin ``tol * (1 + ||M||_2)``: strictly
-    below it is indefinite, strictly above it positive definite, otherwise
-    semidefinite-singular.
-    """
-    ed = sym_eigen(M)
-    min_eig = float(ed.values[0])
-    norm2 = float(np.abs(ed.values).max(initial=0.0))
-    margin = tol * (1.0 + norm2)
+def _status_of(values: np.ndarray, tol: float) -> PsdStatus:
+    min_eig = float(values[0])
+    margin = tol * (1.0 + float(np.abs(values).max(initial=0.0)))
     if min_eig < -margin:
         verdict = PsdVerdict.INDEFINITE
     elif min_eig > margin:
@@ -226,6 +218,16 @@ def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
     else:
         verdict = PsdVerdict.PSD_SINGULAR
     return PsdStatus(min_eig=min_eig, verdict=verdict)
+
+
+def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
+    """Classify a symmetric matrix by its smallest eigenvalue.
+
+    The verdict uses the relative margin ``tol * (1 + ||M||_2)``: strictly
+    below it is indefinite, strictly above it positive definite, otherwise
+    semidefinite-singular.
+    """
+    return _status_of(sym_eigen(M).values, tol)
 
 
 def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
@@ -236,10 +238,11 @@ def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
 def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
     """A concrete x with q(x) < 0, built from a negative lift eigenvector.
 
-    Returns None when ``q`` is nonnegative everywhere.
+    Returns None when ``q`` is nonnegative everywhere, by the verdict of
+    :func:`nonneg_everywhere`.
     """
     ed = sym_eigen(lift(q))
-    if psd_status(lift(q), tol).verdict is not PsdVerdict.INDEFINITE:
+    if _status_of(ed.values, tol).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
     w0, wbar = v[0], v[1:]
@@ -255,6 +258,67 @@ def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarr
             return x
         t *= 2.0
     return None  # pragma: no cover - indefinite lift always yields a witness
+
+
+#: Shifts tried, in units of ||P|| / ||Q||, for the pencil root computation;
+#: near sqrt(2) - 1, -sqrt(3), sqrt(7), -sqrt(11), so no simple rational root
+#: sits on one.
+_PENCIL_SHIFTS = (0.0, 0.4142, -1.7321, 2.6458, -3.3166)
+#: A theta that puts lam farther than this many units of ||P|| / ||Q|| from
+#: the shift is a rounded zero: an infinite eigenvalue from the kernel of Q.
+_PENCIL_FAR = 1e8
+
+
+def _rcond(M: np.ndarray) -> float:
+    sv = np.linalg.svd(M, compute_uv=False)
+    return float(sv[-1] / max(sv[0], 1e-300))
+
+
+def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
+    """The closed interval of real lam where ``psd_status(P + lam*Q, tol)``
+    is not indefinite, or None when there is no such lam.
+
+    Ends may be -inf or inf.  The set is an interval because the smallest
+    eigenvalue of P + lam*Q is concave in lam, and its finite ends are real
+    roots of det(P + lam*Q) once the common kernel of P and Q is removed
+    (Moré, Optim. Methods Softw. 2, 1993).  The roots come from the
+    eigenvalues theta of (P + mu*Q)^-1 Q at a well-conditioned shift mu, as
+    lam = mu - 1/theta.  The verdict is tested at each root, between
+    neighbouring roots and beyond the extreme ones.  Between two roots the
+    inertia is constant, so a passing midpoint admits the closed segment.
+    Without a common kernel, a pencil that is singular for every lam is
+    never semidefinite (its singular Kronecker blocks have a zero diagonal
+    block), which gives None.
+    """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    _, sv, vt = np.linalg.svd(np.vstack([P, Q]))
+    V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
+    Pr, Qr = V.T @ P @ V, V.T @ Q @ V
+    roots = np.empty(0)
+    if Qr.any():
+        unit = float(np.abs(Pr).max()) / float(np.abs(Qr).max()) or 1.0
+        rcond, mu = max((_rcond(Pr + c * unit * Qr), c * unit) for c in _PENCIL_SHIFTS)
+        if not rcond > RANK_RTOL:
+            return None
+        theta = np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr))
+        theta = theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
+        roots = np.array(sorted(set((mu - 1.0 / theta).real.tolist())))
+    if roots.size:
+        reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
+        pts = np.empty(2 * roots.size + 1)
+        pts[1::2] = roots
+        pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
+        pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
+    else:
+        pts = np.zeros(1)
+    ok = np.array([psd_status(P + t * Q, tol).verdict is not PsdVerdict.INDEFINITE for t in pts])
+    # Segment j runs from edge j to edge j + 1; root j is edge j + 1.
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
+    seg_ok, root_ok = ok[0::2], ok[1::2]
+    admitted = np.concatenate([edges[:-1][seg_ok], edges[1:][seg_ok], roots[root_ok]])
+    if not admitted.size:
+        return None
+    return float(admitted.min()), float(admitted.max())
 
 
 def _zero_mask(values: np.ndarray, rtol: float, scale: Optional[float] = None) -> np.ndarray:

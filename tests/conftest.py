@@ -26,3 +26,18 @@ def rng(request):
 
     seed = zlib.crc32(request.node.name.encode())
     return np.random.default_rng(seed)
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """A one-element list counting np.linalg.eigh/eigvalsh calls; reset it by hand."""
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, **kwargs):
+            count[0] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return count

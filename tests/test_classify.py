@@ -78,6 +78,25 @@ class TestPencilSearch:
     def test_two_affine_functions(self):
         assert pencil_psd_search(poly2(bx=1), poly2(by=1)) is None
 
+    def test_eigendecomposition_budget(self, rng, eig_calls):
+        # An exact interval tests at most 2(n+1)+1 multipliers of the lifted pencil.
+        f, g, h, _ = corpus.load("ex24")
+        pairs = [(-1.0 * h, g), (poly2(axx=1, ayy=1, c=-1), poly2(axx=1, c=-0.5))]
+        for n in (2, 6, 20):
+            for _ in range(5):
+                p = QuadForm(rng.normal(size=(n, n)), rng.normal(size=n), rng.normal())
+                L = rng.normal(size=(n, n))
+                pairs.append((p, QuadForm(L @ L.T, rng.normal(size=n), abs(rng.normal()) + 10.0)))
+        found = 0
+        for p, q in pairs:
+            eig_calls[0] = 0
+            lam = pencil_psd_search(p, q)
+            assert eig_calls[0] <= 2 * (p.n + 1) + 10
+            if lam is not None:
+                found += 1
+                assert nonneg_everywhere(p + lam * q)
+        assert found >= 2
+
     def test_min_eig_concavity(self, rng):
         for _ in range(40):
             p = QuadForm(rng.normal(size=(2, 2)), rng.normal(size=2), rng.normal())

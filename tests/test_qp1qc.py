@@ -35,7 +35,8 @@ class TestHandCases:
         assert r.value == pytest.approx(-1.0, abs=1e-8)
         assert abs(r.x[0]) == pytest.approx(0.0, abs=1e-6)
         assert abs(r.x[1]) == pytest.approx(1.0, abs=1e-6)
-        assert r.lam == pytest.approx(1.0, abs=1e-6)
+        assert r.lam == pytest.approx(1.0, abs=1e-14)
+        assert r.kkt.stationarity <= 1e-14
 
     def test_infeasible(self):
         r = solve_qp1qc(poly1(axx=1), poly1(axx=1, c=1))
@@ -141,3 +142,70 @@ class TestOracleAgreement:
                 assert w is not None and evaluate(f, w) < -1e6
                 checked += 1
         assert checked >= 40
+
+
+def _trust_region_pair(rng, n: int, hard: bool):
+    """min f s.t. (x-c)'P(x-c) <= r^2 with P positive definite.
+
+    In the hard case P = I and the linear term of f is orthogonal to the
+    eigenvector of f's smallest eigenvalue d0, with the regular part of the
+    step of norm r/4, so the optimal multiplier is -d0 and makes the Hessian
+    of the Lagrangian singular (Moré and Sorensen, 1983).
+    """
+    c = rng.normal(size=n)
+    r = float(rng.uniform(0.5, 2.0))
+    if hard:
+        P = np.eye(n)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        d = np.sort(rng.normal(size=n))
+        d[0] = -abs(d[0]) - 0.5
+        d[1:] = np.maximum(d[1:], d[0] + 0.5)
+        A = (U * d) @ U.T
+        z = np.concatenate([[0.0], rng.normal(size=n - 1)])
+        z *= 0.25 * r / np.linalg.norm(z)
+        b = U @ ((d - d[0]) * z)
+        f = QuadForm(A, b - A @ c, float(c @ A @ c - 2 * b @ c))
+    else:
+        M = rng.normal(size=(n, n))
+        P = M @ M.T / n + 0.2 * np.eye(n)
+        f = random_quadform(rng, n)
+        d = None
+    g = QuadForm(P, -P @ c, float(c @ P @ c) - r * r)
+    return f, g, (None if d is None else -d[0])
+
+
+class TestWork:
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_eigendecomposition_budget(self, rng, eig_calls, n, hard):
+        for _ in range(3):
+            f, g, lam_hard = _trust_region_pair(rng, n, hard)
+            eig_calls[0] = 0
+            r = solve_qp1qc(f, g)
+            assert eig_calls[0] <= 2 * (n + 1) + 80
+            assert r.status == "attained"
+            assert evaluate(g, r.x) <= 1e-8 * (1 + g.data_scale())
+            if hard:
+                assert r.lam == pytest.approx(lam_hard, rel=1e-12)
+
+    def test_one_sided_slope_at_singular_end(self, eig_calls):
+        # min -x^2 - 4x + y^2 s.t. (x+2)^2 <= 3: psi(lam) = 4 - 3*lam on its
+        # domain lam >= 1, so lam* = 1 although g at the min-norm stationary
+        # point of lam = 1 (the origin) is positive; the slope from inside is -3.
+        f = poly2(axx=-1, ayy=1, bx=-4)
+        g = poly2(axx=1, bx=4, c=1)
+        r = solve_qp1qc(f, g)
+        assert eig_calls[0] <= 2 * (f.n + 1) + 10
+        assert r.status == "attained"
+        assert r.lam == pytest.approx(1.0, abs=1e-14)
+        assert r.value == pytest.approx(1.0, abs=1e-12)
+        assert abs(evaluate(g, r.x)) <= 1e-12
+
+    def test_multiplier_pinned_by_common_kernel(self):
+        # f = -x, g = x + y^2 share the kernel direction x of their Hessians;
+        # psi is finite only where -1 + lam = 0.
+        r = solve_qp1qc(poly2(bx=-1), poly2(ayy=1, bx=1))
+        assert r.status == "attained"
+        assert r.lam == pytest.approx(1.0, abs=1e-12)
+        assert r.value == pytest.approx(0.0, abs=1e-12)
+        assert solve_qp1qc(poly2(bx=1), poly2(ayy=1, bx=1)).status == "unbounded_below"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly1, poly2
+from nonalter import corpus
 from nonalter.quad_core import (
     DimensionError,
     PsdVerdict,
@@ -15,6 +16,7 @@ from nonalter.quad_core import (
     from_lift,
     nonneg_everywhere,
     null_basis,
+    psd_interval,
     psd_status,
     pseudo_inverse,
     restrict_affine,
@@ -250,3 +252,71 @@ class TestValidation:
         q = poly2(axx=1)
         with pytest.raises(ValueError):
             q.A[0, 0] = 5.0
+
+
+def _scan_verdicts(P, Q, lams, tol=1e-9):
+    """psd_status verdicts along a dense multiplier grid, from stacked eigenvalues."""
+    vals = np.linalg.eigvalsh(P + lams[:, None, None] * Q)
+    return vals[:, 0] >= -tol * (1.0 + np.abs(vals).max(axis=1))
+
+
+class TestPsdInterval:
+    def test_matches_dense_scan(self, rng):
+        feasible = 0
+        for trial in range(60):
+            m = int(rng.integers(2, 6))
+            Q = rng.normal(size=(m, m))
+            Q = Q + Q.T
+            if trial % 3:
+                # P + mu*Q = S is semidefinite, so the interval holds mu.
+                L = rng.normal(size=(m, m - trial % 2))
+                mu = float(rng.normal())
+                P = L @ L.T - mu * Q
+            else:
+                P = rng.normal(size=(m, m))
+                P = P + P.T
+            iv = psd_interval(P, Q)
+            ends = [] if iv is None else [e for e in iv if np.isfinite(e)]
+            reach = 10.0 * (1.0 + max([abs(e) for e in ends], default=0.0))
+            lams = np.linspace(-reach, reach, 4001)
+            ok = _scan_verdicts(P, Q, lams)
+            if iv is None:
+                assert not ok.any()
+                continue
+            feasible += 1
+            lo, hi = iv
+            gap = 1e-6 * (1.0 + max([abs(e) for e in ends], default=0.0))
+            assert ok[(lams > lo + gap) & (lams < hi - gap)].all()
+            assert not ok[(lams < lo - gap) | (lams > hi + gap)].any()
+            for e in ends:
+                assert psd_status(P + e * Q).verdict is not PsdVerdict.INDEFINITE
+        assert feasible >= 30
+
+    def test_single_point(self):
+        # ex24: h = -g - 40, so -h + lam*g = (1 + lam)*g + 40 is PSD only at lam = -1.
+        f, g, h, _ = corpus.load("ex24")
+        lo, hi = psd_interval(lift(-h), lift(g))
+        assert lo == pytest.approx(-1.0, abs=1e-12)
+        assert hi == pytest.approx(-1.0, abs=1e-12)
+
+    def test_common_kernel(self):
+        P, Q = np.diag([0.0, -1.0, 0.0]), np.diag([1.0, 1.0, 0.0])
+        lo, hi = psd_interval(P, Q)
+        assert lo == pytest.approx(1.0, abs=1e-14) and hi == np.inf
+
+    def test_empty(self):
+        assert psd_interval(np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])) is None
+        # The lifts of two affine functions form a singular pencil.
+        assert psd_interval(lift(poly2(bx=1)), lift(poly2(by=1))) is None
+
+    def test_zero_direction(self):
+        assert psd_interval(np.diag([1.0, 2.0]), np.zeros((2, 2))) == (-np.inf, np.inf)
+        assert psd_interval(np.diag([1.0, -2.0]), np.zeros((2, 2))) is None
+
+    def test_unbounded_ends(self):
+        lo, hi = psd_interval(np.diag([0.0, -1.0]), np.eye(2))
+        assert lo == pytest.approx(1.0, abs=1e-14) and hi == np.inf
+        lo, hi = psd_interval(np.diag([0.0, -1.0]), -np.eye(2))
+        assert lo == -np.inf and hi == pytest.approx(-1.0, abs=1e-14)
+        lo, hi = psd_interval(np.diag([0.0, 1.0]), np.diag([1.0, -1.0]))
+        assert lo == pytest.approx(0.0, abs=1e-14) and hi == pytest.approx(1.0, abs=1e-14)
