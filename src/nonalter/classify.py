@@ -36,6 +36,7 @@ from .quad_core import (
     find_negative_point,
     gradient_many,
     lift,
+    line_roots,
     nonneg_everywhere,
     psd_interval,
     psd_status,
@@ -50,7 +51,6 @@ class SearchSpec:
     box: float = 10.0
     grid_per_axis: int = 41
     n_samples: int = 10_000
-    refine_steps: int = 100
     seed: int = 0
 
 
@@ -95,44 +95,18 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
     rnd = rng.normal(size=(8, n))
     dirs.extend(rnd / np.linalg.norm(rnd, axis=1, keepdims=True))
 
-    pts = []
-    for a in anchors:
-        for d in dirs:
-            roots = []
-            for q in (g, h):
-                qa = float(d @ q.A @ d)
-                qb = 2.0 * float((q.A @ a + q.a) @ d)
-                qc = evaluate(q, a)
-                scale = 1.0 + q.data_scale()
-                if abs(qa) > 1e-13 * scale:
-                    disc = qb * qb - 4.0 * qa * qc
-                    if disc >= 0.0:
-                        s = np.sqrt(disc)
-                        roots += [(-qb - s) / (2 * qa), (-qb + s) / (2 * qa)]
-                elif abs(qb) > 1e-13 * scale:
-                    roots.append(-qc / qb)
-            roots.sort()
-            if roots:
-                span = max(roots[-1] - roots[0], 1.0)
-                probes = [roots[0] - span, roots[-1] + span]
-                probes += [0.5 * (roots[i] + roots[i + 1]) for i in range(len(roots) - 1)]
-                probes += roots
-            else:
-                probes = [0.0]
-            for t in probes:
-                pts.append(a + t * d)
-    return np.asarray(pts) if pts else np.zeros((0, n))
-
-
-def _project_to_zero_set(q: QuadForm, pts: np.ndarray, steps: int = 30) -> np.ndarray:
-    """Vectorized Newton projection of every row onto {q = 0}."""
-    pts = pts.copy()
-    for _ in range(steps):
-        vals = evaluate_many(q, pts)
-        grads = gradient_many(q, pts)
-        denom = np.einsum("ij,ij->i", grads, grads) + 1e-300
-        pts -= (vals / denom)[:, None] * grads
-    return pts
+    X = np.repeat(anchors, len(dirs), axis=0)
+    D = np.tile(dirs, (len(anchors), 1))
+    R = np.sort(np.hstack([line_roots(q, X, D, 1e-13) for q in (g, h)]), axis=1)
+    count = (~np.isnan(R)).sum(axis=1)
+    first, last = R[:, 0], R[np.arange(len(R)), np.maximum(count - 1, 0)]
+    span = np.maximum(last - first, 1.0)
+    # Per ray: the points beyond both extremes, the midpoints, the roots;
+    # a ray without roots probes its anchor.
+    T = np.column_stack([first - span, last + span, 0.5 * (R[:, :-1] + R[:, 1:]), R])
+    T[count == 0, 0] = 0.0
+    keep = ~np.isnan(T)
+    return (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]
 
 
 def _zero_set_witness(
@@ -140,48 +114,29 @@ def _zero_set_witness(
     objective: QuadForm,
     spec: SearchSpec,
     margin: float,
-    refine: bool = True,
     extra: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """A point with q(x) ~ 0 and objective(x) > margin, or None.
 
-    Candidates come from projecting grid/sample/structured points onto
-    {q = 0}; the best one is polished by projected gradient ascent on the
-    objective.
+    Each search point p moves along the gradient of q at p to the nearer
+    real root of q on that line, an exact point of {q = 0}; a point whose
+    line has no root stays put and counts only if it already lies on the set.
     """
-    pts = _project_to_zero_set(q, _search_points(q.n, spec, extra))
-    qvals = np.abs(evaluate_many(q, pts))
-    on_set = qvals <= 1e-7 * (1.0 + q.data_scale())
+    pts = _search_points(q.n, spec, extra)
+    dirs = gradient_many(q, pts)
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    np.divide(dirs, norms, out=dirs, where=norms > 0.0)
+    roots = line_roots(q, pts, dirs, 1e-13)
+    nearer = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
+    dirs *= np.nan_to_num(roots[np.arange(len(roots)), nearer])[:, None]
+    pts += dirs
+    on_set = np.abs(evaluate_many(q, pts)) <= 1e-7 * (1.0 + q.data_scale())
     if not on_set.any():
         return None
     pts = pts[on_set]
     vals = evaluate_many(objective, pts)
     best = int(np.argmax(vals))
-    x = pts[best]
-    if refine:
-        x = _ascend_on_zero_set(q, objective, x, spec.refine_steps)
-    return x if evaluate(objective, x) > margin else None
-
-
-def _ascend_on_zero_set(q, objective, x, steps):
-    """Projected gradient ascent of ``objective`` along {q = 0}."""
-    x = x.copy()
-    step = 0.1
-    for _ in range(steps):
-        grad = 2.0 * (objective.A @ x + objective.a)
-        gq = 2.0 * (q.A @ x + q.a)
-        norm_gq2 = float(gq @ gq) + 1e-300
-        tangent = grad - (grad @ gq) / norm_gq2 * gq
-        cand = x + step * tangent
-        for _ in range(20):  # re-project
-            cand = cand - evaluate(q, cand) / (float((2 * (q.A @ cand + q.a)) @ (2 * (q.A @ cand + q.a))) + 1e-300) * 2.0 * (q.A @ cand + q.a)
-        if evaluate(objective, cand) > evaluate(objective, x) and abs(evaluate(q, cand)) <= 1e-7 * (1.0 + q.data_scale()):
-            x = cand
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return x
+    return pts[best].copy() if vals[best] > margin else None
 
 
 def _feasible_witness(conds, n: int, spec: SearchSpec,

@@ -1,6 +1,7 @@
 """Command-line interface: classify, solve, oracle, reduce, check, witness.
 
-Exit codes: 0 success, 2 malformed input, 3 infeasible, 4 unbounded or
+Exit codes: 0 success, 1 other invalid input (for example a constant g for
+``reduce``), 2 malformed input, 3 infeasible, 4 unbounded or
 dual-infeasible, 5 undetermined.
 """
 
@@ -27,6 +28,7 @@ from .problem_io import ProblemFormatError, dumps_report, parse_problem
 from .solve import solve_nonalter
 
 EXIT_OK = 0
+EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNBOUNDED = 4
@@ -43,14 +45,22 @@ _SOLVE_EXIT = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float):
+_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--bounds": dict(type=float, nargs=2, default=(-10.0, 10.0), metavar=("LO", "HI")),
+    "--grid-res": dict(type=int, default=401),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str, tol: Optional[float] = None):
+    """The problem path, --format, --tol when ``tol`` gives its default, and
+    the named ``flags``: each subcommand takes only the flags it reads."""
     p.add_argument("problem", help="path to a problem JSON file")
-    p.add_argument("--tol", type=float, default=tol_default)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bounds", type=float, nargs=2, default=(-10.0, 10.0),
-                   metavar=("LO", "HI"))
-    p.add_argument("--grid-res", type=int, default=401)
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,27 +71,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full arrangement report")
-    _add_common(p, 1e-9)
+    _add_common(p, "--seed", "--bounds", tol=1e-9)
 
     p = sub.add_parser("check", help="run a single assumption checker")
     p.add_argument("--assumption", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    _add_common(p, 1e-9)
+    _add_common(p, "--seed", "--bounds", tol=1e-9)
 
     p = sub.add_parser("solve", help="classify, reduce or dual-solve, recover a point")
-    _add_common(p, 1e-8)
+    _add_common(p, "--seed", "--bounds", tol=1e-8)
     p.add_argument("--trace", action="store_true", help="dual iterates as JSON lines on stderr")
     p.add_argument("--single-constraint", action="store_true",
                    help="solve min f s.t. g <= 0, ignoring h")
 
     p = sub.add_parser("oracle", help="brute-force grid minimization (n <= 3)")
-    _add_common(p, 1e-8)
+    _add_common(p, "--bounds", "--grid-res")
     p.add_argument("--eps", type=float, default=1e-6, help="feasibility slack")
 
     p = sub.add_parser("reduce", help="canonical form of g and the companion h")
-    _add_common(p, 1e-9)
+    _add_common(p)
 
     p = sub.add_parser("witness", help="search a sign pattern such as g>0,h>=0")
-    _add_common(p, 1e-8)
+    _add_common(p, "--seed", "--bounds", "--grid-res")
     p.add_argument("--pattern", default="g>0,h>=0",
                    help="comma-separated pair from {g,h}x{>0,>=0}")
     p.add_argument("--eps", type=float, default=1e-9, help="strict/weak margin")
@@ -279,7 +289,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INVALID
 
 
 def main() -> None:

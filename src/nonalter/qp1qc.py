@@ -25,6 +25,7 @@ from .quad_core import (
     RANK_RTOL,
     QuadForm,
     evaluate,
+    line_roots,
     null_basis,
     psd_interval,
     quad_inf_closed_form,
@@ -193,25 +194,13 @@ def _hard_case_step(f, g, lam, x_p, tol):
     The kernel cutoff is looser than the global rank threshold because lam*
     is a computed root of det Q(lam) and carries its rounding.
     """
-    Z = _near_kernel(f.A + lam * g.A)
-    g_at = evaluate(g, x_p)
-    for j in range(Z.shape[1]):
-        z = Z[:, j]
-        a2 = float(z @ g.A @ z)
-        a1 = 2.0 * float((g.A @ x_p + g.a) @ z)
-        disc = a1 * a1 - 4.0 * a2 * g_at
-        roots = []
-        if abs(a2) > RANK_RTOL * (1.0 + g.data_scale()):
-            if disc >= 0:
-                sq = np.sqrt(disc)
-                roots = [(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)]
-        elif abs(a1) > RANK_RTOL * (1.0 + g.data_scale()):
-            roots = [-g_at / a1]
-        if not roots:
+    Z = _near_kernel(f.A + lam * g.A).T
+    for z, roots in zip(Z, line_roots(g, np.broadcast_to(x_p, Z.shape), Z, RANK_RTOL)):
+        roots = roots[~np.isnan(roots)]
+        if not roots.size:
             continue
         # Deterministic: smaller magnitude first, positive wins a tie.
-        roots.sort(key=lambda t: (abs(t), -np.sign(t)))
-        t = roots[0]
+        t = min(roots, key=lambda t: (abs(t), -np.sign(t)))
         x = x_p + t * z
         if abs(evaluate(g, x)) <= tol * (1.0 + g.data_scale()):
             return x

@@ -154,6 +154,41 @@ def gradient_many(q: QuadForm, pts: np.ndarray) -> np.ndarray:
     return 2.0 * (pts @ q.A + q.a)
 
 
+def line_roots(q: QuadForm, X: np.ndarray, D: np.ndarray, rtol: float) -> np.ndarray:
+    """Real roots t of q(x + t*d) for each row pair (x, d) of ``X`` and ``D``.
+
+    Returns shape (N, 2), ascending in each row, with nan for a missing
+    root: two roots for a quadratic with nonnegative discriminant (a double
+    root twice), one for a linear restriction, none otherwise.  A
+    coefficient of t^2 or t counts as zero at ``rtol * (1 + q.data_scale())``.
+    The smaller-magnitude root comes from the product of the roots, so it
+    keeps full precision when the other one is large.  A linear term lost
+    in the rounding of the discriminant's root leaves the two roots exact
+    negatives of each other.
+    """
+    X, D = np.asarray(X, dtype=float), np.asarray(D, dtype=float)
+    cut = rtol * (1.0 + q.data_scale())
+    c2 = np.einsum("ij,ij->i", D @ q.A, D)
+    G = X @ q.A
+    G += q.a  # half the gradient of q at each x
+    c1 = 2.0 * np.einsum("ij,ij->i", G, D)
+    G += q.a
+    c0 = np.einsum("ij,ij->i", G, X) + q.a0
+    del G  # N x n: release before the per-row work
+    quad = np.abs(c2) > cut
+    disc = c1 * c1 - 4.0 * c2 * c0
+    real = quad & (disc >= 0.0)
+    s = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    w = -0.5 * (c1 + np.copysign(s, c1))
+    out = np.full((len(X), 2), np.nan)
+    np.divide(w, c2, out=out[:, 0], where=real)
+    np.negative(out[:, 0], out=out[:, 1], where=real)
+    np.divide(c0, w, out=out[:, 1], where=real & (s + np.abs(c1) != s))
+    np.divide(-c0, c1, out=out[:, 0], where=~quad & (np.abs(c1) > cut))
+    out.sort(axis=1)
+    return out
+
+
 def lift(q: QuadForm) -> np.ndarray:
     """The symmetric (n+1)x(n+1) homogenization of ``q``."""
     n = q.n

@@ -18,7 +18,8 @@ from nonalter.classify import (
     pencil_psd_search,
     slater_two_sided,
 )
-from nonalter.quad_core import QuadForm, evaluate, lift, nonneg_everywhere
+from nonalter.instances import random_triple
+from nonalter.quad_core import DEFAULT_TOL, QuadForm, evaluate, lift, nonneg_everywhere
 
 
 class TestSlaterTwoSided:
@@ -240,17 +241,25 @@ class TestClassifyProblem:
         assert rep.overall_class is ArrangementClass.AFFINE_PAIR_REDUCTION
 
     def test_soundness_of_certificates(self):
-        for name in corpus.NAMES:
-            f, g, h, _ = corpus.load(name)
+        inputs = [corpus.load(name)[1:3] for name in corpus.NAMES]
+        for n in (2, 3, 6):
+            for i in range(4):
+                inputs.append(random_triple(np.random.default_rng([n, i]), n)[1:])
+        refuted = 0
+        for g, h in inputs:
             rep = classify_problem(g, h)
             pairs = ((g, h, +1), (g, h, -1), (h, g, +1), (h, g, -1))
             for verdict, (p, q, sign) in zip(rep.inclusions, pairs):
                 if verdict.status is InclusionStatus.CERTIFIED_PENCIL:
                     assert nonneg_everywhere((-float(sign)) * q + verdict.lam * p)
                 elif verdict.status is InclusionStatus.REFUTED_WITNESS:
+                    refuted += 1
                     x = verdict.witness
-                    assert abs(evaluate(p, x)) <= 1e-6
-                    assert sign * evaluate(q, x) > 1e-9
+                    # A view would keep the whole candidate array alive.
+                    assert x.base is None
+                    assert abs(evaluate(p, x)) <= min(1e-6, 1e-7 * (1.0 + p.data_scale()))
+                    assert sign * evaluate(q, x) > DEFAULT_TOL * (1.0 + q.data_scale())
+        assert refuted >= 40
 
 
 class TestOneSidedImpliesNoSeparation:

@@ -80,6 +80,26 @@ class TestParseProblem:
     def test_missing_file_exit_code(self):
         assert run(["solve", "/nonexistent/problem.json"]) == 2
 
+    def test_invalid_valid_file_exit_code(self, tmp_path, capsys):
+        # A well-formed file whose g is constant cannot be reduced: that is
+        # not malformed input, so it exits 1 rather than 2.
+        doc = simple_doc()
+        doc["g"] = {"A": [[0.0]], "a": [0.0], "a0": -1.0}
+        assert run(["reduce", write_problem(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--tol", "1e-3"], ["reduce", "--seed", "1"], ["reduce", "--bounds", "-1", "1"],
+        ["reduce", "--grid-res", "11"], ["classify", "--grid-res", "11"],
+        ["check", "--assumption", "2", "--grid-res", "11"], ["solve", "--grid-res", "11"],
+        ["oracle", "--tol", "1e-3"], ["oracle", "--seed", "1"], ["witness", "--tol", "1e-3"],
+    ])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [str(corpus.corpus_path("ex24"))])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_solve_shell(self, capsys):

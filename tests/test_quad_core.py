@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import poly1, poly2
 from nonalter import corpus
 from nonalter.quad_core import (
+    RANK_RTOL,
     DimensionError,
     PsdVerdict,
     QuadForm,
@@ -13,6 +14,7 @@ from nonalter.quad_core import (
     evaluate_many,
     find_negative_point,
     lift,
+    line_roots,
     from_lift,
     nonneg_everywhere,
     null_basis,
@@ -320,3 +322,62 @@ class TestPsdInterval:
         assert lo == -np.inf and hi == pytest.approx(-1.0, abs=1e-14)
         lo, hi = psd_interval(np.diag([0.0, 1.0]), np.diag([1.0, -1.0]))
         assert lo == pytest.approx(0.0, abs=1e-14) and hi == pytest.approx(1.0, abs=1e-14)
+
+
+def _reference_roots(q, x, d, cut):
+    """np.roots of the restriction q(x + t*d), trimmed at the same cutoff."""
+    c2 = float(d @ q.A @ d)
+    c1 = 2.0 * float((q.A @ x + q.a) @ d)
+    c0 = evaluate(q, x)
+    coeffs = [c2, c1, c0] if abs(c2) > cut else [c1, c0] if abs(c1) > cut else [c0]
+    r = np.roots(coeffs) if len(coeffs) > 1 else np.empty(0)
+    return np.sort(r[np.abs(r.imag) <= 1e-12 * (1.0 + np.abs(r))].real)
+
+
+class TestLineRoots:
+    @pytest.mark.parametrize("rtol", [1e-13, RANK_RTOL])
+    def test_matches_np_roots(self, rng, rtol):
+        A = rng.normal(size=(3, 3))
+        A = A + A.T
+        A[0, :] = A[:, 0] = 0.0
+        q = QuadForm(A, rng.normal(size=3), float(rng.normal()))
+        cut = rtol * (1.0 + q.data_scale())
+        X = rng.normal(size=(40, 3))
+        D = rng.normal(size=(40, 3))
+        D[0] = 0.0  # constant restriction: no root
+        D[1] = D[2] = [1.0, 0.0, 0.0]  # linear restriction: A e1 = 0
+        X[2] = [0.0, 0.0, 0.0]
+        tiny = QuadForm(np.diag([0.5 * cut, 1.0, 1.0]), [1.0, 0.0, 0.0], -3.0)
+        small = QuadForm(np.diag([4.0 * cut, 1.0, 1.0]), [1.0, 0.0, 0.0], -3.0)
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        for form, X_, D_ in ((q, X, D), (tiny, np.zeros((1, 3)), e1), (small, np.zeros((1, 3)), e1)):
+            got = line_roots(form, X_, D_, rtol)
+            assert got.shape == (len(X_), 2)
+            form_cut = rtol * (1.0 + form.data_scale())
+            for x, d, row in zip(X_, D_, got):
+                want = _reference_roots(form, x, d, form_cut)
+                assert np.isnan(row[want.size:]).all()
+                np.testing.assert_allclose(row[: want.size], want, rtol=1e-7)
+                for t in row[: want.size]:
+                    # Exact up to rounding and a dropped leading coefficient.
+                    assert abs(evaluate(form, x + t * d)) <= (1e-12 * (1.0 + abs(t)) ** 2
+                                                              + form_cut * t * t)
+        assert np.isnan(line_roots(q, X[:1], D[:1], rtol)).all()
+        assert np.count_nonzero(~np.isnan(line_roots(q, X[1:3], D[1:3], rtol))) == 2
+        assert np.count_nonzero(~np.isnan(line_roots(tiny, np.zeros((1, 3)), e1, rtol))) == 1
+        assert np.count_nonzero(~np.isnan(line_roots(small, np.zeros((1, 3)), e1, rtol))) == 2
+
+    def test_no_real_root(self):
+        q = QuadForm(np.eye(2), [0.5, 0.0], 1.0)
+        X = np.array([[0.0, 0.0], [3.0, -1.0]])
+        assert np.isnan(line_roots(q, X, np.array([[1.0, 0.0], [0.6, 0.8]]), 1e-13)).all()
+
+    def test_symmetric_pair_and_double_root(self):
+        q = poly1(axx=1.0, c=-2.0)  # x^2 - 2
+        lo, hi = line_roots(q, np.zeros((1, 1)), np.ones((1, 1)), 1e-13)[0]
+        assert hi == -lo == np.sqrt(2.0)
+        square = poly1(axx=1.0)
+        assert line_roots(square, np.zeros((1, 1)), np.ones((1, 1)), 1e-13).tolist() == [[0.0, 0.0]]
+
+    def test_empty(self):
+        assert line_roots(poly2(axx=1.0), np.zeros((0, 2)), np.zeros((0, 2)), 1e-13).shape == (0, 2)
