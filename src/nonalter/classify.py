@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .canonical import (
 from .quad_core import (
     DEFAULT_TOL,
     PSD_RTOL,
+    EigenDecomp,
     PsdStatus,
     PsdVerdict,
     QuadForm,
@@ -54,18 +56,25 @@ class SearchSpec:
     seed: int = 0
 
 
-def _search_points(n: int, spec: SearchSpec, extra: Optional[np.ndarray] = None) -> np.ndarray:
-    """Structured candidates, a grid (n <= 3), and seeded uniform samples."""
+@lru_cache(maxsize=4)
+def _search_block(n: int, spec: SearchSpec) -> np.ndarray:
+    """The grid (n <= 3) and seeded uniform samples, built once per (n, spec); read-only."""
     parts = []
-    if extra is not None and len(extra):
-        parts.append(extra)
     if n <= 3:
         axes = [np.linspace(-spec.box, spec.box, spec.grid_per_axis)] * n
         mesh = np.meshgrid(*axes, indexing="ij")
         parts.append(np.stack([m.ravel() for m in mesh], axis=1))
     rng = np.random.default_rng(spec.seed)
     parts.append(rng.uniform(-spec.box, spec.box, size=(spec.n_samples, n)))
-    return np.vstack(parts)
+    block = np.vstack(parts)
+    block.setflags(write=False)
+    return block
+
+
+def _search_points(n: int, spec: SearchSpec, extra: Optional[np.ndarray] = None) -> np.ndarray:
+    """Structured candidates, then the shared grid-plus-samples block."""
+    block = _search_block(n, spec)
+    return np.vstack([extra, block]) if extra is not None and len(extra) else block
 
 
 def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
@@ -88,7 +97,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
     dirs = []
     for q in (g, h):
         if q.A.any():
-            dirs.extend(np.linalg.eigh(q.A)[1].T)
+            dirs.extend(EigenDecomp.of(q.A).vectors.T)
         if q.a.any():
             dirs.append(q.a / np.linalg.norm(q.a))
     rng = np.random.default_rng(spec.seed + 1)
@@ -129,11 +138,11 @@ def _zero_set_witness(
     roots = line_roots(q, pts, dirs, 1e-13)
     nearer = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
     dirs *= np.nan_to_num(roots[np.arange(len(roots)), nearer])[:, None]
-    pts += dirs
-    on_set = np.abs(evaluate_many(q, pts)) <= 1e-7 * (1.0 + q.data_scale())
+    dirs += pts  # the moved points: pts may be the shared read-only search block
+    on_set = np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())
     if not on_set.any():
         return None
-    pts = pts[on_set]
+    pts = dirs[on_set]
     vals = evaluate_many(objective, pts)
     best = int(np.argmax(vals))
     return pts[best].copy() if vals[best] > margin else None
@@ -148,7 +157,7 @@ def _feasible_witness(conds, n: int, spec: SearchSpec,
         mask &= evaluate_many(q, pts) <= ub
         if not mask.any():
             return None
-    return pts[int(np.flatnonzero(mask)[0])]
+    return pts[int(np.flatnonzero(mask)[0])].copy()
 
 
 # ---------------------------------------------------------------------------

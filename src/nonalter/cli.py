@@ -63,6 +63,15 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, tol: Optional[float] = 
         p.add_argument(flag, **_FLAGS[flag])
 
 
+class _SearchBox(argparse.Action):
+    """``--bounds`` of the witness searches, whose box is [-HI, HI]."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values[0] == -values[1] < values[1]:
+            parser.error(f"{option_string} LO HI needs LO = -HI < HI: the search box is [-HI, HI]")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nonalter",
@@ -71,14 +80,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full arrangement report")
-    _add_common(p, "--seed", "--bounds", tol=1e-9)
+    _add_common(p, "--seed", tol=1e-9)
+    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
 
     p = sub.add_parser("check", help="run a single assumption checker")
     p.add_argument("--assumption", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    _add_common(p, "--seed", "--bounds", tol=1e-9)
+    _add_common(p, "--seed", tol=1e-9)
+    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
 
     p = sub.add_parser("solve", help="classify, reduce or dual-solve, recover a point")
-    _add_common(p, "--seed", "--bounds", tol=1e-8)
+    _add_common(p, "--seed", tol=1e-8)
+    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
     p.add_argument("--trace", action="store_true", help="dual iterates as JSON lines on stderr")
     p.add_argument("--single-constraint", action="store_true",
                    help="solve min f s.t. g <= 0, ignoring h")
@@ -100,8 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _search_spec(args) -> SearchSpec:
-    lo, hi = args.bounds
-    return SearchSpec(box=max(abs(lo), abs(hi)), seed=args.seed)
+    return SearchSpec(box=args.bounds[1], seed=args.seed)
 
 
 def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:

@@ -36,10 +36,10 @@ from .quad_core import (
     DEFAULT_TOL,
     INF_PSD_RTOL,
     PSD_RTOL,
-    RANGE_RTOL,
+    EigenDecomp,
     QuadForm,
     lift,
-    quad_inf_closed_form,
+    quad_inf,
     sym_eigen,
 )
 
@@ -88,7 +88,7 @@ def lagrangian_dual_value(
     Q = f.A + lam1 * g.A + lam2 * h.A
     v = f.a + lam1 * g.a + lam2 * h.a
     s = f.a0 + lam1 * g.a0 + lam2 * h.a0
-    return quad_inf_closed_form(Q, v, s, psd_tol)
+    return float(quad_inf(Q, v, s, psd_tol).value)
 
 
 def slack_matrix(f, g, h, gamma: float, lam1: float, lam2: float) -> np.ndarray:
@@ -106,11 +106,10 @@ def sdp_certificate(
     Z = slack_matrix(f, g, h, point.gamma, point.lambda1, point.lambda2)
     ev = sym_eigen(Z)
     min_eig = float(ev.values[0])
-    norm2 = float(np.abs(ev.values).max(initial=0.0))
     return SlackReport(
         slack_min_eig=min_eig,
-        slack_norm=norm2,
-        feasible=min_eig >= -tol * (1.0 + norm2),
+        slack_norm=float(np.abs(ev.values).max(initial=0.0)),
+        feasible=bool(min_eig >= -ev.cut(tol)),
     )
 
 
@@ -142,22 +141,12 @@ def _probe_blocks():
 
 
 def _probe(f: QuadForm, g: QuadForm, h: QuadForm, lam1: np.ndarray, lam2: np.ndarray):
-    """psi at a stack of multiplier pairs, and where Q(lam) is positive definite.
-
-    The stacked form of :func:`quad_inf_closed_form`, with the same margins.
-    """
+    """psi at a stack of multiplier pairs, and where Q(lam) is positive definite."""
     Q = f.A + lam1[:, None, None] * g.A + lam2[:, None, None] * h.A
     v = f.a + lam1[:, None] * g.a + lam2[:, None] * h.a
     s = f.a0 + lam1 * g.a0 + lam2 * h.a0
-    values, vectors = np.linalg.eigh(Q)
-    margin = INF_PSD_RTOL * (1.0 + np.abs(values).max(axis=1))
-    zero = values <= margin[:, None]
-    coeffs = np.einsum("kji,kj->ki", vectors, v)
-    resid = np.linalg.norm(np.where(zero, coeffs, 0.0), axis=1)
-    finite = (values[:, 0] >= -margin) & (resid <= RANGE_RTOL * (1.0 + np.linalg.norm(v, axis=1)))
-    inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
-    psi = np.where(finite, s - np.einsum("ki,ki->k", coeffs, inv * coeffs), -np.inf)
-    return psi, values[:, 0] > margin
+    qi = quad_inf(Q, v, s)
+    return qi.value, qi.eig.values[:, 0] > qi.eig.cut(INF_PSD_RTOL)
 
 
 def solve_dual_2d(
@@ -191,7 +180,7 @@ def solve_dual_2d(
     def result(status, value, l1, l2):
         Z = slack_matrix(f, g, h, value, l1, l2)
         point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
-                          slack_min_eig=float(np.linalg.eigvalsh(Z)[0]))
+                          slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
         return DualSolveResult(status=status, value=value, best=point, evaluations=evals,
                                trace=tuple(trace) if trace is not None else None)
 

@@ -13,7 +13,7 @@ touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -21,14 +21,14 @@ import numpy as np
 from .quad_core import (
     DEFAULT_TOL,
     INF_PSD_RTOL,
-    RANGE_RTOL,
     RANK_RTOL,
+    EigenDecomp,
     QuadForm,
     evaluate,
     line_roots,
-    null_basis,
     psd_interval,
-    quad_inf_closed_form,
+    pseudo_inverse,
+    quad_inf,
     restrict_affine,
     unconstrained_min,
 )
@@ -63,68 +63,47 @@ class Qp1qcResult:
     note: str = ""
 
 
-def _dual_1d(f: QuadForm, g: QuadForm, lam: float,
-             psd_tol: float = INF_PSD_RTOL) -> float:
-    """inf_x [f + lam*g](x) in closed form; -inf outside the dual domain."""
-    Q = f.A + lam * g.A
-    v = f.a + lam * g.a
-    s = f.a0 + lam * g.a0
-    return quad_inf_closed_form(Q, v, s, psd_tol)
+#: Kernel cutoff at a computed multiplier, looser than the rank threshold
+#: because lam* is a computed root of det Q(lam) and carries its rounding.
+_NEAR_KERNEL_RTOL = 1e-8
 
 
 class _DualPoint(NamedTuple):
-    """psi(lam), the stationary point x(lam) = -Q^+v, psi' and
-    psi'' = -2 w'Q^+w with w = Bx + b."""
+    """psi(lam), the stationary point x(lam) = -Q^+v, psi', psi'' = -2 w'Q^+w
+    with w = Bx + b, and the decomposition of Q(lam)."""
 
     value: float
     x: np.ndarray
     slope: float
     curvature: float
+    eig: EigenDecomp
 
 
 def _dual_at(f: QuadForm, g: QuadForm, lam: float) -> Optional[_DualPoint]:
-    """The dual and its derivatives at lam from one eigendecomposition.
-
-    None where psi(lam) = -inf.  The margins are those of
-    :func:`quad_inf_closed_form`, so a Q(lam) that the closed form treats as
-    singular is not inverted here either.
-    """
-    Q = f.A + lam * g.A
-    v = f.a + lam * g.a
-    values, vectors = np.linalg.eigh(Q)
-    margin = INF_PSD_RTOL * (1.0 + float(np.abs(values).max(initial=0.0)))
-    if values[0] < -margin:
+    """The dual and its derivatives at lam from one closed form; None where
+    psi(lam) = -inf."""
+    qi = quad_inf(f.A + lam * g.A, f.a + lam * g.a, f.a0 + lam * g.a0)
+    if qi.value == -np.inf:
         return None
-    zero = values <= margin
-    coeffs = vectors.T @ v
-    if zero.any() and np.linalg.norm(coeffs[zero]) > RANGE_RTOL * (1.0 + np.linalg.norm(v)):
-        return None
-    inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
-    x = -vectors @ (inv * coeffs)
-    w = g.A @ x + g.a
-    wc = vectors.T @ w
+    V = qi.eig.vectors
+    w = g.A @ qi.x + g.a
+    wc = V.T @ w
     # psi' = g(x(lam)) where Q(lam) is regular.  At a singular end of the
     # domain it is the one-sided g(lim x(mu)) as mu comes in from the inside;
     # the limit adds to x the kernel part Zc with Z'BZ c = -Z'w, where Z'BZ
-    # vanishes on a common kernel of f.A and g.A.
-    Z = vectors[:, zero]
-    ZBZ = Z.T @ g.A @ Z
-    cut = RANK_RTOL * (1.0 + float(np.abs(g.A).max()))
-    c = np.linalg.pinv(ZBZ, rcond=cut / max(float(np.abs(ZBZ).max(initial=0.0)), cut)) @ (Z.T @ w)
-    x_in = x - Z @ c
+    # vanishes on a common kernel of f.A and g.A (zero in units of 1 + |B|).
+    x_in = qi.x
+    if qi.zero.any():
+        Z = V[:, qi.zero]
+        unit = 1.0 + float(np.abs(g.A).max())
+        x_in = x_in - Z @ (pseudo_inverse(Z.T @ g.A @ Z / unit) @ (Z.T @ w)) / unit
     return _DualPoint(
-        value=float(f.a0 + lam * g.a0 - coeffs @ (inv * coeffs)),
-        x=x,
+        value=float(qi.value),
+        x=qi.x,
         slope=evaluate(g, x_in),
-        curvature=float(-2.0 * wc @ (inv * wc)),
+        curvature=float(-2.0 * wc @ (qi.eig.inverse(INF_PSD_RTOL) * wc)),
+        eig=qi.eig,
     )
-
-
-def _near_kernel(Q: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Eigenvectors with eigenvalues small on the unit-anchored scale."""
-    values, vectors = np.linalg.eigh(Q)
-    norm2 = float(np.abs(values).max(initial=0.0))
-    return vectors[:, np.abs(values) <= rtol * (1.0 + norm2)]
 
 
 def _kkt(f: QuadForm, g: QuadForm, lam: float, x: np.ndarray) -> KktResiduals:
@@ -169,7 +148,7 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
             # Inside the PSD interval Q(lam) is singular only on the common
             # kernel K of f.A and g.A, so psi is finite at most where
             # K'(a + lam*b) = 0.
-            K = _near_kernel(f.A + lam * g.A)
+            K = EigenDecomp.of(f.A + lam * g.A).kernel(_NEAR_KERNEL_RTOL)
             kb = K.T @ g.a
             if not kb.any():
                 return None, None
@@ -188,20 +167,16 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     return lam, d
 
 
-def _hard_case_step(f, g, lam, x_p, tol):
-    """Move along a kernel direction of Q(lam*) to reach {g = 0}.
-
-    The kernel cutoff is looser than the global rank threshold because lam*
-    is a computed root of det Q(lam) and carries its rounding.
-    """
-    Z = _near_kernel(f.A + lam * g.A).T
-    for z, roots in zip(Z, line_roots(g, np.broadcast_to(x_p, Z.shape), Z, RANK_RTOL)):
+def _hard_case_step(g, d: _DualPoint, tol):
+    """Move from x(lam*) along a near-kernel direction of Q(lam*) to reach {g = 0}."""
+    Z = d.eig.kernel(_NEAR_KERNEL_RTOL).T
+    for z, roots in zip(Z, line_roots(g, np.broadcast_to(d.x, Z.shape), Z, RANK_RTOL)):
         roots = roots[~np.isnan(roots)]
         if not roots.size:
             continue
         # Deterministic: smaller magnitude first, positive wins a tie.
         t = min(roots, key=lambda t: (abs(t), -np.sign(t)))
-        x = x_p + t * z
+        x = d.x + t * z
         if abs(evaluate(g, x)) <= tol * (1.0 + g.data_scale()):
             return x
     return None
@@ -227,7 +202,7 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
             )
         if gmin.value >= -tol * gscale:
             # {g <= 0} collapses to the affine set of minimizers of g.
-            Z = null_basis(g.A)
+            Z = gmin.kernel
             if Z.shape[1] == 0:
                 val = evaluate(f, gmin.x)
                 return Qp1qcResult(
@@ -240,14 +215,7 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
                 )
             res = solve_on_affine_subspace(f, gmin.x, Z, tol)
             note = "feasible set is an affine subspace; " + res.note
-            return Qp1qcResult(
-                status=res.status,
-                value=res.value,
-                x=res.x,
-                lam=res.lam,
-                kkt=res.kkt,
-                note=note.strip("; "),
-            )
+            return replace(res, note=note.strip("; "))
 
     # Slater regime: maximize the concave one-dimensional dual over lam >= 0.
     lam_star, d = _maximize_dual(f, g)
@@ -262,7 +230,7 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
     comp_tol = tol * (1.0 + abs(value)) * max(1.0, lam_star)
     candidates = [x]
     if feas > tol * gscale or (lam_star > tol and abs(lam_star * feas) > comp_tol):
-        hard = _hard_case_step(f, g, lam_star, x, tol)
+        hard = _hard_case_step(g, d, tol)
         if hard is not None:
             candidates.append(hard)
     for cand in reversed(candidates):

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -210,10 +211,48 @@ def from_lift(M: np.ndarray) -> QuadForm:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Eigenvalues ascending, orthonormal eigenvectors as columns."""
+    """Eigenvalues ascending, orthonormal eigenvectors as columns.
+
+    The package's one spectral primitive.  An eigenvalue counts as zero when
+    ``|lam| <= cut(rtol)``, with ``cut(rtol) = rtol * (1 + max|lam|)``; every
+    PSD margin, pseudo-inverse and kernel in the package is read from it.
+    On a stack of matrices (shape (K, n, n)) each array gains the leading
+    axis K and ``cut`` gives one cutoff per matrix.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, M) -> "EigenDecomp":
+        """Decompose a symmetric matrix or a stack of them, without validation."""
+        return cls(*np.linalg.eigh(M))
+
+    @classmethod
+    def values_of(cls, M) -> "EigenDecomp":
+        """The eigenvalues alone, from LAPACK's values-only driver; no vectors."""
+        return cls(np.linalg.eigvalsh(M), None)
+
+    @cached_property
+    def _scale(self):
+        """1 + max|lam|, shared by every cutoff taken from this decomposition."""
+        return 1.0 + np.abs(self.values).max(axis=-1, initial=0.0)
+
+    def cut(self, rtol: float):
+        """The zero cutoff ``rtol * (1 + max|lam|)``."""
+        return rtol * self._scale
+
+    def zero(self, rtol: float) -> np.ndarray:
+        """Mask of the eigenvalues with ``|lam| <= cut(rtol)``."""
+        return np.abs(self.values) <= self.cut(rtol)[..., None]
+
+    def inverse(self, rtol: float) -> np.ndarray:
+        """Pseudo-inverse weights: 1/lam on the non-zero eigenvalues, 0 on the zero ones."""
+        return np.divide(1.0, self.values, out=np.zeros(self.values.shape), where=~self.zero(rtol))
+
+    def kernel(self, rtol: float) -> np.ndarray:
+        """Orthonormal columns spanning the eigenvectors of the zero eigenvalues."""
+        return self.vectors[:, self.zero(rtol)]
 
 
 def sym_eigen(M) -> EigenDecomp:
@@ -221,14 +260,14 @@ def sym_eigen(M) -> EigenDecomp:
     M = _to_matrix(M)
     M = (M + M.T) / 2.0
     try:
-        values, vectors = np.linalg.eigh(M)
+        ed = EigenDecomp.of(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise np.linalg.LinAlgError(
             f"symmetric eigendecomposition did not converge for shape {M.shape}: {exc}"
         ) from exc
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenDecomp(values, vectors)
+    ed.values.setflags(write=False)
+    ed.vectors.setflags(write=False)
+    return ed
 
 
 class PsdVerdict(Enum):
@@ -243,9 +282,9 @@ class PsdStatus:
     verdict: PsdVerdict
 
 
-def _status_of(values: np.ndarray, tol: float) -> PsdStatus:
-    min_eig = float(values[0])
-    margin = tol * (1.0 + float(np.abs(values).max(initial=0.0)))
+def _status_of(ed: EigenDecomp, tol: float) -> PsdStatus:
+    min_eig = float(ed.values[0])
+    margin = ed.cut(tol)
     if min_eig < -margin:
         verdict = PsdVerdict.INDEFINITE
     elif min_eig > margin:
@@ -258,11 +297,11 @@ def _status_of(values: np.ndarray, tol: float) -> PsdStatus:
 def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
     """Classify a symmetric matrix by its smallest eigenvalue.
 
-    The verdict uses the relative margin ``tol * (1 + ||M||_2)``: strictly
-    below it is indefinite, strictly above it positive definite, otherwise
+    The verdict uses the margin ``EigenDecomp.cut(tol)``: strictly below
+    minus it is indefinite, strictly above it positive definite, otherwise
     semidefinite-singular.
     """
-    return _status_of(sym_eigen(M).values, tol)
+    return _status_of(sym_eigen(M), tol)
 
 
 def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
@@ -277,7 +316,7 @@ def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarr
     :func:`nonneg_everywhere`.
     """
     ed = sym_eigen(lift(q))
-    if _status_of(ed.values, tol).verdict is not PsdVerdict.INDEFINITE:
+    if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
     w0, wbar = v[0], v[1:]
@@ -311,7 +350,7 @@ def _rcond(M: np.ndarray) -> float:
 
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     """The closed interval of real lam where ``psd_status(P + lam*Q, tol)``
-    is not indefinite, or None when there is no such lam.
+    is not indefinite (P, Q symmetric), or None when there is no such lam.
 
     Ends may be -inf or inf.  The set is an interval because the smallest
     eigenvalue of P + lam*Q is concave in lam, and its finite ends are real
@@ -346,7 +385,8 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
         pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
     else:
         pts = np.zeros(1)
-    ok = np.array([psd_status(P + t * Q, tol).verdict is not PsdVerdict.INDEFINITE for t in pts])
+    ok = np.array([_status_of(EigenDecomp.of(P + t * Q), tol).verdict is not PsdVerdict.INDEFINITE
+                   for t in pts])
     # Segment j runs from edge j to edge j + 1; root j is edge j + 1.
     edges = np.concatenate([[-np.inf], roots, [np.inf]])
     seg_ok, root_ok = ok[0::2], ok[1::2]
@@ -356,28 +396,15 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     return float(admitted.min()), float(admitted.max())
 
 
-def _zero_mask(values: np.ndarray, rtol: float, scale: Optional[float] = None) -> np.ndarray:
-    ref = float(np.abs(values).max(initial=0.0)) if scale is None else scale
-    return np.abs(values) <= rtol * ref
-
-
 def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via eigendecomposition.
-
-    Eigenvalues below ``rtol`` times the largest magnitude are treated as
-    exact zeros, matching the package-wide rank threshold.
-    """
+    """Moore-Penrose inverse of a symmetric matrix, zero below ``EigenDecomp.cut(rtol)``."""
     ed = sym_eigen(M)
-    zero = _zero_mask(ed.values, rtol)
-    inv = np.divide(1.0, ed.values, out=np.zeros_like(ed.values), where=~zero)
-    return (ed.vectors * inv) @ ed.vectors.T
+    return (ed.vectors * ed.inverse(rtol)) @ ed.vectors.T
 
 
 def null_basis(M, rtol: float = RANK_RTOL) -> np.ndarray:
     """Orthonormal columns spanning the kernel (shape (n, m), possibly m=0)."""
-    ed = sym_eigen(M)
-    zero = _zero_mask(ed.values, rtol)
-    return ed.vectors[:, zero].copy()
+    return sym_eigen(M).kernel(rtol)
 
 
 def restrict_affine(q: QuadForm, x0, N) -> QuadForm:
@@ -407,68 +434,62 @@ def restrict_affine(q: QuadForm, x0, N) -> QuadForm:
 INF_PSD_RTOL = 1e-12
 
 
-def quad_inf_closed_form(Q: np.ndarray, v: np.ndarray, s: float,
-                         psd_rtol: float = INF_PSD_RTOL) -> float:
-    """inf_x [x'Qx + 2v'x + s] = s - v'Q^+v when Q is PSD and v in range(Q).
+class QuadInf(NamedTuple):
+    """``inf_x [x'Qx + 2v'x + s]``, the point ``-Q^+v``, the decomposition of
+    Q and the mask of its zero eigenvalues; each gains a leading axis K on a
+    stack of K problems."""
 
-    Returns -inf when Q has an eigenvalue below the margin or the linear
-    term escapes along the kernel.  Q must already be symmetric; this runs
-    in every inner loop of the dual solvers, so no validation happens here.
+    value: np.ndarray  # -inf outside the domain
+    x: np.ndarray
+    eig: EigenDecomp
+    zero: np.ndarray
+
+
+def quad_inf(Q, v, s, rtol: float = INF_PSD_RTOL) -> QuadInf:
+    """inf_x [x'Qx + 2v'x + s] = s - v'Q^+v for one symmetric Q or a stack.
+
+    The value is -inf when Q has an eigenvalue below ``-cut(rtol)``, or when
+    the part of v along the zero eigenvalues exceeds ``RANGE_RTOL * (1 + |v|)``
+    (the linear term escapes along the kernel).  No validation happens here:
+    this runs in the inner loops of the dual solvers.
     """
-    values, vectors = np.linalg.eigh(Q)
-    norm2 = float(np.abs(values).max(initial=0.0))
-    margin = psd_rtol * (1.0 + norm2)
-    if values[0] < -margin:
-        return -np.inf
-    zero = values <= margin
-    coeffs = vectors.T @ v
-    if zero.any():
-        resid = float(np.linalg.norm(coeffs[zero]))
-        if resid > RANGE_RTOL * (1.0 + float(np.linalg.norm(v))):
-            return -np.inf
-    inv = np.divide(1.0, values, out=np.zeros_like(values), where=~zero)
-    return float(s - coeffs @ (inv * coeffs))
+    eig = EigenDecomp.of(Q)
+    zero = eig.zero(rtol)
+    c = (np.swapaxes(eig.vectors, -1, -2) @ v[..., None])[..., 0]
+    w = eig.inverse(rtol) * c
+    resid = np.sqrt(np.square(c, where=zero, out=np.zeros(c.shape)).sum(axis=-1))
+    finite = (eig.values[..., 0] >= -eig.cut(rtol)) & (
+        resid <= RANGE_RTOL * (1.0 + np.sqrt(np.square(v).sum(axis=-1))))
+    value = np.where(finite, s - (c[..., None, :] @ w[..., None])[..., 0, 0], -np.inf)
+    return QuadInf(value[()], (-eig.vectors @ w[..., None])[..., 0], eig, zero)
 
 
 @dataclass(frozen=True)
 class UnconstrainedMin:
-    """Outcome of minimizing one quadratic over all of R^n."""
+    """Outcome of minimizing one quadratic over all of R^n; ``kernel`` spans
+    the zero eigenvectors of ``q.A`` at the solve's cutoff."""
 
     status: str  # "attained" | "unbounded_below"
     value: float  # -inf when unbounded
     x: Optional[np.ndarray] = None
     direction: Optional[np.ndarray] = None
     kind: Optional[str] = None  # "negative_curvature" | "affine" for unbounded
+    kernel: Optional[np.ndarray] = None
 
 
 def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
     """Global infimum of q over R^n, with minimizer or escape direction."""
-    ed = sym_eigen(q.A)
-    scale = max(
-        float(np.abs(ed.values).max(initial=0.0)),
-        float(np.linalg.norm(q.a)),
-        1e-300,
-    )
-    thr = rtol * scale
-    if ed.values[0] < -thr:
-        return UnconstrainedMin(
-            status="unbounded_below",
-            value=-np.inf,
-            direction=ed.vectors[:, 0].copy(),
-            kind="negative_curvature",
-        )
-    zero = np.abs(ed.values) <= thr
-    K = ed.vectors[:, zero]
-    if K.shape[1]:
+    qi = quad_inf(q.A, q.a, q.a0, rtol)
+    V = qi.eig.vectors
+    K = V[:, qi.zero]
+    if qi.eig.values[0] < -qi.eig.cut(rtol):
+        return UnconstrainedMin(status="unbounded_below", value=-np.inf,
+                                direction=V[:, 0].copy(), kind="negative_curvature", kernel=K)
+    if qi.value == -np.inf:
         w = K.T @ q.a
-        if np.linalg.norm(w) > thr:
-            d = -K @ (w / np.linalg.norm(w))
-            return UnconstrainedMin(
-                status="unbounded_below", value=-np.inf, direction=d, kind="affine"
-            )
-    inv = np.divide(1.0, ed.values, out=np.zeros_like(ed.values), where=~zero)
-    x = -(ed.vectors * inv) @ (ed.vectors.T @ q.a)
-    return UnconstrainedMin(status="attained", value=evaluate(q, x), x=x)
+        return UnconstrainedMin(status="unbounded_below", value=-np.inf,
+                                direction=-K @ (w / np.linalg.norm(w)), kind="affine", kernel=K)
+    return UnconstrainedMin(status="attained", value=evaluate(q, qi.x), x=qi.x, kernel=K)
 
 
 def escape_point(q: QuadForm, target: float, rtol: float = RANK_RTOL) -> Optional[np.ndarray]:

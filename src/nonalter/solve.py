@@ -121,7 +121,7 @@ def recover_solution(
     gate = tol * (1.0 + abs(nu_star))
     if um.status == "attained" and abs(um.value - nu_star) <= gate:
         notes.append("branch A: optimum equals the unconstrained infimum")
-        Z = null_basis(f.A)
+        Z = um.kernel
         x_c = um.x
         if Z.shape[1] == 0:
             if evaluate(g, x_c) <= gate and evaluate(h, x_c) <= gate:

@@ -6,7 +6,10 @@ from nonalter import corpus
 from nonalter.classify import (
     ArrangementClass,
     InclusionStatus,
+    SearchSpec,
     Verdict,
+    _search_block,
+    _search_points,
     check_assumption1,
     check_assumption2,
     check_assumption3,
@@ -20,6 +23,26 @@ from nonalter.classify import (
 )
 from nonalter.instances import random_triple
 from nonalter.quad_core import DEFAULT_TOL, QuadForm, evaluate, lift, nonneg_everywhere
+
+
+class TestSearchPoints:
+    def test_block_built_once_read_only_and_unchanged(self):
+        spec = SearchSpec(seed=7)
+        _search_block.cache_clear()
+        _, g, h, _ = corpus.load("ex24")
+        classify_problem(g, h, spec=spec)
+        info = _search_block.cache_info()
+        assert info.misses == 1 and info.hits >= 3
+        block = _search_block(2, spec)
+        assert not block.flags.writeable
+        # The same points in the same order as a fresh build, extra first.
+        axis = np.linspace(-spec.box, spec.box, spec.grid_per_axis)
+        grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        samples = np.random.default_rng(spec.seed).uniform(-spec.box, spec.box, (spec.n_samples, 2))
+        assert np.array_equal(block, np.vstack([grid, samples]))
+        extra = np.ones((3, 2))
+        assert np.array_equal(_search_points(2, spec, extra), np.vstack([extra, grid, samples]))
+        assert _search_points(2, spec) is block
 
 
 class TestSlaterTwoSided:

@@ -101,6 +101,19 @@ class TestParseProblem:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", [["classify"], ["check", "--assumption", "2"], ["solve"]])
+    def test_asymmetric_search_bounds_rejected(self, command, capsys):
+        # The witness searches use the box [-HI, HI]; other bounds are an error.
+        path = str(corpus.corpus_path("ex24"))
+        for bounds in (["2", "3"], ["-1", "3"], ["3", "-3"]):
+            with pytest.raises(SystemExit) as exc:
+                run(command + [path, "--bounds", *bounds])
+            assert exc.value.code == 2
+            assert "LO = -HI < HI" in capsys.readouterr().err
+        assert run(command + [path, "--bounds", "-10", "10"]) == 0
+        capsys.readouterr()
+
+
 class TestCommands:
     def test_solve_shell(self, capsys):
         code = run(["solve", str(corpus.corpus_path("ex25a"))])

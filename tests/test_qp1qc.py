@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import poly1, poly2
+from nonalter.duality import lagrangian_dual_value
 from nonalter.instances import random_quadform
 from nonalter.oracle import GridSpec, grid_min, probe_unbounded
 from nonalter.qp1qc import solve_qp1qc, solve_on_affine_subspace
@@ -108,15 +109,14 @@ class TestKktInvariants:
 
     def test_dual_value_matches_primal(self, rng):
         # No duality gap in the single-constraint regime with a Slater point.
-        from nonalter.qp1qc import _dual_1d
-
         for _ in range(40):
             f = random_quadform(rng, 2, convex=rng.uniform() < 0.6)
             g = random_quadform(rng, 2)
             r = solve_qp1qc(f, g)
             if r.status != "attained":
                 continue
-            assert _dual_1d(f, g, r.lam) == pytest.approx(r.value, rel=1e-6, abs=1e-6)
+            psi = lagrangian_dual_value(f, g, QuadForm.zero(2), r.lam, 0.0)
+            assert psi == pytest.approx(r.value, rel=1e-6, abs=1e-6)
 
 
 class TestOracleAgreement:
@@ -200,6 +200,18 @@ class TestWork:
         assert r.lam == pytest.approx(1.0, abs=1e-14)
         assert r.value == pytest.approx(1.0, abs=1e-12)
         assert abs(evaluate(g, r.x)) <= 1e-12
+
+    def test_collapsed_feasible_set_decomposes_g_once(self, eig_calls):
+        # {(x-1)^2 <= 0} is the line x = 1: one eigendecomposition of g.A
+        # gives its point and direction, one more minimizes f along it.
+        f = poly2(axx=1, ayy=1, by=-2)
+        r = solve_qp1qc(f, poly2(axx=1, bx=-2, c=1))
+        assert eig_calls[0] == 2
+        assert r.status == "attained" and np.allclose(r.x, [1.0, 1.0])
+        eig_calls[0] = 0
+        r = solve_qp1qc(f, poly2(axx=1, ayy=1))  # {x^2 + y^2 <= 0} = {0}
+        assert eig_calls[0] == 1
+        assert r.status == "attained" and np.allclose(r.x, 0.0)
 
     def test_multiplier_pinned_by_common_kernel(self):
         # f = -x, g = x + y^2 share the kernel direction x of their Hessians;

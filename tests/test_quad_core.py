@@ -1,13 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonalter
 from conftest import poly1, poly2
 from nonalter import corpus
 from nonalter.quad_core import (
+    INF_PSD_RTOL,
     RANK_RTOL,
     DimensionError,
+    EigenDecomp,
     PsdVerdict,
     QuadForm,
     evaluate,
@@ -21,6 +27,7 @@ from nonalter.quad_core import (
     psd_interval,
     psd_status,
     pseudo_inverse,
+    quad_inf,
     restrict_affine,
     sym_eigen,
     unconstrained_min,
@@ -381,3 +388,88 @@ class TestLineRoots:
 
     def test_empty(self):
         assert line_roots(poly2(axx=1.0), np.zeros((0, 2)), np.zeros((0, 2)), 1e-13).shape == (0, 2)
+
+
+def _corpus_pencils():
+    """Every corpus (f, g, h) on a multiplier grid: Q, v, s stacked."""
+    lam = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+    l1, l2 = (m.ravel() for m in np.meshgrid(lam, lam, indexing="ij"))
+    for name in corpus.NAMES:
+        f, g, h, _ = corpus.load(name)
+        yield (f.A + l1[:, None, None] * g.A + l2[:, None, None] * h.A,
+               f.a + l1[:, None] * g.a + l2[:, None] * h.a,
+               f.a0 + l1 * g.a0 + l2 * h.a0)
+
+
+class TestSpectralPrimitive:
+    def test_cut_zero_inverse_kernel(self):
+        ed = EigenDecomp.of(np.diag([-3.0, 0.0, 1e-13, 2.0]))
+        assert ed.cut(1e-12) == 1e-12 * (1.0 + 3.0)
+        assert ed.zero(1e-12).tolist() == [False, True, True, False]
+        assert np.array_equal(ed.inverse(1e-12), [-1.0 / 3.0, 0.0, 0.0, 0.5])
+        K = ed.kernel(1e-12)
+        assert K.shape == (4, 2) and np.allclose(np.abs(K[1:3]), np.eye(2))
+        stacked = EigenDecomp.of(np.stack([np.diag([1.0, -5.0]), np.zeros((2, 2))]))
+        assert np.array_equal(stacked.cut(0.1), [0.1 * 6.0, 0.1])
+        assert stacked.zero(0.1).tolist() == [[False, False], [True, True]]
+
+    def test_sym_eigen_validates_and_freezes(self):
+        ed = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+        assert not ed.values.flags.writeable and not ed.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            sym_eigen([[np.nan]])
+
+    def test_stacked_closed_form_matches_single(self):
+        kinds = {"finite": 0, "curvature": 0, "range": 0}
+        for Q, v, s in _corpus_pencils():
+            stacked = quad_inf(Q, v, s)
+            for k in range(len(Q)):
+                one = quad_inf(Q[k], v[k], s[k])
+                assert np.array_equal(one.zero, stacked.zero[k])
+                if one.value == -np.inf:
+                    assert stacked.value[k] == -np.inf
+                    curv = one.eig.values[0] < -one.eig.cut(INF_PSD_RTOL)
+                    kinds["curvature" if curv else "range"] += 1
+                    continue
+                kinds["finite"] += 1
+                assert stacked.value[k] == pytest.approx(one.value, rel=1e-12, abs=1e-12)
+                assert np.allclose(stacked.x[k], one.x, rtol=1e-12, atol=1e-12)
+                # The minimizer attains the value and is stationary.
+                assert one.x @ Q[k] @ one.x + 2 * v[k] @ one.x + s[k] == pytest.approx(
+                    one.value, rel=1e-9, abs=1e-9)
+                assert np.linalg.norm(Q[k] @ one.x + v[k]) <= 1e-9 * (1 + np.linalg.norm(v[k]))
+        # ex24 at lam1 - lam2 = 1 is singular with v off the range; above it
+        # the pencil has negative curvature.
+        assert min(kinds.values()) >= 5, kinds
+
+    @pytest.mark.parametrize("rtol", [RANK_RTOL, 1e-6])
+    def test_unconstrained_min_kernel_at_the_same_cut(self, rng, rtol):
+        quads = [q for name in corpus.NAMES for q in corpus.load(name)[:3]]
+        for _ in range(20):
+            M = rng.normal(size=(4, int(rng.integers(1, 4))))
+            quads.append(QuadForm(M @ M.T, M @ rng.normal(size=M.shape[1]), 1.0))
+        for q in quads:
+            um = unconstrained_min(q, rtol)
+            ed = EigenDecomp.of(q.A)
+            K = um.kernel
+            assert K.shape == (q.n, int(ed.zero(rtol).sum()))
+            assert np.allclose(K.T @ K, np.eye(K.shape[1]), atol=1e-12)
+            assert np.linalg.norm(q.A @ K, ord=2) <= ed.cut(rtol) + 1e-12
+            if um.status == "attained":
+                # x + span(kernel) are minimizers.
+                for z in K.T:
+                    assert evaluate(q, um.x + z) == pytest.approx(um.value, abs=1e-8)
+
+    def test_eigen_calls_only_in_quad_core(self):
+        # Every symmetric eigendecomposition and pseudo-inverse goes through
+        # EigenDecomp; instances.py draws the seeded families and stays as is.
+        pattern = re.compile(r"\b(eigh|eigvalsh|pinv)\b")
+        src = Path(nonalter.__file__).parent
+        offenders = [
+            f"{path.name}:{i}"
+            for path in sorted(src.glob("*.py"))
+            if path.name not in ("quad_core.py", "instances.py")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert offenders == []

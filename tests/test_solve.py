@@ -6,7 +6,8 @@ from nonalter import corpus
 from nonalter.classify import ArrangementClass
 from nonalter.duality import DualPoint, sdp_certificate
 from nonalter.oracle import GridSpec, grid_min, s1_empirical
-from nonalter.quad_core import QuadForm, evaluate
+from nonalter.qp1qc import solve_qp1qc
+from nonalter.quad_core import QuadForm, evaluate, null_basis, restrict_affine
 from nonalter.solve import (
     SIDE_G_POS_H_NEG,
     NoSublevelPoint,
@@ -124,6 +125,21 @@ class TestRecoverSolution:
         h = QuadForm.constant(2, -1.0)
         x, _, _ = recover_solution(f, g, h, 0.0)
         assert np.allclose(x, 0.0, atol=1e-10)
+
+    def test_branch_a_decomposes_f_once(self, eig_calls):
+        # The minimizer manifold comes from the kernel of the unconstrained
+        # solve: one eigendecomposition of f.A, plus those of the subproblem.
+        f, g, h = poly2(axx=1), poly2(ayy=1, c=-1), poly2(by=-1)
+        Z = null_basis(f.A)
+        eig_calls[0] = 0
+        solve_qp1qc(restrict_affine(g, np.zeros(2), Z), restrict_affine(h, np.zeros(2), Z))
+        sub = eig_calls[0]
+        eig_calls[0] = 0
+        x, _, _ = recover_solution(f, g, h, 0.0)
+        assert x is not None and eig_calls[0] == 1 + sub
+        eig_calls[0] = 0
+        recover_solution(poly2(axx=1, ayy=1), poly2(bx=1, by=1, c=-1), QuadForm.constant(2, -1.0), 0.0)
+        assert eig_calls[0] == 1
 
 
 class TestStrongDualityOnCorpus:
