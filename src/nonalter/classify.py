@@ -35,14 +35,16 @@ from .quad_core import (
     QuadForm,
     evaluate,
     evaluate_many,
-    find_negative_point,
     gradient_many,
     lift,
     line_roots,
+    negative_point_of,
     nonneg_everywhere,
     psd_interval,
     psd_status,
+    sym_eigen,
     unconstrained_min,
+    unconstrained_min_of,
 )
 
 
@@ -175,7 +177,8 @@ class TwoSidedSlater:
 
 def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
     """Does q take strictly negative / strictly positive values somewhere?"""
-    neg, pos = find_negative_point(q, tol), find_negative_point(-q, tol)
+    ed = sym_eigen(lift(q))
+    neg, pos = negative_point_of(q, ed, tol), negative_point_of(-q, ed.negated(), tol)
     return TwoSidedSlater(
         takes_negative=neg is not None,
         takes_positive=pos is not None,
@@ -330,10 +333,11 @@ class InclusionVerdict:
 def _zero_set_empty(q: QuadForm, tol: float) -> bool:
     """Exact emptiness test for {q = 0}: q strictly one-signed everywhere."""
     scale = 1.0 + q.data_scale()
-    lo = unconstrained_min(q)
+    eig = EigenDecomp.of(q.A)
+    lo = unconstrained_min_of(q, eig)
     if lo.status == "attained" and lo.value > tol * scale:
         return True
-    hi = unconstrained_min(-q)
+    hi = unconstrained_min_of(-q, eig.negated())
     return hi.status == "attained" and hi.value > tol * scale
 
 

@@ -9,8 +9,7 @@ deterministic for a fixed spec and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,34 +66,75 @@ def _check_dim(n: int):
         raise ValueError("the brute-force oracle only handles n <= 3")
 
 
-@lru_cache(maxsize=8)
-def _grid_points_cached(bounds: Tuple[Tuple[float, float], ...], resolution: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    pts.setflags(write=False)
-    return pts
+# Values per block of the grid scan.  A block holds whole first-axis slices,
+# so it is never smaller than one slice of resolution ** (n - 1) values.
+_BLOCK = 1 << 18
+
+
+def _axes(spec: GridSpec) -> List[np.ndarray]:
+    return [np.linspace(lo, hi, spec.resolution) for lo, hi in spec.bounds]
+
+
+def _mesh(axes: List[np.ndarray]) -> np.ndarray:
+    """Points of the tensor grid of ``axes`` in lexicographic order, shape (N, len(axes))."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def grid_points(spec: GridSpec) -> np.ndarray:
     """All grid points in lexicographic (row-major) order, shape (N, n)."""
-    return _grid_points_cached(spec.bounds, spec.resolution)
+    return _mesh(_axes(spec))
+
+
+def _scan(quads, spec: GridSpec) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """Values of ``quads`` on the grid in lexicographic order, one block of
+    whole first-axis slices at a time: (flat index of the block's first point,
+    a flat value array per quadratic, overwritten by the next block)."""
+    axes = _axes(spec)
+    y = _mesh(axes[1:])
+    # q(x0, y) = A00 x0^2 + 2 x0 (A[0,1:] y + a[0]) + q_rest(y), with the two
+    # functions of y evaluated once on the rest grid.
+    parts = [(q.A[0, 0], y @ q.A[0, 1:] + q.a[0],
+              evaluate_many(QuadForm(q.A[1:, 1:], q.a[1:], q.a0), y)) for q in quads]
+    step = max(1, _BLOCK // len(y))
+    buffers = np.empty((len(quads), step, len(y)))
+    for i in range(0, spec.resolution, step):
+        x0 = axes[0][i:i + step, None]
+        values = buffers[:, :len(x0)]
+        for (c, lin, rest), v in zip(parts, values):
+            np.multiply(2.0 * x0, lin, out=v)
+            v += c * x0 * x0
+            v += rest
+        yield i * len(y), [v.ravel() for v in values]
+
+
+def _point(spec: GridSpec, index: int) -> np.ndarray:
+    """The grid point at a flat lexicographic index."""
+    ijk = np.unravel_index(index, (spec.resolution,) * spec.n)
+    return np.array([ax[i] for ax, i in zip(_axes(spec), ijk)])
 
 
 def grid_min(f: QuadForm, g: QuadForm, h: QuadForm, spec: GridSpec) -> OracleResult:
     """Minimum of f over grid points with g <= eps and h <= eps.
 
-    Ties break to the lexicographically smallest grid point.
+    Ties break to the lexicographically smallest grid point; the value is f
+    evaluated at that point.
     """
     _check_dim(f.n)
-    pts = grid_points(spec)
-    feasible = (evaluate_many(g, pts) <= spec.eps) & (evaluate_many(h, pts) <= spec.eps)
-    count = int(feasible.sum())
-    if count == 0:
-        return OracleResult(None, None, 0, spec.spacing)
-    fv = evaluate_many(f, pts[feasible])
-    j = int(np.argmin(fv))
-    return OracleResult(float(fv[j]), pts[feasible][j].copy(), count, spec.spacing)
+    best, best_value, count = None, np.inf, 0
+    for start, (fv, gv, hv) in _scan((f, g, h), spec):
+        feasible = (gv <= spec.eps) & (hv <= spec.eps)
+        count += int(np.count_nonzero(feasible))
+        fv[~feasible] = np.inf
+        j = int(np.argmin(fv))
+        # Strictly smaller: an equal value in a later block is a later point.
+        if fv[j] < best_value:
+            best, best_value = start + j, fv[j]
+    if best is None:
+        return OracleResult(None, None, count, spec.spacing)
+    x = _point(spec, best)
+    return OracleResult(float(evaluate_many(f, x[None])[0]), x, count, spec.spacing)
 
 
 _SIGN_OPS = {">": np.greater, ">=": np.greater_equal}
@@ -120,35 +160,29 @@ def find_witness(
         if s not in _SIGN_OPS:
             raise ValueError(f"sign must be '>' or '>=', got {s!r}")
 
-    def match(pts: np.ndarray) -> Optional[np.ndarray]:
-        gv, hv = evaluate_many(g, pts), evaluate_many(h, pts)
-        mask = np.ones(len(pts), dtype=bool)
+    def first_hit(gv: np.ndarray, hv: np.ndarray) -> Optional[int]:
+        mask = np.ones(len(gv), dtype=bool)
         for vals, s in ((gv, signs[0]), (hv, signs[1])):
-            cut = margin if s == ">" else -margin
-            mask &= vals > cut if s == ">" else vals >= cut
-        if mask.any():
-            return pts[int(np.flatnonzero(mask)[0])].copy()
-        return None
+            mask &= _SIGN_OPS[s](vals, margin if s == ">" else -margin)
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if len(hits) else None
 
-    hit = match(grid_points(spec))
-    if hit is not None:
-        return hit
+    for start, (gv, hv) in _scan((g, h), spec):
+        j = first_hit(gv, hv)
+        if j is not None:
+            return _point(spec, start + j)
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
+    lo, hi = np.array(spec.bounds).T
     samples = rng.uniform(lo, hi, size=(n_samples, g.n))
-    return match(samples)
+    j = first_hit(evaluate_many(g, samples), evaluate_many(h, samples))
+    return None if j is None else samples[j].copy()
 
 
 def s1_empirical(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm,
                  spec: GridSpec, tol: float = 1e-8) -> bool:
     """True iff no grid-feasible point has f < gamma - tol."""
-    _check_dim(f.n)
-    pts = grid_points(spec)
-    feasible = (evaluate_many(g, pts) <= spec.eps) & (evaluate_many(h, pts) <= spec.eps)
-    if not feasible.any():
-        return True
-    return bool(np.min(evaluate_many(f, pts[feasible])) >= gamma - tol)
+    res = grid_min(f, g, h, spec)
+    return res.min_value is None or res.min_value >= gamma - tol
 
 
 def probe_unbounded(
@@ -161,18 +195,10 @@ def probe_unbounded(
 ) -> Optional[np.ndarray]:
     """A feasible grid point with f below ``threshold``, enlarging the box x8
     per round, or None.  Evidence (not proof) of unboundedness."""
-    _check_dim(f.n)
     current = spec
     for _ in range(enlargements):
         current = current.scaled(8.0)
-        pts = grid_points(current)
-        feasible = (evaluate_many(g, pts) <= current.eps) & (
-            evaluate_many(h, pts) <= current.eps
-        )
-        if not feasible.any():
-            continue
-        fv = evaluate_many(f, pts[feasible])
-        j = int(np.argmin(fv))
-        if fv[j] < threshold:
-            return pts[feasible][j].copy()
+        res = grid_min(f, g, h, current)
+        if res.min_value is not None and res.min_value < threshold:
+            return res.argmin
     return None

@@ -254,6 +254,10 @@ class EigenDecomp:
         """Orthonormal columns spanning the eigenvectors of the zero eigenvalues."""
         return self.vectors[:, self.zero(rtol)]
 
+    def negated(self) -> "EigenDecomp":
+        """The decomposition of -M: negated spectrum, ascending, same vectors and cut."""
+        return EigenDecomp(-self.values[..., ::-1], self.vectors[..., ::-1])
+
 
 def sym_eigen(M) -> EigenDecomp:
     """Full symmetric eigendecomposition; raises on LAPACK non-convergence."""
@@ -315,7 +319,11 @@ def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarr
     Returns None when ``q`` is nonnegative everywhere, by the verdict of
     :func:`nonneg_everywhere`.
     """
-    ed = sym_eigen(lift(q))
+    return negative_point_of(q, sym_eigen(lift(q)), tol)
+
+
+def negative_point_of(q: QuadForm, ed: EigenDecomp, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
+    """:func:`find_negative_point` from a decomposition ``ed`` of lift(q)."""
     if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
@@ -451,9 +459,9 @@ def quad_inf(Q, v, s, rtol: float = INF_PSD_RTOL) -> QuadInf:
     The value is -inf when Q has an eigenvalue below ``-cut(rtol)``, or when
     the part of v along the zero eigenvalues exceeds ``RANGE_RTOL * (1 + |v|)``
     (the linear term escapes along the kernel).  No validation happens here:
-    this runs in the inner loops of the dual solvers.
+    this runs in the inner loops of the dual solvers.  ``Q`` may be an EigenDecomp.
     """
-    eig = EigenDecomp.of(Q)
+    eig = Q if isinstance(Q, EigenDecomp) else EigenDecomp.of(Q)
     zero = eig.zero(rtol)
     c = (np.swapaxes(eig.vectors, -1, -2) @ v[..., None])[..., 0]
     w = eig.inverse(rtol) * c
@@ -479,7 +487,13 @@ class UnconstrainedMin:
 
 def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
     """Global infimum of q over R^n, with minimizer or escape direction."""
-    qi = quad_inf(q.A, q.a, q.a0, rtol)
+    return unconstrained_min_of(q, EigenDecomp.of(q.A), rtol)
+
+
+def unconstrained_min_of(q: QuadForm, eig: EigenDecomp,
+                         rtol: float = RANK_RTOL) -> UnconstrainedMin:
+    """:func:`unconstrained_min` from a decomposition ``eig`` of q.A."""
+    qi = quad_inf(eig, q.a, q.a0, rtol)
     V = qi.eig.vectors
     K = V[:, qi.zero]
     if qi.eig.values[0] < -qi.eig.cut(rtol):
@@ -490,18 +504,3 @@ def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
         return UnconstrainedMin(status="unbounded_below", value=-np.inf,
                                 direction=-K @ (w / np.linalg.norm(w)), kind="affine", kernel=K)
     return UnconstrainedMin(status="attained", value=evaluate(q, qi.x), x=qi.x, kernel=K)
-
-
-def escape_point(q: QuadForm, target: float, rtol: float = RANK_RTOL) -> Optional[np.ndarray]:
-    """A point with q(x) < target when q is unbounded below, else None."""
-    um = unconstrained_min(q, rtol)
-    if um.status == "attained":
-        return um.x if um.value < target else None
-    d = um.direction
-    t = 1.0
-    for _ in range(2000):
-        x = t * d
-        if evaluate(q, x) < target:
-            return x
-        t *= 2.0
-    return None  # pragma: no cover - quadratic escape always reaches target

@@ -29,8 +29,8 @@ from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
     QuadForm,
+    UnconstrainedMin,
     evaluate,
-    escape_point,
     null_basis,
     restrict_affine,
     unconstrained_min,
@@ -78,15 +78,22 @@ def side_of_sublevel(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm,
     along an escape ray.  Raises :class:`NoSublevelPoint` when {f < gamma}
     is empty.
     """
-    um = unconstrained_min(f)
+    return _side_from_min(f, unconstrained_min(f), gamma, g, h)
+
+
+def _side_from_min(f: QuadForm, um: UnconstrainedMin, gamma: float,
+                   g: QuadForm, h: QuadForm) -> str:
+    """:func:`side_of_sublevel` from the already computed ``um`` of f."""
     if um.status == "attained":
         if um.value >= gamma:
             raise NoSublevelPoint(f"{{f < {gamma}}} is empty: inf f = {um.value}")
         x0 = um.x
-    else:
-        x0 = escape_point(f, gamma - 1.0)
-        if x0 is None:  # pragma: no cover - escape always succeeds
-            raise NoSublevelPoint("could not sample the sublevel set")
+    else:  # the first of d, 2d, 4d, ... on the escape ray with f < gamma - 1
+        x0 = um.direction
+        while evaluate(f, x0) >= gamma - 1.0:
+            if not np.isfinite(x0).all():  # pragma: no cover - f falls below any level
+                raise NoSublevelPoint("could not sample the sublevel set")
+            x0 = 2.0 * x0
     gv, hv = evaluate(g, x0), evaluate(h, x0)
     if gv < 0 and hv > 0:
         return SIDE_G_NEG_H_POS
@@ -139,7 +146,7 @@ def recover_solution(
 
     notes.append("branch B: optimum above the unconstrained infimum")
     try:
-        side = side_of_sublevel(f, nu_star, g, h, tol)
+        side = _side_from_min(f, um, nu_star, g, h)
     except NoSublevelPoint as exc:
         notes.append(str(exc))
         return None, None, notes

@@ -10,6 +10,7 @@ from nonalter.classify import (
     Verdict,
     _search_block,
     _search_points,
+    _zero_set_empty,
     check_assumption1,
     check_assumption2,
     check_assumption3,
@@ -22,7 +23,14 @@ from nonalter.classify import (
     slater_two_sided,
 )
 from nonalter.instances import random_triple
-from nonalter.quad_core import DEFAULT_TOL, QuadForm, evaluate, lift, nonneg_everywhere
+from nonalter.quad_core import (
+    DEFAULT_TOL,
+    QuadForm,
+    evaluate,
+    find_negative_point,
+    lift,
+    nonneg_everywhere,
+)
 
 
 class TestSearchPoints:
@@ -57,6 +65,18 @@ class TestSlaterTwoSided:
     def test_negative_constant(self):
         ts = slater_two_sided(QuadForm.constant(2, -1.0))
         assert ts.takes_negative and not ts.takes_positive
+
+    def test_one_decomposition_serves_both_signs(self, eig_calls):
+        f, g, h, _ = corpus.load("ex24")
+        ts = slater_two_sided(g)
+        assert eig_calls[0] == 1
+        assert ts.takes_negative and ts.takes_positive
+        for x, q in ((ts.negative_point, g), (ts.positive_point, -g)):
+            assert evaluate(q, x) < 0
+        for q in (g, h, poly2(axx=1), poly2(axx=-1, ayy=-1, c=-1), poly2(axx=1, ayy=-1)):
+            ts = slater_two_sided(q)
+            assert ts.takes_negative == (find_negative_point(q) is not None)
+            assert ts.takes_positive == (find_negative_point(-q) is not None)
 
 
 class TestSeparationDetection:
@@ -161,6 +181,14 @@ class TestInclusion:
         g = poly2(axx=1, ayy=1, c=1)  # strictly positive
         v = check_inclusion_zeroset(g, poly2(bx=1), +1)
         assert v.status is InclusionStatus.VACUOUS
+
+    def test_zero_set_emptiness_decomposes_once(self, eig_calls):
+        f, g, h, _ = corpus.load("ex24")
+        assert not _zero_set_empty(g, DEFAULT_TOL)  # both signs are tested
+        assert eig_calls[0] == 1
+        eig_calls[0] = 0
+        assert _zero_set_empty(poly2(axx=-1, ayy=-1, c=-1), DEFAULT_TOL)  # strictly negative
+        assert eig_calls[0] == 1
 
 
 class TestAssumption2:

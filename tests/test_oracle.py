@@ -1,10 +1,38 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import poly2
-from nonalter import corpus
+from nonalter import corpus, oracle
+from nonalter.instances import random_triple
 from nonalter.oracle import GridSpec, find_witness, grid_min, grid_points, s1_empirical
-from nonalter.quad_core import QuadForm, evaluate
+from nonalter.quad_core import QuadForm, evaluate, evaluate_many
+
+# Resolutions per dimension for the comparisons with the materialized grid;
+# none is a multiple of the 7 first-axis slices per block set below.
+RESOLUTION = {1: 401, 2: 101, 3: 31}
+
+
+@pytest.fixture()
+def seven_slice_blocks(monkeypatch):
+    """Blocks of 7 first-axis slices, so blocks split the first axis unevenly."""
+
+    def set_for(spec):
+        monkeypatch.setattr(oracle, "_BLOCK", 7 * spec.resolution ** (spec.n - 1))
+
+    return set_for
+
+
+def brute_min(f, g, h, spec):
+    """(feasible count, argmin, min) of f over the materialized grid."""
+    pts = grid_points(spec)
+    feasible = (evaluate_many(g, pts) <= spec.eps) & (evaluate_many(h, pts) <= spec.eps)
+    if not feasible.any():
+        return 0, None, None
+    fv = evaluate_many(f, pts[feasible])
+    j = int(np.argmin(fv))
+    return int(feasible.sum()), pts[feasible][j], fv[j]
 
 
 class TestGridSpec:
@@ -55,6 +83,70 @@ class TestGridMin:
         q = QuadForm(np.eye(4), np.zeros(4), 0.0)
         with pytest.raises(ValueError):
             grid_min(q, q, q, GridSpec.cube(4, resolution=5))
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_matches_materialized_grid(self, seven_slice_blocks, n, eps):
+        spec = GridSpec.cube(n, resolution=RESOLUTION[n], eps=eps)
+        seven_slice_blocks(spec)
+        found = 0
+        for i in range(20):
+            f, g, h = random_triple(np.random.default_rng([n, i]), n)
+            count, argmin, value = brute_min(f, g, h, spec)
+            res = grid_min(f, g, h, spec)
+            assert res.feasible_count == count
+            if argmin is None:
+                assert res.argmin is None and res.min_value is None
+                continue
+            found += 1
+            assert np.array_equal(res.argmin, argmin)
+            assert abs(res.min_value - value) <= 1e-14 * max(1.0, abs(value))
+        assert found >= 5
+
+    def test_flat_tie_across_blocks_keeps_first_point(self, seven_slice_blocks):
+        # Feasible from x = 1.6 on, the third slice of the block of slices
+        # 56-62; f ties there and on every point of the later blocks.
+        spec = GridSpec.cube(2, -10, 10, 101)
+        seven_slice_blocks(spec)
+        f = QuadForm.constant(2, 5.0)
+        res = grid_min(f, poly2(bx=-1, c=1.5), QuadForm.constant(2, -1.0), spec)
+        x0 = np.linspace(-10, 10, 101)[58]
+        assert res.argmin.tolist() == [x0, -10.0]
+        assert res.min_value == 5.0 and res.feasible_count == 43 * 101
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_first_witness_is_first_grid_hit(self, seven_slice_blocks, n):
+        spec = GridSpec.cube(n, resolution=RESOLUTION[n])
+        seven_slice_blocks(spec)
+        pts = grid_points(spec)
+        hits = 0
+        for i in range(10):
+            _, g, h = random_triple(np.random.default_rng([n, i]), n)
+            gv, hv = evaluate_many(g, pts), evaluate_many(h, pts)
+            for signs in ((">", ">"), (">", ">="), (">=", ">")):
+                mask = (gv > 1e-9 if signs[0] == ">" else gv >= -1e-9) & (
+                    hv > 1e-9 if signs[1] == ">" else hv >= -1e-9)
+                w = find_witness(g, h, signs, spec, n_samples=0)
+                if mask.any():
+                    hits += 1
+                    assert np.array_equal(w, pts[np.flatnonzero(mask)[0]])
+                else:
+                    assert w is None
+        assert hits >= 10
+
+    def test_memory_is_per_block(self):
+        # The 401^3 grid holds 1.5 GB of coordinates; the scan needs one
+        # first-axis slice per quadratic at a time.
+        f, g, h = random_triple(np.random.default_rng(3), 3)
+        tracemalloc.start()
+        try:
+            grid_min(f, g, h, GridSpec.cube(3, resolution=401))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestFindWitness:

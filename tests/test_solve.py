@@ -92,6 +92,13 @@ class TestSideOfSublevel:
         with pytest.raises(NoSublevelPoint):
             side_of_sublevel(f, -1.0, poly2(axx=1), poly2(ayy=1))
 
+    def test_escape_ray_reuses_the_unconstrained_solve(self, eig_calls):
+        # f = -x^2 is unbounded below: the probe walks d, 2d along the
+        # negative-curvature direction to |x| = 2, where f = -4 < gamma - 1.
+        f = poly1(axx=-1)
+        assert side_of_sublevel(f, -0.5, poly1(axx=1, c=-1), poly1(axx=-1, c=1)) == SIDE_G_POS_H_NEG
+        assert eig_calls[0] == 1
+
     def test_constant_across_gamma(self):
         f = poly1(axx=1, bx=-6, c=9)
         g = poly1(axx=1, c=-1)
@@ -140,6 +147,19 @@ class TestRecoverSolution:
         eig_calls[0] = 0
         recover_solution(poly2(axx=1, ayy=1), poly2(bx=1, by=1, c=-1), QuadForm.constant(2, -1.0), 0.0)
         assert eig_calls[0] == 1
+
+    def test_branch_b_decomposes_f_once(self, eig_calls):
+        # The side probe reuses the unconstrained solve of branch B: one
+        # eigendecomposition of f.A plus those of the subproblem on g.
+        f, g, h, _ = corpus.load("ex24")
+        nu = solve_nonalter(f, g, h).nu_star
+        eig_calls[0] = 0
+        solve_qp1qc(f, g)
+        sub = eig_calls[0]
+        eig_calls[0] = 0
+        x, side, notes = recover_solution(f, g, h, nu)
+        assert notes[0].startswith("branch B") and side == SIDE_G_POS_H_NEG and x is not None
+        assert eig_calls[0] == 1 + sub
 
 
 class TestStrongDualityOnCorpus:
