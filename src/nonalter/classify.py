@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .canonical import (
 from .quad_core import (
     DEFAULT_TOL,
     PSD_RTOL,
+    RANK_RTOL,
     EigenDecomp,
     PsdStatus,
     PsdVerdict,
@@ -42,66 +42,48 @@ from .quad_core import (
     nonneg_everywhere,
     psd_interval,
     psd_status,
+    quad_inf,
     sym_eigen,
-    unconstrained_min,
     unconstrained_min_of,
 )
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Budget and geometry of the deterministic witness searches."""
+    """Seed of the random line directions of the witness candidates."""
 
-    box: float = 10.0
-    grid_per_axis: int = 41
-    n_samples: int = 10_000
     seed: int = 0
 
 
-@lru_cache(maxsize=4)
-def _search_block(n: int, spec: SearchSpec) -> np.ndarray:
-    """The grid (n <= 3) and seeded uniform samples, built once per (n, spec); read-only."""
-    parts = []
-    if n <= 3:
-        axes = [np.linspace(-spec.box, spec.box, spec.grid_per_axis)] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        parts.append(np.stack([m.ravel() for m in mesh], axis=1))
-    rng = np.random.default_rng(spec.seed)
-    parts.append(rng.uniform(-spec.box, spec.box, size=(spec.n_samples, n)))
-    block = np.vstack(parts)
-    block.setflags(write=False)
-    return block
-
-
-def _search_points(n: int, spec: SearchSpec, extra: Optional[np.ndarray] = None) -> np.ndarray:
-    """Structured candidates, then the shared grid-plus-samples block."""
-    block = _search_block(n, spec)
-    return np.vstack([extra, block]) if extra is not None and len(extra) else block
-
-
 def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
-    """Sign-cell probes along rays, independent of the dimension.
+    """Witness candidates: single-constraint optimizers and sign-cell probes on lines.
 
-    Uniform sampling cannot hit thin regions once n grows, but along any
-    line both constraints restrict to scalar quadratics whose roots cut the
-    line into at most five sign cells.  Probing every cell midpoint (plus
-    the roots themselves and points beyond the extremes) over rays through
-    the stationary points of +-g and +-h, in eigenvector and seeded random
-    directions, reaches every arrangement feature the checkers care about.
+    Along any line both constraints restrict to scalar quadratics whose roots
+    cut the line into at most five sign cells.  Probing every cell midpoint
+    (plus the roots themselves and points beyond the extremes) on lines
+    through the origin, the stationary points -A^+a of g and h, and the
+    optimizers of +-h over {g <= 0} and of +-g over {h <= 0}, in eigenvector,
+    linear-term and seeded random directions, reaches every arrangement
+    feature the checkers care about.  The optimizers, exact for one
+    constraint, are candidates themselves: they reach the bounded sign
+    regions that lines miss.
     """
     n = g.n
-    anchors = [np.zeros(n)]
+    anchors, dirs = [np.zeros(n)], []
     for q in (g, h):
-        for sgn in (1.0, -1.0):
-            um = unconstrained_min(sgn * q)
-            if um.status == "attained":
-                anchors.append(um.x)
-    dirs = []
-    for q in (g, h):
+        eig = EigenDecomp.of(q.A)
+        anchors.append(quad_inf(eig, q.a, q.a0, RANK_RTOL).x)
         if q.A.any():
-            dirs.extend(EigenDecomp.of(q.A).vectors.T)
+            dirs.extend(eig.vectors.T)
         if q.a.any():
             dirs.append(q.a / np.linalg.norm(q.a))
+    optima = []
+    for p, q in ((g, h), (h, g)):
+        for sgn in (1.0, -1.0):
+            r = qp1qc.solve_qp1qc(sgn * q, p)
+            if r.status == "attained":
+                optima.append(r.x)
+    anchors += optima
     rng = np.random.default_rng(spec.seed + 1)
     rnd = rng.normal(size=(8, n))
     dirs.extend(rnd / np.linalg.norm(rnd, axis=1, keepdims=True))
@@ -117,43 +99,42 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
     T = np.column_stack([first - span, last + span, 0.5 * (R[:, :-1] + R[:, 1:]), R])
     T[count == 0, 0] = 0.0
     keep = ~np.isnan(T)
-    return (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]
+    return np.vstack([np.reshape(optima, (-1, n)),
+                      (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
 
 
 def _zero_set_witness(
-    q: QuadForm,
-    objective: QuadForm,
-    spec: SearchSpec,
-    margin: float,
-    extra: Optional[np.ndarray] = None,
+    q: QuadForm, objective: QuadForm, margin: float, pts: np.ndarray
 ) -> Optional[np.ndarray]:
     """A point with q(x) ~ 0 and objective(x) > margin, or None.
 
-    Each search point p moves along the gradient of q at p to the nearer
-    real root of q on that line, an exact point of {q = 0}; a point whose
+    Each candidate p moves along the gradient of q at p to the nearer real
+    root of q on that line, an exact point of {q = 0}; a candidate whose
     line has no root stays put and counts only if it already lies on the set.
     """
-    pts = _search_points(q.n, spec, extra)
     dirs = gradient_many(q, pts)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     np.divide(dirs, norms, out=dirs, where=norms > 0.0)
     roots = line_roots(q, pts, dirs, 1e-13)
     nearer = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
     dirs *= np.nan_to_num(roots[np.arange(len(roots)), nearer])[:, None]
-    dirs += pts  # the moved points: pts may be the shared read-only search block
+    dirs += pts  # the moved points; the candidates are shared between checkers
     on_set = np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())
     if not on_set.any():
         return None
     pts = dirs[on_set]
     vals = evaluate_many(objective, pts)
-    best = int(np.argmax(vals))
-    return pts[best].copy() if vals[best] > margin else None
+    clear = vals > margin
+    if not clear.any():
+        return None
+    # The largest clearance relative to 1 + |x|^2, which the rounding of
+    # both q and the objective grows with: far points pass only by rounding.
+    rel = np.where(clear, vals / (1.0 + np.einsum("ij,ij->i", pts, pts)), -np.inf)
+    return pts[int(np.argmax(rel))].copy()
 
 
-def _feasible_witness(conds, n: int, spec: SearchSpec,
-                      extra: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-    """First search point satisfying every (quadform, upper_bound) condition."""
-    pts = _search_points(n, spec, extra)
+def _feasible_witness(conds, pts: np.ndarray) -> Optional[np.ndarray]:
+    """First candidate satisfying every (quadform, upper_bound) condition."""
     mask = np.ones(len(pts), dtype=bool)
     for q, ub in conds:
         mask &= evaluate_many(q, pts) <= ub
@@ -224,6 +205,32 @@ class SeparationCertificate:
     witnesses: Tuple[np.ndarray, np.ndarray]
 
 
+def _affine_companion(g: QuadForm, h: QuadForm, tol: float):
+    """``(change, form, cbar)`` when h has an affine pattern in g's canonical basis.
+
+    The pattern: g reduces to ``-y1^2 + delta*(y2^2+..+ym^2) + theta`` (FORM1,
+    k = 1) and h is ``c1*y1 + delta*(c2*y2+..+cm*ym) + c0`` there, with
+    c1 != 0; ``cbar`` holds (c0, c1, ..., cn).  A coefficient counts as zero
+    at ``tol`` times the scale of the companion.  None otherwise.
+    """
+    if g.is_constant():
+        return None
+    change, form = canonical_reduce(g)
+    if form.tag is not FormTag.FORM1 or form.k != 1:
+        return None
+    comp = companion_in_basis(h, change)
+    zero = tol * comp.data_scale()
+    if float(np.abs(comp.A).max(initial=0.0)) > zero:
+        return None  # companion is not affine in this basis
+    cbar = np.concatenate([[comp.a0], 2.0 * comp.a])
+    if abs(cbar[1]) <= zero:
+        return None
+    last = form.m if form.delta else 1  # with delta = 0, y2..ym drop out too
+    if float(np.abs(cbar[last + 1 :]).max(initial=0.0)) > zero:
+        return None
+    return change, form, cbar
+
+
 def _restriction_on_hyperplane(coeffs: np.ndarray, delta: int, theta: int, m: int) -> QuadForm:
     """The canonical quadratic restricted to the zero set of the affine pattern.
 
@@ -253,26 +260,11 @@ def detect_separation_by_hyperplane(
     c1 != 0, and (iii) the restriction of the canonical g to {h = 0} is
     nonnegative everywhere.
     """
-    if g.is_constant() or h.is_constant():
+    pat = _affine_companion(g, h, tol)
+    if pat is None:
         return None
-    change, form = canonical_reduce(g)
-    if form.tag is not FormTag.FORM1 or form.k != 1:
-        return None
-    comp = companion_in_basis(h, change)
-    cscale = comp.data_scale()
-    if float(np.abs(comp.A).max(initial=0.0)) > tol * cscale:
-        return None  # companion is not affine in this basis
-    cbar = np.concatenate([[comp.a0], 2.0 * comp.a])  # (c0, c1, ..., cn)
-    if abs(cbar[1]) <= tol * cscale:
-        return None
+    change, form, cbar = pat
     m = form.m
-    tail = cbar[m + 1 :]
-    if tail.size and float(np.abs(tail).max()) > tol * cscale:
-        return None
-    if form.delta == 0:
-        mid = cbar[2 : m + 1]
-        if mid.size and float(np.abs(mid).max()) > tol * cscale:
-            return None
     restriction = _restriction_on_hyperplane(cbar, form.delta, form.theta, m)
     status = psd_status(lift(restriction), tol)
     if status.verdict is PsdVerdict.INDEFINITE:
@@ -376,7 +368,7 @@ def check_inclusion_zeroset(
     signed_h = float(sign) * h
     if extra is None:
         extra = _ray_candidates(g, h, spec)
-    w = _zero_set_witness(g, signed_h, spec, margin, extra=extra)
+    w = _zero_set_witness(g, signed_h, margin, extra)
     if w is not None:
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
     ts = slater_two_sided(g)
@@ -441,19 +433,11 @@ def check_assumption4(g: QuadForm, h: QuadForm, tol: float = PSD_RTOL) -> Assump
 
 def _assumption5_one_orientation(g, h, tol):
     """A5 pattern with g playing the one-variable concave role."""
-    if g.is_constant():
+    pat = _affine_companion(g, h, tol)
+    if pat is None:
         return None
-    change, form = canonical_reduce(g)
-    if form.tag is not FormTag.FORM1 or form.k != 1 or form.m != 1 or form.theta != 1:
-        return None
-    comp = companion_in_basis(h, change)
-    cscale = comp.data_scale()
-    if float(np.abs(comp.A).max(initial=0.0)) > tol * cscale:
-        return None
-    cbar = np.concatenate([[comp.a0], 2.0 * comp.a])
-    if abs(cbar[1]) <= tol * cscale:
-        return None
-    if cbar[2:].size and float(np.abs(cbar[2:]).max()) > tol * cscale:
+    change, form, cbar = pat
+    if form.m != 1 or form.theta != 1:
         return None
     c1, c0 = cbar[1], cbar[0]
     if c1 < 0:  # orient the basis so the affine slope is positive
@@ -565,7 +549,7 @@ def check_assumption3(
     gs, hs = g.data_scale(), h.data_scale()
     if extra is None:
         extra = _ray_candidates(g, h, spec)
-    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], g.n, spec, extra)
+    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], extra)
     if feas is None:
         r = qp1qc.solve_qp1qc(g, h, tol)
         if r.status == "infeasible" or (r.value is not None and r.value > tol * (1 + gs)):
@@ -581,14 +565,12 @@ def check_assumption3(
 
     # D != {g<=0}: a point with g <= 0 < h, or a certificate {g<=0} in {h<=0}.
     for first, second, label in ((g, h, "g"), (h, g, "h")):
-        pts = _search_points(g.n, spec, extra)
-        mask = (evaluate_many(first, pts) <= tol * (1 + first.data_scale())) & (
-            evaluate_many(second, pts) > tol * (1 + second.data_scale())
+        mask = (evaluate_many(first, extra) <= tol * (1 + first.data_scale())) & (
+            evaluate_many(second, extra) > tol * (1 + second.data_scale())
         )
         if mask.any():
             continue
-        w = _zero_set_witness(first, second, spec, tol * (1 + second.data_scale()),
-                              extra=extra)
+        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), extra)
         if w is not None:
             continue
         lam = pencil_psd_search_nonneg(-second, first)
@@ -624,7 +606,7 @@ def check_assumption1(
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
     if extra is None:
         extra = _ray_candidates(g, h, spec)
-    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], g.n, spec, extra)
+    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], extra)
     if interior is not None:
         return AssumptionVerdict(
             Verdict.HOLDS, note="strict interior point", witness=interior
@@ -641,8 +623,7 @@ def check_assumption1(
                 continue  # D empty; nonemptiness is assumption 3's business
             if abs(r.value) <= tol * (1 + first.data_scale()):
                 # D sits inside {first = 0}; find a zero-set point outside D.
-                w = _zero_set_witness(first, second, spec, tol * (1 + second.data_scale()),
-                                      extra=extra)
+                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), extra)
                 if w is not None:
                     return AssumptionVerdict(
                         Verdict.FAILS,

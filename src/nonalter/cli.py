@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 other invalid input (for example a constant g for
 ``reduce``), 2 malformed input, 3 infeasible, 4 unbounded or
-dual-infeasible, 5 undetermined.
+dual-infeasible, 5 undetermined, 141 standard output closed before the
+report was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -33,6 +35,7 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNBOUNDED = 4
 EXIT_UNDETERMINED = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 
 _SOLVE_EXIT = {
     "solved": EXIT_OK,
@@ -63,15 +66,6 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, tol: Optional[float] = 
         p.add_argument(flag, **_FLAGS[flag])
 
 
-class _SearchBox(argparse.Action):
-    """``--bounds`` of the witness searches, whose box is [-HI, HI]."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if not values[0] == -values[1] < values[1]:
-            parser.error(f"{option_string} LO HI needs LO = -HI < HI: the search box is [-HI, HI]")
-        setattr(namespace, self.dest, values)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nonalter",
@@ -81,16 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full arrangement report")
     _add_common(p, "--seed", tol=1e-9)
-    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
 
     p = sub.add_parser("check", help="run a single assumption checker")
     p.add_argument("--assumption", type=int, required=True, choices=(1, 2, 3, 4, 5))
     _add_common(p, "--seed", tol=1e-9)
-    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
 
     p = sub.add_parser("solve", help="classify, reduce or dual-solve, recover a point")
     _add_common(p, "--seed", tol=1e-8)
-    p.add_argument("--bounds", action=_SearchBox, **_FLAGS["--bounds"])
     p.add_argument("--trace", action="store_true", help="dual iterates as JSON lines on stderr")
     p.add_argument("--single-constraint", action="store_true",
                    help="solve min f s.t. g <= 0, ignoring h")
@@ -112,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _search_spec(args) -> SearchSpec:
-    return SearchSpec(box=args.bounds[1], seed=args.seed)
+    return SearchSpec(seed=args.seed)
 
 
 def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:
@@ -304,7 +295,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``): point stdout at devnull so
+        # the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -119,7 +119,7 @@ def test_criterion_2_strong_duality(corpus_reports):
             bad.append((name, gap, bound))
 
     rng = np.random.default_rng(20240)
-    search = SearchSpec(n_samples=2500, grid_per_axis=21)
+    search = SearchSpec()
     checked = 0
     for _ in range(170):
         if checked >= 100:

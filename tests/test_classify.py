@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import poly1, poly2, poly3
-from nonalter import corpus
+from nonalter import corpus, qp1qc
+from nonalter.canonical import AffineChange
 from nonalter.classify import (
     ArrangementClass,
     InclusionStatus,
     SearchSpec,
     Verdict,
-    _search_block,
-    _search_points,
+    _ray_candidates,
     _zero_set_empty,
     check_assumption1,
     check_assumption2,
@@ -31,26 +31,6 @@ from nonalter.quad_core import (
     lift,
     nonneg_everywhere,
 )
-
-
-class TestSearchPoints:
-    def test_block_built_once_read_only_and_unchanged(self):
-        spec = SearchSpec(seed=7)
-        _search_block.cache_clear()
-        _, g, h, _ = corpus.load("ex24")
-        classify_problem(g, h, spec=spec)
-        info = _search_block.cache_info()
-        assert info.misses == 1 and info.hits >= 3
-        block = _search_block(2, spec)
-        assert not block.flags.writeable
-        # The same points in the same order as a fresh build, extra first.
-        axis = np.linspace(-spec.box, spec.box, spec.grid_per_axis)
-        grid = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
-        samples = np.random.default_rng(spec.seed).uniform(-spec.box, spec.box, (spec.n_samples, 2))
-        assert np.array_equal(block, np.vstack([grid, samples]))
-        extra = np.ones((3, 2))
-        assert np.array_equal(_search_points(2, spec, extra), np.vstack([extra, grid, samples]))
-        assert _search_points(2, spec) is block
 
 
 class TestSlaterTwoSided:
@@ -311,6 +291,64 @@ class TestClassifyProblem:
                     assert abs(evaluate(p, x)) <= min(1e-6, 1e-7 * (1.0 + p.data_scale()))
                     assert sign * evaluate(q, x) > DEFAULT_TOL * (1.0 + q.data_scale())
         assert refuted >= 40
+
+
+def _verdicts(rep):
+    return ([rep.overall_class, rep.in_nonalter]
+            + [rep.assumption(k).verdict for k in range(1, 6)]
+            + [incl.status for incl in rep.inclusions])
+
+
+class TestWitnessCandidates:
+    @pytest.mark.parametrize("seed, draw", [(104, 9), (1004, 142)])
+    def test_pairs_decided_by_single_constraint_optimizers(self, seed, draw):
+        # Lines through the origin and the stationary points miss a sign
+        # region of these pairs; the optimizers of +-h over {g <= 0} and of
+        # +-g over {h <= 0} reach it.
+        rng = np.random.default_rng(seed)
+        for _ in range(draw + 1):
+            f, g, h = random_triple(rng, 4)
+        rep = classify_problem(g, h)
+        assert rep.overall_class is ArrangementClass.OUTSIDE_NON_ALTER
+        assert rep.a3.holds
+        pairs = ((g, h, +1), (g, h, -1), (h, g, +1), (h, g, -1))
+        for verdict, (p, q, sign) in zip(rep.inclusions, pairs):
+            assert verdict.status is InclusionStatus.REFUTED_WITNESS
+            x = verdict.witness
+            assert abs(evaluate(p, x)) <= 1e-7 * (1.0 + p.data_scale())
+            assert sign * evaluate(q, x) > DEFAULT_TOL * (1.0 + q.data_scale())
+
+    @pytest.mark.parametrize("n, draws", [(3, (0, 3, 10, 19)), (4, (0, 11, 69, 97))])
+    def test_verdicts_survive_a_translation(self, n, draws):
+        # Features moved 30 away from the origin.  These pairs were picked
+        # because a witness search inside [-10, 10] changes their verdict.
+        rng = np.random.default_rng(600 + n)
+        for i in range(max(draws) + 1):
+            f, g, h = random_triple(rng, n)
+            t = rng.normal(size=n)
+            if i not in draws:
+                continue
+            move = AffineChange(np.eye(n), -30.0 * t / np.linalg.norm(t), 1.0)
+            assert _verdicts(classify_problem(move.pull(g), move.pull(h))) == _verdicts(
+                classify_problem(g, h)), i
+
+    def test_one_decomposition_per_constraint(self, eig_calls, monkeypatch):
+        # The stationary point, the eigenvector directions: one eigh of g.A, one of h.A.
+        f, g, h, _ = corpus.load("ex24")
+        solve, inner = qp1qc.solve_qp1qc, []
+
+        def counted(*args, **kwargs):
+            before = eig_calls[0]
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inner.append(eig_calls[0] - before)
+
+        monkeypatch.setattr(qp1qc, "solve_qp1qc", counted)
+        cands = _ray_candidates(g, h, SearchSpec())
+        assert len(inner) == 4
+        assert eig_calls[0] - sum(inner) == 2
+        assert np.isfinite(cands).all()
 
 
 class TestOneSidedImpliesNoSeparation:

@@ -228,14 +228,12 @@ class TestDichotomy:
 
 class TestRecoverySoundness:
     def test_residual_invariants(self, rng):
-        from nonalter.classify import SearchSpec
         from nonalter.instances import random_nonalter_instance
 
-        light = SearchSpec(n_samples=2500, grid_per_axis=21)
         checked = 0
         for _ in range(25):
             f, g, h = random_nonalter_instance(rng)
-            rep = solve_nonalter(f, g, h, spec=light)
+            rep = solve_nonalter(f, g, h)
             if rep.status != "solved" or rep.x_star is None:
                 continue
             tol = 1e-8
