@@ -32,10 +32,16 @@ def _require(cond: bool, msg: str):
         raise ProblemFormatError(msg)
 
 
+def _has_bool(x) -> bool:
+    # JSON true and false load as bool, an int subclass that numpy reads as 1 and 0.
+    return isinstance(x, bool) or (isinstance(x, list) and any(_has_bool(y) for y in x))
+
+
 def quadform_from_dict(data: dict, name: str, n: int) -> QuadForm:
     _require(isinstance(data, dict), f"field {name!r} must be an object")
     for key in ("A", "a", "a0"):
         _require(key in data, f"field {name!r} is missing {key!r}")
+        _require(not _has_bool(data[key]), f"{name}.{key} must be numeric, not boolean")
     try:
         A = np.array(data["A"], dtype=float)
         a = np.array(data["a"], dtype=float)
@@ -60,7 +66,8 @@ def parse_problem_dict(doc: dict) -> Tuple[QuadForm, QuadForm, QuadForm, dict]:
     _require(isinstance(doc, dict), "problem file must contain a JSON object")
     _require("n" in doc, "missing field 'n'")
     n = doc["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+             "'n' must be a positive integer")
     for role in ("f", "g", "h"):
         _require(role in doc, f"missing field {role!r}")
     f = quadform_from_dict(doc["f"], "f", n)

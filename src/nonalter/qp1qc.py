@@ -159,7 +159,11 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
         else:
             b = lam
         nxt = lam - d.slope / d.curvature if d.curvature < 0.0 else np.nan
-        if not (a <= nxt <= b and np.isfinite(nxt)):
+        if abs(nxt - lam) <= _STEP_RTOL * nxt:
+            break
+        # A step onto an end of the bracket returns to a point already
+        # evaluated: Newton would cycle there, so bisect instead.
+        if not (a < nxt < b and np.isfinite(nxt)):
             nxt = 0.5 * (a + b) if b < np.inf else 2.0 * lam + unit
         if min(abs(nxt - lam), b - a) <= _STEP_RTOL * nxt:
             break

@@ -356,52 +356,136 @@ def _rcond(M: np.ndarray) -> float:
     return float(sv[-1] / max(sv[0], 1e-300))
 
 
+def _pencil_test_points(P: np.ndarray, Q: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The sorted real roots of det(P + lam*Q) off the common kernel of P
+    and Q, and the test points of :func:`psd_interval`: each root, the
+    midpoint of each pair of neighbours and one point beyond each extreme
+    root, ascending.  With no root the one test point is 0.  None when no
+    shift leaves the reduced pencil well conditioned.
+    """
+    _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
+    V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
+    Pr, Qr = V.T @ P @ V, V.T @ Q @ V
+    if not Qr.any():
+        return np.empty(0), np.zeros(1)
+    unit = float(np.abs(Pr).max()) / float(np.abs(Qr).max()) or 1.0
+    rcond, mu = max((_rcond(Pr + c * unit * Qr), c * unit) for c in _PENCIL_SHIFTS)
+    if not rcond > RANK_RTOL:
+        return None
+    theta = np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr))
+    theta = theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
+    roots = np.array(sorted(set((mu - 1.0 / theta).real.tolist())))
+    if not roots.size:
+        return roots, np.zeros(1)
+    reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
+    pts = np.empty(2 * roots.size + 1)
+    pts[1::2] = roots
+    pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
+    pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
+    return roots, pts
+
+
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     """The closed interval of real lam where ``psd_status(P + lam*Q, tol)``
     is not indefinite (P, Q symmetric), or None when there is no such lam.
 
-    Ends may be -inf or inf.  The set is an interval because the smallest
-    eigenvalue of P + lam*Q is concave in lam, and its finite ends are real
-    roots of det(P + lam*Q) once the common kernel of P and Q is removed
-    (Moré, Optim. Methods Softw. 2, 1993).  The roots come from the
-    eigenvalues theta of (P + mu*Q)^-1 Q at a well-conditioned shift mu, as
-    lam = mu - 1/theta.  The verdict is tested at each root, between
-    neighbouring roots and beyond the extreme ones.  Between two roots the
-    inertia is constant, so a passing midpoint admits the closed segment.
-    Without a common kernel, a pencil that is singular for every lam is
-    never semidefinite (its singular Kronecker blocks have a zero diagonal
-    block), which gives None.
+    Ends may be -inf or inf.  Up to the cutoff, the set is an interval
+    because the smallest eigenvalue of P + lam*Q is concave in lam, and its
+    finite ends are real roots of det(P + lam*Q) once the common kernel of
+    P and Q is removed (Moré, Optim. Methods Softw. 2, 1993).  The roots
+    come from the eigenvalues theta of (P + mu*Q)^-1 Q at a
+    well-conditioned shift mu, as lam = mu - 1/theta.  Between two roots
+    the inertia is constant, so a passing midpoint admits the closed
+    segment, and a passing root admits itself.  Without a common kernel, a
+    pencil that is singular for every lam is never semidefinite (its
+    singular Kronecker blocks have a zero diagonal block), which gives None.
+
+    The verdicts at the test points (:func:`_pencil_test_points`) are read
+    by bisection, in O(log n) decompositions unless some verdict is close.
+    The cutoff grows with the spectral radius, so a test point may fail
+    between two passing ones; the result spans the first to the last
+    passing one, as a scan of all of them gives.  A failure is clear when
+    the smallest eigenvalue lies below -C, twice the largest cutoff any
+    test point can have (a margin for rounding); by concavity, a clearly
+    failing test point between a passing one and others rules those others
+    out.  At a failing test point, with B the eigenvectors within the
+    cutoff of the bottom eigenvalue, the extreme eigenvalues of B'QB are
+    its one-sided slopes, and the top of that cluster bounds the smallest
+    eigenvalue on each side where it does not rise; a clear failure there
+    rules that side out (both sides: None).  A close failure rules out
+    nothing, and the search goes on to both sides.  From the first passing
+    test point it meets, two searches on eigenvalues alone find the first
+    and the last passing one.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    _, sv, vt = np.linalg.svd(np.vstack([P, Q]))
-    V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
-    Pr, Qr = V.T @ P @ V, V.T @ Q @ V
-    roots = np.empty(0)
-    if Qr.any():
-        unit = float(np.abs(Pr).max()) / float(np.abs(Qr).max()) or 1.0
-        rcond, mu = max((_rcond(Pr + c * unit * Qr), c * unit) for c in _PENCIL_SHIFTS)
-        if not rcond > RANK_RTOL:
-            return None
-        theta = np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr))
-        theta = theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
-        roots = np.array(sorted(set((mu - 1.0 / theta).real.tolist())))
-    if roots.size:
-        reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
-        pts = np.empty(2 * roots.size + 1)
-        pts[1::2] = roots
-        pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
-        pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
-    else:
-        pts = np.zeros(1)
-    ok = np.array([_status_of(EigenDecomp.of(P + t * Q), tol).verdict is not PsdVerdict.INDEFINITE
-                   for t in pts])
-    # Segment j runs from edge j to edge j + 1; root j is edge j + 1.
-    edges = np.concatenate([[-np.inf], roots, [np.inf]])
-    seg_ok, root_ok = ok[0::2], ok[1::2]
-    admitted = np.concatenate([edges[:-1][seg_ok], edges[1:][seg_ok], roots[root_ok]])
-    if not admitted.size:
+    found = _pencil_test_points(P, Q)
+    if found is None:
         return None
-    return float(admitted.min()), float(admitted.max())
+    roots, pts = found
+    clear = 2.0 * tol * (1.0 + np.linalg.norm(P) + np.abs(pts[[0, -1]]).max() * np.linalg.norm(Q))
+
+    def verdict(ed: EigenDecomp) -> Optional[bool]:
+        # True: passes; False: fails clearly; None: fails, but close.
+        if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
+            return True
+        return False if ed.values[0] < -clear else None
+
+    def any_passing(lo: int, hi: int) -> Optional[Tuple[int, int, int]]:
+        # A passing test point in [lo, hi] and a range within [lo, hi]
+        # holding every passing one of [lo, hi]; None when none passes.
+        if lo > hi:
+            return None
+        k = (lo + hi) // 2
+        ed = EigenDecomp.of(P + pts[k] * Q)
+        if verdict(ed):
+            return k, lo, hi
+        bottom = ed.values - ed.values[0] <= ed.cut(tol)
+        if ed.values[bottom][-1] < -clear:
+            B = ed.vectors[:, bottom]
+            S = B.T @ Q @ B
+            slopes = S.diagonal() if S.shape == (1, 1) else EigenDecomp.values_of(S).values
+            if slopes[0] > 0.0:
+                return any_passing(k + 1, hi)
+            if slopes[-1] < 0.0:
+                return any_passing(lo, k - 1)
+            return None
+        right = any_passing(k + 1, hi)
+        if right is not None:
+            return right[0], lo, right[2]
+        return any_passing(lo, k - 1)
+
+    def first_passing(lo: int, hi: int) -> Optional[int]:
+        # The first passing test point in [lo, hi]; one right of hi passes.
+        if lo > hi:
+            return None
+        k = (lo + hi) // 2
+        v = verdict(EigenDecomp.values_of(P + pts[k] * Q))
+        left = None if v is False else first_passing(lo, k - 1)
+        if left is not None:
+            return left
+        return k if v else first_passing(k + 1, hi)
+
+    def last_passing(lo: int, hi: int) -> Optional[int]:
+        # The last passing test point in [lo, hi]; one left of lo passes.
+        if lo > hi:
+            return None
+        k = (lo + hi) // 2
+        v = verdict(EigenDecomp.values_of(P + pts[k] * Q))
+        right = None if v is False else last_passing(k + 1, hi)
+        if right is not None:
+            return right
+        return k if v else last_passing(lo, k - 1)
+
+    start = any_passing(0, pts.size - 1)
+    if start is None:
+        return None
+    k, lo, hi = start
+    first, last = first_passing(lo, k - 1), last_passing(k + 1, hi)
+    first, last = k if first is None else first, k if last is None else last
+    # Test point 2j is segment j, from edge j to edge j + 1; test point 2j + 1
+    # is root j, which is edge j + 1.
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
+    return float(edges[(first + 1) // 2]), float(edges[last // 2 + 1])
 
 
 def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonalter.instances import random_quadform
 from nonalter.quad_core import QuadForm
 
 
@@ -16,6 +17,36 @@ def poly2(axx=0.0, axy=0.0, ayy=0.0, bx=0.0, by=0.0, c=0.0) -> QuadForm:
 
 def poly3(diag, lin=(0.0, 0.0, 0.0), c=0.0) -> QuadForm:
     return QuadForm(np.diag(diag), np.asarray(lin) / 2.0, c)
+
+
+def trust_region_pair(rng, n: int, hard: bool):
+    """min f s.t. (x-c)'P(x-c) <= r^2 with P positive definite.
+
+    In the hard case P = I and the linear term of f is orthogonal to the
+    eigenvector of f's smallest eigenvalue d0, with the regular part of the
+    step of norm r/4, so the optimal multiplier is -d0 and makes the Hessian
+    of the Lagrangian singular (Moré and Sorensen, 1983).
+    """
+    c = rng.normal(size=n)
+    r = float(rng.uniform(0.5, 2.0))
+    if hard:
+        P = np.eye(n)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        d = np.sort(rng.normal(size=n))
+        d[0] = -abs(d[0]) - 0.5
+        d[1:] = np.maximum(d[1:], d[0] + 0.5)
+        A = (U * d) @ U.T
+        z = np.concatenate([[0.0], rng.normal(size=n - 1)])
+        z *= 0.25 * r / np.linalg.norm(z)
+        b = U @ ((d - d[0]) * z)
+        f = QuadForm(A, b - A @ c, float(c @ A @ c - 2 * b @ c))
+    else:
+        M = rng.normal(size=(n, n))
+        P = M @ M.T / n + 0.2 * np.eye(n)
+        f = random_quadform(rng, n)
+        d = None
+    g = QuadForm(P, -P @ c, float(c @ P @ c) - r * r)
+    return f, g, (None if d is None else -d[0])
 
 
 @pytest.fixture()

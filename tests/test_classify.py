@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,10 +105,11 @@ class TestPencilSearch:
         assert pencil_psd_search(poly2(bx=1), poly2(by=1)) is None
 
     def test_eigendecomposition_budget(self, rng, eig_calls):
-        # An exact interval tests at most 2(n+1)+1 multipliers of the lifted pencil.
+        # The lifted pencil has 2(n+1)+1 test points; three bisections over
+        # them take O(log n) decompositions.
         f, g, h, _ = corpus.load("ex24")
         pairs = [(-1.0 * h, g), (poly2(axx=1, ayy=1, c=-1), poly2(axx=1, c=-0.5))]
-        for n in (2, 6, 20):
+        for n in (2, 6, 20, 50):
             for _ in range(5):
                 p = QuadForm(rng.normal(size=(n, n)), rng.normal(size=n), rng.normal())
                 L = rng.normal(size=(n, n))
@@ -115,7 +118,7 @@ class TestPencilSearch:
         for p, q in pairs:
             eig_calls[0] = 0
             lam = pencil_psd_search(p, q)
-            assert eig_calls[0] <= 2 * (p.n + 1) + 10
+            assert eig_calls[0] <= 3 * math.ceil(math.log2(2 * p.n + 3)) + 2
             if lam is not None:
                 found += 1
                 assert nonneg_everywhere(p + lam * q)

@@ -73,6 +73,20 @@ class TestParseProblem:
         assert f2.a0 == f.a0
         assert np.array_equal(g2.A, g.A) and np.array_equal(h2.A, h.A)
 
+    @pytest.mark.parametrize("field", ["n", "f.a0", "g.a0", "h.a0", "f.A", "g.a"])
+    def test_boolean_rejected(self, tmp_path, capsys, field):
+        # JSON true is not the integer 1, nor the number 1.0.
+        doc = simple_doc()
+        if field == "n":
+            doc["n"] = True
+        else:
+            role, key = field.split(".")
+            doc[role][key] = {"A": [[True]], "a": [True], "a0": True}[key]
+        with pytest.raises(ProblemFormatError, match="must be"):
+            parse_problem_dict(doc)
+        assert run(["solve", write_problem(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import poly1, poly2
+from conftest import poly1, poly2, trust_region_pair
+from nonalter import qp1qc
 from nonalter.duality import lagrangian_dual_value
 from nonalter.instances import random_quadform
 from nonalter.oracle import GridSpec, grid_min, probe_unbounded
@@ -144,49 +147,38 @@ class TestOracleAgreement:
         assert checked >= 40
 
 
-def _trust_region_pair(rng, n: int, hard: bool):
-    """min f s.t. (x-c)'P(x-c) <= r^2 with P positive definite.
-
-    In the hard case P = I and the linear term of f is orthogonal to the
-    eigenvector of f's smallest eigenvalue d0, with the regular part of the
-    step of norm r/4, so the optimal multiplier is -d0 and makes the Hessian
-    of the Lagrangian singular (Moré and Sorensen, 1983).
-    """
-    c = rng.normal(size=n)
-    r = float(rng.uniform(0.5, 2.0))
-    if hard:
-        P = np.eye(n)
-        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        d = np.sort(rng.normal(size=n))
-        d[0] = -abs(d[0]) - 0.5
-        d[1:] = np.maximum(d[1:], d[0] + 0.5)
-        A = (U * d) @ U.T
-        z = np.concatenate([[0.0], rng.normal(size=n - 1)])
-        z *= 0.25 * r / np.linalg.norm(z)
-        b = U @ ((d - d[0]) * z)
-        f = QuadForm(A, b - A @ c, float(c @ A @ c - 2 * b @ c))
-    else:
-        M = rng.normal(size=(n, n))
-        P = M @ M.T / n + 0.2 * np.eye(n)
-        f = random_quadform(rng, n)
-        d = None
-    g = QuadForm(P, -P @ c, float(c @ P @ c) - r * r)
-    return f, g, (None if d is None else -d[0])
-
-
 class TestWork:
     @pytest.mark.parametrize("n", [2, 10, 50])
     @pytest.mark.parametrize("hard", [False, True])
     def test_eigendecomposition_budget(self, rng, eig_calls, n, hard):
         for _ in range(3):
-            f, g, lam_hard = _trust_region_pair(rng, n, hard)
+            f, g, lam_hard = trust_region_pair(rng, n, hard)
             eig_calls[0] = 0
             r = solve_qp1qc(f, g)
-            assert eig_calls[0] <= 2 * (n + 1) + 80
+            assert eig_calls[0] <= 3 * math.ceil(math.log2(2 * n + 3)) + 77
             assert r.status == "attained"
             assert evaluate(g, r.x) <= 1e-8 * (1 + g.data_scale())
             if hard:
                 assert r.lam == pytest.approx(lam_hard, rel=1e-12)
+
+    def test_newton_does_not_cycle(self, monkeypatch):
+        # Pairs 14 and 33 of this stream once sent Newton back and forth
+        # between two multipliers 3e-14 apart, whose psi' have opposite
+        # signs, for all 60 steps (62 evaluations of the dual).
+        calls = [0]
+        dual_at = qp1qc._dual_at
+
+        def counted(*args):
+            calls[0] += 1
+            return dual_at(*args)
+
+        monkeypatch.setattr(qp1qc, "_dual_at", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            f, g, _ = trust_region_pair(rng, 50, False)
+            calls[0] = 0
+            assert solve_qp1qc(f, g).status == "attained"
+            assert calls[0] <= 20
 
     def test_one_sided_slope_at_singular_end(self, eig_calls):
         # min -x^2 - 4x + y^2 s.t. (x+2)^2 <= 3: psi(lam) = 4 - 3*lam on its

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonalter
-from conftest import poly1, poly2
+from conftest import poly1, poly2, trust_region_pair
 from nonalter import corpus
 from nonalter.quad_core import (
     INF_PSD_RTOL,
+    PSD_RTOL,
     RANK_RTOL,
     DimensionError,
+    _pencil_test_points,
+    _status_of,
     EigenDecomp,
     PsdVerdict,
     QuadForm,
@@ -329,6 +332,152 @@ class TestPsdInterval:
         assert lo == -np.inf and hi == pytest.approx(-1.0, abs=1e-14)
         lo, hi = psd_interval(np.diag([0.0, 1.0]), np.diag([1.0, -1.0]))
         assert lo == pytest.approx(0.0, abs=1e-14) and hi == pytest.approx(1.0, abs=1e-14)
+
+
+def _psd_interval_scan(P, Q, tol=PSD_RTOL):
+    """psd_interval from a full eigendecomposition at every test point: the
+    reference for its bisection."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    found = _pencil_test_points(P, Q)
+    if found is None:
+        return None
+    roots, pts = found
+    ok = np.array([_status_of(EigenDecomp.of(P + t * Q), tol).verdict is not PsdVerdict.INDEFINITE
+                   for t in pts])
+    # Segment j runs from edge j to edge j + 1; root j is edge j + 1.
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
+    seg_ok, root_ok = ok[0::2], ok[1::2]
+    admitted = np.concatenate([edges[:-1][seg_ok], edges[1:][seg_ok], roots[root_ok]])
+    if not admitted.size:
+        return None
+    return float(admitted.min()), float(admitted.max())
+
+
+def _sym(rng, m):
+    M = rng.normal(size=(m, m))
+    return M + M.T
+
+
+def _rotated(rng, *diags):
+    """U diag(d) U' for each d, with one random orthogonal U."""
+    U, _ = np.linalg.qr(rng.normal(size=(len(diags[0]),) * 2))
+    return [(U * np.asarray(d, dtype=float)) @ U.T for d in diags]
+
+
+class TestPsdIntervalBisection:
+    """psd_interval returns exactly what the verdicts at all its test points give."""
+
+    @staticmethod
+    def _check(P, Q, tol=PSD_RTOL):
+        iv = psd_interval(P, Q, tol)
+        assert iv == _psd_interval_scan(P, Q, tol)
+        return iv
+
+    def test_random_pencils(self):
+        rng = np.random.default_rng(8101)
+        found = 0
+        for m in range(2, 52):
+            for kind in range(3):
+                Q = _sym(rng, m)
+                if kind == 0:
+                    P = _sym(rng, m)
+                else:
+                    # P + mu*Q = L L' is semidefinite, singular when kind == 2.
+                    L = rng.normal(size=(m, m - kind + 1))
+                    P = L @ L.T - float(rng.normal()) * Q
+                found += self._check(P, Q) is not None
+        assert found >= 100
+
+    @pytest.mark.parametrize("n", [10, 50])
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_trust_region_pairs(self, n, hard):
+        rng = np.random.default_rng(8102 + n)
+        for _ in range(4):
+            f, g, _ = trust_region_pair(rng, n, hard)
+            assert self._check(f.A, g.A, INF_PSD_RTOL)[1] == np.inf  # g.A is definite
+            self._check(lift(f), lift(g))
+            self._check(lift(-g), lift(f))
+
+    def test_long_passing_blocks(self):
+        # Roots packed within the cutoff of each other all pass: blocks of
+        # up to 2k + 1 passing test points among roots that fail elsewhere.
+        rng = np.random.default_rng(8103)
+        longest = 0
+        for m in (6, 12, 25, 51):
+            for _ in range(4):
+                k = int(rng.integers(2, m))
+                d = np.concatenate([1e-13 * rng.uniform(size=k), rng.uniform(1.0, 5.0, size=m - k)])
+                e = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.5, 2.0, size=m)
+                P, Q = _rotated(rng, d, e)
+                _, pts = _pencil_test_points(P, Q)
+                ok = [psd_status(P + t * Q).verdict is not PsdVerdict.INDEFINITE for t in pts]
+                longest = max(longest, sum(ok))
+                self._check(P, Q)
+        assert longest >= 20
+
+    def test_multiple_bottom_eigenvalue(self, eig_calls):
+        # The bottom eigenvalue -1 is double at the middle test point 0, with
+        # slopes +1 and -1: the smallest one peaks there, so nothing passes,
+        # and the first probe and its slopes show it.
+        rng = np.random.default_rng(8104)
+        P, Q = _rotated(rng, [-1.0, -1.0, 10.0, 10.0], [1.0, -1.0, 1.0, -1.0])
+        eig_calls[0] = 0
+        assert psd_interval(P, Q) is None
+        assert eig_calls[0] == 2
+        assert _psd_interval_scan(P, Q) is None
+        # Two copies of one pencil: every eigenvalue, every root and every
+        # slope comes twice.
+        for m in (2, 5, 20):
+            for _ in range(4):
+                d, e = rng.normal(size=m), rng.normal(size=m)
+                if rng.uniform() < 0.5:
+                    d = rng.uniform(size=m) - float(rng.normal()) * e  # PSD somewhere
+                P, Q = _rotated(rng, np.tile(d, 2), np.tile(e, 2))
+                self._check(P, Q)
+
+    def test_common_kernel(self):
+        rng = np.random.default_rng(8105)
+        for m in (3, 8, 30):
+            for r in (1, m // 2):
+                W, _ = np.linalg.qr(rng.normal(size=(m, m - r)))
+                Pr, Qr = _sym(rng, m - r), _sym(rng, m - r)
+                if r == 1:
+                    L = rng.normal(size=(m - r, m - r))
+                    Pr = L @ L.T - Qr
+                self._check(W @ Pr @ W.T, W @ Qr @ W.T)
+
+    def test_double_root(self):
+        # det [[0, t], [t, 1]] = -t^2: a double root at 0, the only PSD point.
+        P, Q = np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        lo, hi = self._check(P, Q)
+        assert lo == pytest.approx(0.0, abs=1e-7) and hi == pytest.approx(0.0, abs=1e-7)
+        rng = np.random.default_rng(8106)
+        for m in (3, 10):
+            d, e = rng.uniform(1.0, 2.0, size=m), rng.normal(size=m)
+            d[1], e[1] = d[0], e[0]
+            self._check(*_rotated(rng, d, e))
+
+    def test_close_failures(self):
+        # The cutoff grows with the spectral radius, so a test point that
+        # fails by less than the cutoff of others may lie between passing
+        # ones.  Here the smallest eigenvalue is -1e-8 on [-2, 10]; the
+        # cutoff admits it at the roots -2 and 10, not at the midpoint 4.
+        P, Q = np.diag([-1e-8, 2.0, 10.0]), np.diag([0.0, 1.0, -1.0])
+        assert self._check(P, Q) == (-2.0, 10.0)
+        # Lines of slope 1e-10 to 3e-9 add roots near the cutoff.
+        rng = np.random.default_rng(8107)
+        split = 0
+        for _ in range(200):
+            k = int(rng.integers(1, 5))
+            r = rng.uniform(-3.0, 12.0, size=k)
+            d = 10.0 ** rng.uniform(-10.0, -8.5, size=k) * rng.choice([-1.0, 1.0], size=k)
+            P = np.diag(np.concatenate([[-rng.uniform(3e-9, 2e-8), 2.0, 10.0], -d * r]))
+            Q = np.diag(np.concatenate([[0.0, 1.0, -1.0], d]))
+            self._check(P, Q)
+            ok = np.flatnonzero([psd_status(P + t * Q).verdict is not PsdVerdict.INDEFINITE
+                                 for t in _pencil_test_points(P, Q)[1]])
+            split += ok.size > 0 and ok.size < ok[-1] - ok[0] + 1
+        assert split >= 20
 
 
 def _reference_roots(q, x, d, cut):
