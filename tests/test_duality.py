@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import poly2
-from nonalter import corpus
+from nonalter import corpus, duality
 from nonalter.duality import (
     DualPoint,
     _probe,
@@ -11,7 +11,7 @@ from nonalter.duality import (
     slack_matrix,
     solve_dual_2d,
 )
-from nonalter.instances import random_quadform, random_triple
+from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min
 from nonalter.quad_core import PsdVerdict, QuadForm, psd_status
 
@@ -53,6 +53,14 @@ class TestSolveDual2d:
         # The maximum sits on the ray lam2 = 1 + lam1, lam1 >= 1.
         assert res.best.lambda1 >= 1.0 - 1e-6
         assert res.best.lambda2 == pytest.approx(1.0 + res.best.lambda1, abs=1e-4)
+
+    def test_objective_scaled_far(self):
+        # The optimal lam1 exceeds 1e9, beyond every probe in data units; in
+        # probe units the problem is the unscaled one.
+        f, g, h = two_point_instance()
+        res = solve_dual_2d(QuadForm(1e9 * f.A, 1e9 * f.a, 1e9 * f.a0), g, h)
+        assert res.status == "finite"
+        assert res.value == pytest.approx(1e9, rel=1e-6)
 
     def test_interior_minimum(self):
         f = poly2(axx=1, ayy=1)
@@ -294,3 +302,122 @@ class TestWeakDuality:
             assert res.value <= o.min_value + 1e-6
             checked += 1
         assert checked >= 25
+
+
+def _barrier_reference(factor, visit, GH, y, L, t, tol):
+    """The central-path loop without the predictor: t grows tenfold after each
+    centering, and each Newton step solves with R through two LU solves.  The
+    reference for ``duality._follow_path``, which it replaces by monkeypatch."""
+    G, H = GH
+    m = GH.shape[1] + 2
+    converged = False
+    while True:
+        centered = False
+        dec2_prev = np.inf
+        for _ in range(duality._CENTERING_STEPS):
+            newton = _newton_step_reference(L, y, t, G, H)
+            if newton is None:
+                break
+            step, dec2 = newton
+            stalled = dec2_prev < 0.0625 and dec2 > 0.25 * dec2_prev
+            if dec2 <= 1e-10 or (stalled and dec2 <= 1e-4):
+                centered = True
+                break
+            if stalled:
+                break
+            dec2_prev = dec2
+            s = 1.0 if dec2 < 0.0625 else 1.0 / (1.0 + np.sqrt(dec2))
+            L_new = factor(y + s * step)
+            while L_new is None and s > 1e-12:
+                s *= 0.5
+                L_new = factor(y + s * step)
+            if L_new is None:
+                break
+            y, L = y + s * step, L_new
+            visit(y, L)
+        if not centered:
+            break
+        gap = (m + y[1] + y[2]) / t
+        converged = gap <= tol * (1.0 + abs(y[0]))
+        if gap <= duality._GAP_RTOL * (1.0 + abs(y[0])):
+            break
+        t *= 10.0
+    return converged
+
+
+def _newton_step_reference(L, y, t, G, H):
+    Linv = np.linalg.inv(L)
+    l = Linv[:, -1]
+    Wg = Linv @ G @ Linv.T
+    Wh = Linv @ H @ Linv.T
+    grad = np.array([l @ l - t, 1.0 - np.trace(Wg) - 1.0 / y[1], 1.0 - np.trace(Wh) - 1.0 / y[2]])
+    B = np.vstack([np.column_stack([-np.outer(l, l).ravel(), Wg.ravel(), Wh.ravel()]),
+                   [[0.0, 1.0 / y[1], 0.0], [0.0, 0.0, 1.0 / y[2]]]])
+    d = np.linalg.norm(B, axis=0)
+    R = np.linalg.qr(B / d, mode="r")
+    try:
+        step = np.linalg.solve(R, np.linalg.solve(R.T, -grad / d)) / d
+    except np.linalg.LinAlgError:
+        return None
+    return step, float(-grad @ step)
+
+
+def _scaled(q, s):
+    return QuadForm(s * q.A, s * q.a, s * q.a0)
+
+
+def _parity_set():
+    """The corpus with f scaled by 1, 1e2 and 1e4, then seeded in-class and
+    outside-class families (convex objectives for the latter, as in the
+    benchmark, so that the dual is finite at lam = 0)."""
+    for name in corpus.NAMES:
+        f, g, h, _ = corpus.load(name)
+        for k in (0, 2, 4):
+            yield f"{name}x1e{k}", (_scaled(f, 10.0 ** k), g, h)
+    rng = np.random.default_rng(909)
+    for n in (2, 3, 5, 10):
+        for i in range(6):
+            yield f"in{n}_{i}", random_nonalter_instance(rng, n)
+    for n in (2, 3):
+        for i in range(10):
+            f = random_quadform(rng, n, convex=True)
+            yield f"out{n}_{i}", (f, random_quadform(rng, n), random_quadform(rng, n))
+
+
+@pytest.fixture(scope="module")
+def parity_runs():
+    """(name, predictor result, reference result) over the parity set."""
+    runs = []
+    for name, (f, g, h) in _parity_set():
+        new = solve_dual_2d(f, g, h, collect_trace=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(duality, "_follow_path", _barrier_reference)
+            ref = solve_dual_2d(f, g, h, collect_trace=True)
+        runs.append((name, new, ref))
+    return runs
+
+
+class TestPredictor:
+    def test_matches_reference_loop(self, parity_runs):
+        finite = 0
+        for name, new, ref in parity_runs:
+            assert new.status == ref.status, name
+            if ref.status == "finite":
+                assert abs(new.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value)), name
+                finite += 1
+        assert finite >= 50
+
+    def test_newton_iterates_halved(self, parity_runs):
+        # About 95 iterates per corpus solve with a tenfold t growth.
+        corpus_runs = [(new, ref) for name, new, ref in parity_runs if "x1e" in name]
+        steps = np.mean([len(new.trace) for new, _ in corpus_runs])
+        assert steps <= 60
+        assert steps <= 0.65 * np.mean([len(ref.trace) for _, ref in corpus_runs])
+
+    def test_hard_case_costs_no_more(self, parity_runs):
+        # gtrs's lam1 converges like t^-1/2, so the path is not straight in
+        # s = 1/t and no prediction is tried: a rejected prediction would
+        # cost a factorization the plain step does not.
+        for name, new, ref in parity_runs:
+            if name.startswith("gtrs"):
+                assert new.evaluations <= ref.evaluations
