@@ -30,7 +30,6 @@ from .quad_core import (
     QuadForm,
     evaluate,
     restrict_affine,
-    sym_eigen,
 )
 
 
@@ -177,8 +176,7 @@ def canonical_reduce(g: QuadForm, rtol: float = RANK_RTOL):
     if g.is_constant():
         raise ValueError("cannot reduce a constant quadratic")
     n = g.n
-    ed = sym_eigen(g.A)
-    lam, V = ed.values, ed.vectors
+    lam, V = g.eig.values, g.eig.vectors
     gscale = max(
         float(np.abs(lam).max(initial=0.0)),
         float(np.linalg.norm(g.a)),

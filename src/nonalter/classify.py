@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .quad_core import (
     DEFAULT_TOL,
     PSD_RTOL,
     RANK_RTOL,
-    EigenDecomp,
     PsdStatus,
     PsdVerdict,
     QuadForm,
@@ -37,14 +36,13 @@ from .quad_core import (
     evaluate_many,
     gradient_many,
     lift,
+    find_negative_point,
     line_roots,
-    negative_point_of,
     nonneg_everywhere,
     psd_interval,
     psd_status,
     quad_inf,
-    sym_eigen,
-    unconstrained_min_of,
+    unconstrained_min,
 )
 
 
@@ -55,7 +53,16 @@ class SearchSpec:
     seed: int = 0
 
 
-def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
+class Candidates(NamedTuple):
+    """Witness candidate points of (g, h) and two single-constraint solves behind them."""
+
+    points: np.ndarray
+    min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
+    min_h: qp1qc.Qp1qcResult  # min h subject to g <= 0
+
+
+def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
+                    tol: float = DEFAULT_TOL) -> Candidates:
     """Witness candidates: single-constraint optimizers and sign-cell probes on lines.
 
     Along any line both constraints restrict to scalar quadratics whose roots
@@ -66,21 +73,20 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
     linear-term and seeded random directions, reaches every arrangement
     feature the checkers care about.  The optimizers, exact for one
     constraint, are candidates themselves: they reach the bounded sign
-    regions that lines miss.
+    regions that lines miss.  The solves run at ``tol``.
     """
     n = g.n
     anchors, dirs = [np.zeros(n)], []
     for q in (g, h):
-        eig = EigenDecomp.of(q.A)
-        anchors.append(quad_inf(eig, q.a, q.a0, RANK_RTOL).x)
+        anchors.append(quad_inf(q.eig, q.a, q.a0, RANK_RTOL).x)
         if q.A.any():
-            dirs.extend(eig.vectors.T)
+            dirs.extend(q.eig.vectors.T)
         if q.a.any():
             dirs.append(q.a / np.linalg.norm(q.a))
-    optima = []
+    optima, mins = [], []
     for p, q in ((g, h), (h, g)):
-        for sgn in (1.0, -1.0):
-            r = qp1qc.solve_qp1qc(sgn * q, p)
+        mins.append(qp1qc.solve_qp1qc(q, p, tol))  # min q subject to p <= 0
+        for r in (mins[-1], qp1qc.solve_qp1qc(-q, p, tol)):
             if r.status == "attained":
                 optima.append(r.x)
     anchors += optima
@@ -99,8 +105,9 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec) -> np.ndarray:
     T = np.column_stack([first - span, last + span, 0.5 * (R[:, :-1] + R[:, 1:]), R])
     T[count == 0, 0] = 0.0
     keep = ~np.isnan(T)
-    return np.vstack([np.reshape(optima, (-1, n)),
-                      (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
+    points = np.vstack([np.reshape(optima, (-1, n)),
+                        (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
+    return Candidates(points, min_g=mins[1], min_h=mins[0])
 
 
 def _zero_set_witness(
@@ -158,8 +165,7 @@ class TwoSidedSlater:
 
 def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
     """Does q take strictly negative / strictly positive values somewhere?"""
-    ed = sym_eigen(lift(q))
-    neg, pos = negative_point_of(q, ed, tol), negative_point_of(-q, ed.negated(), tol)
+    neg, pos = find_negative_point(q, tol), find_negative_point(-q, tol)
     return TwoSidedSlater(
         takes_negative=neg is not None,
         takes_positive=pos is not None,
@@ -270,14 +276,9 @@ def detect_separation_by_hyperplane(
     if status.verdict is PsdVerdict.INDEFINITE:
         return None
     # Probe the two branches y1 = +-X with the other coordinates at zero.
-    X = max(2.0, 2.0 * (1.0 + abs(cbar[0] / cbar[1])))
-    n = g.n
-    y_plus = np.zeros(n)
-    y_plus[0] = X
-    y_minus = np.zeros(n)
-    y_minus[0] = -X
-    a_plus = change.apply(y_plus)
-    a_minus = change.apply(y_minus)
+    y = np.zeros(g.n)
+    y[0] = max(2.0, 2.0 * (1.0 + abs(cbar[0] / cbar[1])))
+    a_plus, a_minus = change.apply(y), change.apply(-y)
     if not (evaluate(g, a_plus) < 0 and evaluate(g, a_minus) < 0):
         return None  # pragma: no cover - the pattern guarantees both branches
     if not evaluate(h, a_plus) * evaluate(h, a_minus) < 0:
@@ -324,13 +325,8 @@ class InclusionVerdict:
 
 def _zero_set_empty(q: QuadForm, tol: float) -> bool:
     """Exact emptiness test for {q = 0}: q strictly one-signed everywhere."""
-    scale = 1.0 + q.data_scale()
-    eig = EigenDecomp.of(q.A)
-    lo = unconstrained_min_of(q, eig)
-    if lo.status == "attained" and lo.value > tol * scale:
-        return True
-    hi = unconstrained_min_of(-q, eig.negated())
-    return hi.status == "attained" and hi.value > tol * scale
+    cut = tol * (1.0 + q.data_scale())
+    return any(m.status == "attained" and m.value > cut for m in map(unconstrained_min, (q, -q)))
 
 
 def check_inclusion_zeroset(
@@ -340,7 +336,7 @@ def check_inclusion_zeroset(
     tol: float = DEFAULT_TOL,
     spec: SearchSpec = SearchSpec(),
     witness_search: bool = True,
-    extra: Optional[np.ndarray] = None,
+    cands: Optional[Candidates] = None,
 ) -> InclusionVerdict:
     """Decide whether {g = 0} is contained in {sign * h <= 0}.
 
@@ -355,7 +351,8 @@ def check_inclusion_zeroset(
         raise ValueError("sign must be +1 or -1")
     if _zero_set_empty(g, tol):
         return InclusionVerdict(InclusionStatus.VACUOUS, note="{g=0} is empty")
-    p = (-float(sign)) * h
+    signed_h = h if sign > 0 else -h
+    p = -signed_h
     lam = pencil_psd_search(p, g)
     if lam is not None and nonneg_everywhere(p + lam * g):
         return InclusionVerdict(InclusionStatus.CERTIFIED_PENCIL, lam=lam)
@@ -365,10 +362,9 @@ def check_inclusion_zeroset(
             note="witness search skipped (the companion inclusion already settles the disjunct)",
         )
     margin = tol * (1.0 + h.data_scale())
-    signed_h = float(sign) * h
-    if extra is None:
-        extra = _ray_candidates(g, h, spec)
-    w = _zero_set_witness(g, signed_h, margin, extra)
+    if cands is None:
+        cands = _ray_candidates(g, h, spec, tol)
+    w = _zero_set_witness(g, signed_h, margin, cands.points)
     if w is not None:
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
     ts = slater_two_sided(g)
@@ -412,16 +408,8 @@ class AssumptionVerdict:
 
 def check_assumption4(g: QuadForm, h: QuadForm, tol: float = PSD_RTOL) -> AssumptionVerdict:
     """Two-sided Slater: each of g, -g, h, -h takes a strictly negative value."""
-    tg, th = slater_two_sided(g, tol), slater_two_sided(h, tol)
-    missing = []
-    if not tg.takes_negative:
-        missing.append("g")
-    if not tg.takes_positive:
-        missing.append("-g")
-    if not th.takes_negative:
-        missing.append("h")
-    if not th.takes_positive:
-        missing.append("-h")
+    missing = [name for name, q in (("g", g), ("-g", -g), ("h", h), ("-h", -h))
+               if find_negative_point(q, tol) is None]
     if missing:
         return AssumptionVerdict(
             Verdict.FAILS,
@@ -477,21 +465,21 @@ def check_assumption2(
     h: QuadForm,
     tol: float = DEFAULT_TOL,
     spec: SearchSpec = SearchSpec(),
-    extra: Optional[np.ndarray] = None,
+    cands: Optional[Candidates] = None,
 ):
     """Mutual one-sidedness of the zero sets.
 
     Returns ``(verdict, (I1, I2, I3, I4))`` for the four inclusions
     {g=0} in {h<=0}, {g=0} in {h>=0}, {h=0} in {g<=0}, {h=0} in {g>=0}.
     """
-    if extra is None:
-        extra = _ray_candidates(g, h, spec)
-    i1 = check_inclusion_zeroset(g, h, +1, tol, spec, extra=extra)
+    if cands is None:
+        cands = _ray_candidates(g, h, spec, tol)
+    i1 = check_inclusion_zeroset(g, h, +1, tol, spec, cands=cands)
     i2 = check_inclusion_zeroset(g, h, -1, tol, spec,
-                                 witness_search=not i1.is_true, extra=extra)
-    i3 = check_inclusion_zeroset(h, g, +1, tol, spec, extra=extra)
+                                 witness_search=not i1.is_true, cands=cands)
+    i3 = check_inclusion_zeroset(h, g, +1, tol, spec, cands=cands)
     i4 = check_inclusion_zeroset(h, g, -1, tol, spec,
-                                 witness_search=not i3.is_true, extra=extra)
+                                 witness_search=not i3.is_true, cands=cands)
 
     def disjunct(a: InclusionVerdict, b: InclusionVerdict):
         if a.is_true or b.is_true:
@@ -518,7 +506,7 @@ def check_assumption3(
     h: QuadForm,
     tol: float = DEFAULT_TOL,
     spec: SearchSpec = SearchSpec(),
-    extra: Optional[np.ndarray] = None,
+    cands: Optional[Candidates] = None,
 ) -> AssumptionVerdict:
     """Non-triviality: g, h nonconstant; D nonempty; D != {g<=0}; D != {h<=0}."""
     if g.is_constant():
@@ -547,11 +535,12 @@ def check_assumption3(
         )
 
     gs, hs = g.data_scale(), h.data_scale()
-    if extra is None:
-        extra = _ray_candidates(g, h, spec)
-    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], extra)
+    if cands is None:
+        cands = _ray_candidates(g, h, spec, tol)
+    pts = cands.points
+    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], pts)
     if feas is None:
-        r = qp1qc.solve_qp1qc(g, h, tol)
+        r = cands.min_g
         if r.status == "infeasible" or (r.value is not None and r.value > tol * (1 + gs)):
             return AssumptionVerdict(
                 Verdict.FAILS, note="feasible set is empty", certificate={"case": "infeasible"}
@@ -565,12 +554,12 @@ def check_assumption3(
 
     # D != {g<=0}: a point with g <= 0 < h, or a certificate {g<=0} in {h<=0}.
     for first, second, label in ((g, h, "g"), (h, g, "h")):
-        mask = (evaluate_many(first, extra) <= tol * (1 + first.data_scale())) & (
-            evaluate_many(second, extra) > tol * (1 + second.data_scale())
+        mask = (evaluate_many(first, pts) <= tol * (1 + first.data_scale())) & (
+            evaluate_many(second, pts) > tol * (1 + second.data_scale())
         )
         if mask.any():
             continue
-        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), extra)
+        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), pts)
         if w is not None:
             continue
         lam = pencil_psd_search_nonneg(-second, first)
@@ -594,7 +583,7 @@ def check_assumption1(
     h: QuadForm,
     tol: float = DEFAULT_TOL,
     spec: SearchSpec = SearchSpec(),
-    extra: Optional[np.ndarray] = None,
+    cands: Optional[Candidates] = None,
 ) -> AssumptionVerdict:
     """If D collapses onto one zero set, it must be that whole zero set.
 
@@ -604,9 +593,10 @@ def check_assumption1(
     followed by a witness search on {g=0} away from D.
     """
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
-    if extra is None:
-        extra = _ray_candidates(g, h, spec)
-    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], extra)
+    if cands is None:
+        cands = _ray_candidates(g, h, spec, tol)
+    pts = cands.points
+    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], pts)
     if interior is not None:
         return AssumptionVerdict(
             Verdict.HOLDS, note="strict interior point", witness=interior
@@ -614,8 +604,7 @@ def check_assumption1(
     if h.is_constant() and h.a0 <= 0 or g.is_constant() and g.a0 <= 0:
         return AssumptionVerdict(Verdict.HOLDS, note="one constraint is a nonpositive constant")
 
-    for first, second, label in ((g, h, "g"), (h, g, "h")):
-        r = qp1qc.solve_qp1qc(first, second, tol)
+    for first, second, label, r in ((g, h, "g", cands.min_g), (h, g, "h", cands.min_h)):
         if r.status == "infeasible":
             continue
         if r.status in ("attained", "unattained") and r.value is not None:
@@ -623,7 +612,7 @@ def check_assumption1(
                 continue  # D empty; nonemptiness is assumption 3's business
             if abs(r.value) <= tol * (1 + first.data_scale()):
                 # D sits inside {first = 0}; find a zero-set point outside D.
-                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), extra)
+                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), pts)
                 if w is not None:
                     return AssumptionVerdict(
                         Verdict.FAILS,
@@ -631,7 +620,7 @@ def check_assumption1(
                         witness=w,
                         certificate={"collapsed_on": label},
                     )
-                incl = check_inclusion_zeroset(first, second, +1, tol, spec, extra=extra)
+                incl = check_inclusion_zeroset(first, second, +1, tol, spec, cands=cands)
                 if incl.is_true:
                     continue  # D = {first = 0} exactly: implication holds
                 return AssumptionVerdict(
@@ -715,14 +704,14 @@ def classify_problem(
     report is complete.
     """
     notes = []
-    extra = _ray_candidates(g, h, spec)
-    a3 = check_assumption3(g, h, tol, spec, extra)
+    cands = _ray_candidates(g, h, spec, tol)
+    a3 = check_assumption3(g, h, tol, spec, cands)
     a4 = check_assumption4(g, h)
     a5_gh = check_assumption5(g, h, tol)
     a5_hg = check_assumption5(h, g, tol)
     a5 = a5_gh if a5_gh.fails or not a5_hg.fails else a5_hg
-    a2, inclusions = check_assumption2(g, h, tol, spec, extra)
-    a1 = check_assumption1(g, h, tol, spec, extra)
+    a2, inclusions = check_assumption2(g, h, tol, spec, cands)
+    a1 = check_assumption1(g, h, tol, spec, cands)
 
     if a1.holds and a2.holds:
         membership = Verdict.HOLDS

@@ -86,6 +86,8 @@ def parse_problem(path) -> Tuple[QuadForm, QuadForm, QuadForm, dict]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemFormatError(f"{path}: unreadable file: {exc}") from None
     return parse_problem_dict(doc)
 
 

@@ -58,6 +58,8 @@ class QuadForm:
     """One quadratic function q(x) = x'Ax + 2a'x + a0 on R^n.
 
     ``A`` is symmetrized exactly on construction; all data is immutable.
+    Each quadratic decomposes ``A`` and its lift at most once (``eig``,
+    ``lift_eig``), and ``-q`` shares them with ``q``, negated.
     """
 
     A: np.ndarray
@@ -104,7 +106,26 @@ class QuadForm:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return (-1.0) * self
+        # -q is built once and points back at q, so the two share decompositions.
+        if "_neg" not in self.__dict__:
+            neg = QuadForm(-self.A, -self.a, -self.a0)
+            self.__dict__["_neg"], neg.__dict__["_neg"] = neg, self
+        return self.__dict__["_neg"]
+
+    @cached_property
+    def eig(self) -> "EigenDecomp":
+        """The read-only decomposition of A, computed at most once."""
+        return self._from_negation("eig") or sym_eigen(self.A)
+
+    @cached_property
+    def lift_eig(self) -> "EigenDecomp":
+        """The read-only decomposition of lift(q), computed at most once."""
+        return self._from_negation("lift_eig") or sym_eigen(lift(self))
+
+    def _from_negation(self, name: str) -> Optional["EigenDecomp"]:
+        # -q's decomposition, once it exists, serves q negated.
+        ed = self.__dict__["_neg"].__dict__.get(name) if "_neg" in self.__dict__ else None
+        return None if ed is None else ed.negated()
 
     def is_constant(self) -> bool:
         """Exact constancy check (zero quadratic and linear coefficients)."""
@@ -255,8 +276,11 @@ class EigenDecomp:
         return self.vectors[:, self.zero(rtol)]
 
     def negated(self) -> "EigenDecomp":
-        """The decomposition of -M: negated spectrum, ascending, same vectors and cut."""
-        return EigenDecomp(-self.values[..., ::-1], self.vectors[..., ::-1])
+        """The decomposition of -M: negated spectrum, ascending, same vectors and
+        cut, as writable as this one."""
+        values = -self.values[..., ::-1]
+        values.setflags(write=self.values.flags.writeable)
+        return EigenDecomp(values, self.vectors[..., ::-1])
 
 
 def sym_eigen(M) -> EigenDecomp:
@@ -310,7 +334,7 @@ def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
 
 def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
     """True iff q(x) >= 0 for all x, decided through the lifted matrix."""
-    return psd_status(lift(q), tol).verdict is not PsdVerdict.INDEFINITE
+    return _status_of(q.lift_eig, tol).verdict is not PsdVerdict.INDEFINITE
 
 
 def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
@@ -319,11 +343,7 @@ def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarr
     Returns None when ``q`` is nonnegative everywhere, by the verdict of
     :func:`nonneg_everywhere`.
     """
-    return negative_point_of(q, sym_eigen(lift(q)), tol)
-
-
-def negative_point_of(q: QuadForm, ed: EigenDecomp, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
-    """:func:`find_negative_point` from a decomposition ``ed`` of lift(q)."""
+    ed = q.lift_eig
     if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
@@ -571,13 +591,7 @@ class UnconstrainedMin:
 
 def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
     """Global infimum of q over R^n, with minimizer or escape direction."""
-    return unconstrained_min_of(q, EigenDecomp.of(q.A), rtol)
-
-
-def unconstrained_min_of(q: QuadForm, eig: EigenDecomp,
-                         rtol: float = RANK_RTOL) -> UnconstrainedMin:
-    """:func:`unconstrained_min` from a decomposition ``eig`` of q.A."""
-    qi = quad_inf(eig, q.a, q.a0, rtol)
+    qi = quad_inf(q.eig, q.a, q.a0, rtol)
     V = qi.eig.vectors
     K = V[:, qi.zero]
     if qi.eig.values[0] < -qi.eig.cut(rtol):

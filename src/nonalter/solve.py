@@ -29,7 +29,6 @@ from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
     QuadForm,
-    UnconstrainedMin,
     evaluate,
     null_basis,
     restrict_affine,
@@ -49,7 +48,9 @@ SIDE_G_POS_H_NEG = "g_pos_h_neg"
 class ReducedProblem:
     """A constructed reduction with enough data to map solutions back."""
 
-    kind: str  # nullspace_system | product_constraint | halfspace_union_hyperplane | subspace_restriction | single_constraint
+    # single_constraint | subspace_restriction | product_constraint |
+    # halfspace_union_hyperplane | infeasible_subspace | infeasible_interval
+    kind: str
     data: dict
 
 
@@ -78,12 +79,7 @@ def side_of_sublevel(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm,
     along an escape ray.  Raises :class:`NoSublevelPoint` when {f < gamma}
     is empty.
     """
-    return _side_from_min(f, unconstrained_min(f), gamma, g, h)
-
-
-def _side_from_min(f: QuadForm, um: UnconstrainedMin, gamma: float,
-                   g: QuadForm, h: QuadForm) -> str:
-    """:func:`side_of_sublevel` from the already computed ``um`` of f."""
+    um = unconstrained_min(f)
     if um.status == "attained":
         if um.value >= gamma:
             raise NoSublevelPoint(f"{{f < {gamma}}} is empty: inf f = {um.value}")
@@ -146,7 +142,7 @@ def recover_solution(
 
     notes.append("branch B: optimum above the unconstrained infimum")
     try:
-        side = _side_from_min(f, um, nu_star, g, h)
+        side = side_of_sublevel(f, nu_star, g, h)
     except NoSublevelPoint as exc:
         notes.append(str(exc))
         return None, None, notes

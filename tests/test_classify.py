@@ -348,10 +348,38 @@ class TestWitnessCandidates:
                 inner.append(eig_calls[0] - before)
 
         monkeypatch.setattr(qp1qc, "solve_qp1qc", counted)
-        cands = _ray_candidates(g, h, SearchSpec())
+        cands = _ray_candidates(g, h, SearchSpec(), 1e-9)
         assert len(inner) == 4
         assert eig_calls[0] - sum(inner) == 2
-        assert np.isfinite(cands).all()
+        assert np.isfinite(cands.points).all()
+        # The solves behind the candidates run at the classification tol.
+        for r, (p, q) in ((cands.min_g, (g, h)), (cands.min_h, (h, g))):
+            ref = solve(p, q, 1e-9)
+            assert r.status == ref.status and r.value == ref.value
+            assert np.array_equal(r.x, ref.x)
+
+    def test_four_single_constraint_solves_per_classification(self, monkeypatch):
+        # Assumptions 1 and 3 read the solves the witness candidates made.
+        solve, calls = qp1qc.solve_qp1qc, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qp1qc, "solve_qp1qc", counted)
+        for name in corpus.NAMES:
+            f, g, h, _ = corpus.load(name)
+            for tol in (DEFAULT_TOL, 1e-9):
+                calls.clear()
+                classify_problem(g, h, tol)
+                assert len(calls) == 4, name
+
+    def test_classification_eigendecomposition_budget(self, eig_calls):
+        # Each of g, h, -g, -h decomposes its matrix and its lift at most once
+        # per classification; the rest are pencils and restrictions.
+        f, g, h, _ = corpus.load("ex24")
+        classify_problem(g, h)
+        assert eig_calls[0] <= 35
 
 
 class TestOneSidedImpliesNoSeparation:

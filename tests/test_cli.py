@@ -95,6 +95,16 @@ class TestParseProblem:
     def test_missing_file_exit_code(self):
         assert run(["solve", "/nonexistent/problem.json"]) == 2
 
+    def test_directory_exit_code(self, tmp_path, capsys):
+        assert run(["classify", str(tmp_path)]) == 2
+        assert "unreadable file" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(simple_doc()).encode() + b" \xe9")
+        assert run(["solve", str(path)]) == 2
+        assert "unreadable file" in capsys.readouterr().err
+
     def test_invalid_valid_file_exit_code(self, tmp_path, capsys):
         # A well-formed file whose g is constant cannot be reduced: that is
         # not malformed input, so it exits 1 rather than 2.

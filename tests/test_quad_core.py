@@ -568,6 +568,31 @@ class TestSpectralPrimitive:
         with pytest.raises(ValueError):
             sym_eigen([[np.nan]])
 
+    def test_quadform_owns_its_decompositions(self):
+        for name in corpus.NAMES:
+            for q in corpus.load(name)[:3]:
+                for ed, ref in ((q.eig, EigenDecomp.of(q.A)), (q.lift_eig, sym_eigen(lift(q)))):
+                    assert ed.values.tobytes() == ref.values.tobytes()
+                    assert ed.vectors.tobytes() == ref.vectors.tobytes()
+                for ed in (q.eig, q.lift_eig, (-q).eig, (-q).lift_eig):
+                    assert not ed.values.flags.writeable and not ed.vectors.flags.writeable
+                assert q.eig is q.eig and -q is -q and -(-q) is q
+
+    def test_negation_shares_the_decompositions(self, eig_calls):
+        # Whichever of q and -q asks first decomposes; the other negates.
+        for first in (lambda q: q, lambda q: -q):
+            f, g, h, _ = corpus.load("ex24")
+            p = first(g)
+            eig_calls[0] = 0
+            ed, lifted = p.eig, p.lift_eig
+            assert eig_calls[0] == 2
+            assert np.array_equal((-p).eig.values, -ed.values[::-1])
+            assert np.array_equal((-p).lift_eig.vectors, lifted.vectors[:, ::-1])
+            unconstrained_min(-p)
+            nonneg_everywhere(-p)
+            find_negative_point(-p)
+            assert eig_calls[0] == 2
+
     def test_stacked_closed_form_matches_single(self):
         kinds = {"finite": 0, "curvature": 0, "range": 0}
         for Q, v, s in _corpus_pencils():

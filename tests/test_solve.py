@@ -150,12 +150,16 @@ class TestRecoverSolution:
 
     def test_branch_b_decomposes_f_once(self, eig_calls):
         # The side probe reuses the unconstrained solve of branch B: one
-        # eigendecomposition of f.A plus those of the subproblem on g.
+        # eigendecomposition of f.A plus those of the subproblem on g.  Each
+        # count starts from freshly loaded quadratics, which own no
+        # decompositions yet.
         f, g, h, _ = corpus.load("ex24")
         nu = solve_nonalter(f, g, h).nu_star
+        f, g, h, _ = corpus.load("ex24")
         eig_calls[0] = 0
         solve_qp1qc(f, g)
         sub = eig_calls[0]
+        f, g, h, _ = corpus.load("ex24")
         eig_calls[0] = 0
         x, side, notes = recover_solution(f, g, h, nu)
         assert notes[0].startswith("branch B") and side == SIDE_G_POS_H_NEG and x is not None
