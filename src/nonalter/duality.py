@@ -10,33 +10,18 @@ positive semidefinite and v lies in its range, and -inf otherwise.
 
 The equivalent semidefinite reading: psi(lam) = sup{gamma : Z(gamma, lam)
 PSD} with Z = M(f) - gamma*E00 + lam1*M(g) + lam2*M(h), where E00 carries a
-single 1 in the homogenizing corner.  The dual is therefore a semidefinite
-program in three unknowns, maximized by the barrier method (Boyd and
-Vandenberghe, Convex Optimization, 2004, ch. 11): Newton's method on
+single 1 in the homogenizing corner.
 
-    -t*gamma + lam1 + lam2 - log det Z - log lam1 - log lam2
-
-for growing t, in units where each lift has unit largest entry.  The linear
-term lam1 + lam2 keeps each centering problem bounded when the optimal
-multipliers form an unbounded ray, and adds only (lam1 + lam2)/t to the
-duality-gap bound.  Every iterate keeps Z positive definite, so the case of
-a singular Q at the optimum (the hard case of Moré and Sorensen, 1983) needs
-no separate branch.  After each centering a tangent predictor (the
-path-following extrapolation, ibid. §11.3) jumps to t' = 100t or 10t when
-the predicted point is strictly feasible and its Newton step at t' is full;
-it is tried only where the last plain tenfold step showed a path straight
-in 1/t, so a path that bends, as in the hard case, keeps the plain tenfold
-steps and pays no factorization for predictions.  Each
-Newton step solves its 3 x 3 system by substitution on one QR factor, which
-also gives the predictor's direction.  A grid of multiplier probes, in
-units set by the ratio of the quadratic parts of f and each constraint,
-supplies the start and decides when psi is -inf everywhere.
+psi is maximized by the single-constraint machinery of :mod:`.qp1qc`
+(Moré and Sorensen, 1983), nested: one multiplier in an outer search, the
+other in exact single-constraint dual solves, hard case included (see
+:func:`solve_dual_2d`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,10 +31,12 @@ from .quad_core import (
     PSD_RTOL,
     EigenDecomp,
     QuadForm,
+    evaluate,
     lift,
     quad_inf,
     sym_eigen,
 )
+from .qp1qc import _candidates, _concave_search, _maximize_dual
 
 
 @dataclass(frozen=True)
@@ -73,10 +60,14 @@ class SlackReport:
 class DualSolveResult:
     """Outcome of maximizing the dual over the nonnegative quadrant.
 
-    ``status``: ``finite``, ``dual_infeasible_everywhere`` (every probed
-    multiplier pair gave -inf) or ``numerical_failure`` (the barrier
-    iterates stopped before the duality-gap bound fell below ``tol``).
-    ``value`` is psi at the multipliers of ``best``.
+    ``status``: ``finite``, ``dual_infeasible_everywhere`` (psi is -inf on
+    both axes and at every probed multiplier pair) or ``numerical_failure``
+    (psi rises without bound, so the constraints have no common point;
+    ``value`` and ``best`` are then None).  ``value`` is psi at the
+    multipliers of ``best``.  ``evaluations`` counts the single-constraint
+    dual solves (``qp1qc._maximize_dual`` calls), plus the probes when the
+    grid runs.  ``trace`` holds psi at each search point and at a certified
+    point of the Newton step in both multipliers.
     """
 
     status: str
@@ -127,15 +118,15 @@ def sdp_certificate(
 _PROBE_U = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 64)
 _PROBE_LAMBDAS = _PROBE_U / (1.0 - _PROBE_U)
 _AXIS_LAMBDAS = np.geomspace(1e-3, 1e8, 34)
-#: Barrier weight growth of a centering step, the growths the tangent
-#: predictor tries (largest first), the squared Newton decrement under which
-#: a Newton step is full and a predicted point is accepted, the relative
-#: target of the duality-gap bound, and the Newton steps one centering may take.
-_T_GROWTH = 10.0
-_PREDICT_GROWTHS = (100.0, 10.0)
-_FULL_STEP_DEC2 = 0.0625
-_GAP_RTOL = 1e-13
-_CENTERING_STEPS = 50
+#: :func:`_polish`: Newton steps, the relative smallest eigenvalue below
+#: which Q(lam) counts as singular, and the relative residual or decrement
+#: that ends it (a gradient, which a rising psi keeps, within its root).
+_POLISH_STEPS = 12
+_NEAR_SINGULAR = 1e-8
+_POLISH_RTOL = 1e-14
+#: Past _FAR * (1 + start), in lift-normalized units, the outer search
+#: tests once for a dual that rises without bound.
+_FAR = 2.0
 
 
 def _probe_blocks():
@@ -165,12 +156,20 @@ def _probe_units(f: QuadForm, q: QuadForm) -> float:
 
 
 def _probe(f: QuadForm, g: QuadForm, h: QuadForm, lam1: np.ndarray, lam2: np.ndarray):
-    """psi at a stack of multiplier pairs, and where Q(lam) is positive definite."""
+    """psi at a stack of multiplier pairs."""
     Q = f.A + lam1[:, None, None] * g.A + lam2[:, None, None] * h.A
     v = f.a + lam1[:, None] * g.a + lam2[:, None] * h.a
-    s = f.a0 + lam1 * g.a0 + lam2 * h.a0
-    qi = quad_inf(Q, v, s)
-    return qi.value, qi.eig.values[:, 0] > qi.eig.cut(INF_PSD_RTOL)
+    return quad_inf(Q, v, f.a0 + lam1 * g.a0 + lam2 * h.a0).value
+
+
+class _Phi(NamedTuple):
+    """phi(mu) = max over lam >= 0 of psi, its maximizer lam, slope and curvature."""
+
+    mu: float
+    lam: float
+    value: float
+    slope: float
+    curvature: float
 
 
 def solve_dual_2d(
@@ -181,214 +180,193 @@ def solve_dual_2d(
     *,
     collect_trace: bool = False,
 ) -> DualSolveResult:
-    """Maximize gamma subject to Z(gamma, lam) PSD and lam1, lam2 >= 0.
+    """Maximize psi over lam1, lam2 >= 0, as a concave search over one multiplier.
 
-    The best probe with Q(lam) positive definite starts the barrier method;
-    its Newton steps follow the central path until the duality-gap bound
-    falls below about 1e-13 of the value, or rounding stops the centering.
-    After each centering a tangent predictor tries to jump ahead on the path.
-    The result holds the best psi over the iterates.  ``evaluations`` counts
-    probes plus the factorizations of Newton, backtracking and predicted
-    steps; ``collect_trace`` records psi at every iterate.
+    In lift-normalized units (each of f, g, h divided by the largest entry
+    of its lift) the constraint with the larger quadratic part is the inner
+    one, p, and the other the outer one, q.  phi(mu) = max over lam >= 0 of
+    psi(lam*p, mu*q) is one ``qp1qc._maximize_dual(f + mu*q, p)``; it is
+    concave, its slope is q at the inner optimizer and its curvature
+    psi_22 - psi_12^2/psi_11.  Both axes come first: each is optimal when
+    the other constraint is nonpositive at its optimizer.  Otherwise
+    ``qp1qc._concave_search`` runs on phi, and :func:`_polish` from each of
+    its points may end it.  The probe grid runs only when psi is -inf on
+    both axes, for a start or to report ``dual_infeasible_everywhere``.
     """
-    # Probe until some block has a pair with Q(lam) positive definite: psi
-    # is -inf everywhere only when every probe is.
-    u1, u2 = _probe_units(f, g), _probe_units(f, h)
-    probes = []
-    for pair in _probe_blocks():
-        pair = (pair[0] * u1, pair[1] * u2)
-        probes.append(pair + _probe(f, g, h, *pair))
-        if probes[-1][3].any():
-            break
-    lam1, lam2, psi, strict = (np.concatenate(col) for col in zip(*probes))
-    evals = psi.size
-    trace = [] if collect_trace else None
+    sf, sg, sh = (float(np.abs(lift(q)).max()) or 1.0 for q in (f, g, h))
+    F, G, H = (QuadForm(q.A / s, q.a / s, q.a0 / s) for q, s in ((f, sf), (g, sg), (h, sh)))
+    # Roles by the normalized quadratic part, then by the data: the same
+    # whichever constraint is g.
+    key = [(float(np.abs(q.A).max()), q.A.tobytes(), q.a.tobytes(), q.a0) for q in (G, H)]
+    swap = key[1] > key[0]
+    P, Q = (H, G) if swap else (G, H)
+    evals, trace = 0, [] if collect_trace else None
 
-    def result(status, value, l1, l2):
-        Z = slack_matrix(f, g, h, value, l1, l2)
-        point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
-                          slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
+    def maximize(fq, p):
+        nonlocal evals
+        evals += 1
+        return _maximize_dual(fq, p)
+
+    def record(pt):
+        if trace is not None and pt is not None:
+            l1, l2 = to_data(pt)
+            trace.append({"lambda1": l1, "lambda2": l2, "value": sf * pt.value})
+        return pt
+
+    def to_data(pt):
+        l1, l2 = (pt.mu, pt.lam) if swap else (pt.lam, pt.mu)
+        return l1 * sf / sg, l2 * sf / sh
+
+    def phi(mu):
+        # None where phi = -inf; value inf where the inner dual rises without bound.
+        lam, d = maximize(QuadForm(F.A + mu * Q.A, F.a + mu * Q.a, F.a0 + mu * Q.a0), P)
+        if d is None or lam == np.inf:
+            return None if d is None else _Phi(mu, lam, np.inf, np.inf, np.nan)
+        x = _candidates(P, lam, d, tol)[-1]
+        V, inv = d.eig.vectors, d.eig.inverse(INF_PSD_RTOL)
+        cp, cq = V.T @ (P.A @ d.x + P.a), V.T @ (Q.A @ d.x + Q.a)
+        curvature = float(-2.0 * cq @ (inv * cq))
+        if lam > 0.0 and d.curvature < 0.0:
+            # lam follows mu: the Schur complement of psi_11 in the Hessian.
+            curvature -= 4.0 * float(cp @ (inv * cq)) ** 2 / d.curvature
+        return record(_Phi(mu, lam, d.value, evaluate(Q, x), curvature))
+
+    def result(pt, status="finite"):
+        value = point = None
+        if pt is not None:
+            (l1, l2), value = to_data(pt), sf * pt.value
+            Z = slack_matrix(f, g, h, value, l1, l2)
+            point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
+                              slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
         return DualSolveResult(status=status, value=value, best=point, evaluations=evals,
                                trace=tuple(trace) if trace is not None else None)
 
-    if not (psi > -np.inf).any():
-        return DualSolveResult(status="dual_infeasible_everywhere", evaluations=evals,
-                               trace=() if collect_trace else None)
-    if not strict.any():
-        # Q(lam) is singular wherever psi is finite: the dual has no interior
-        # for a barrier to follow, so the best probe stands.
-        k = int(np.argmax(psi))
-        return result("finite", float(psi[k]), float(lam1[k]), float(lam2[k]))
-
-    # Lift-normalized units: Z / sf = C - gh*E + lh1*G + lh2*H with the
-    # homogenizing coordinate last, gamma = sf*gh, lam_i = lh_i * sf / s_i.
-    Mf, Mg, Mh = (np.roll(lift(q), -1, axis=(0, 1)) for q in (f, g, h))
-    sf, sg, sh = (float(np.abs(M).max()) or 1.0 for M in (Mf, Mg, Mh))
-    C, GH = Mf / sf, np.stack([Mg / sg, Mh / sh])
-    m = C.shape[0] + 2  # barrier parameter: log det Z plus two logs
-
-    def factor(y):
-        """Cholesky factor of Z(y), or None when y is not strictly feasible."""
-        nonlocal evals
-        evals += 1
-        if not (y[1] > 0.0 and y[2] > 0.0):
-            return None
-        Z = C + y[1] * GH[0] + y[2] * GH[1]
-        Z[-1, -1] -= y[0]
-        try:
-            return np.linalg.cholesky(Z)
-        except np.linalg.LinAlgError:
-            return None
-
-    k = int(np.argmax(np.where(strict, psi, -np.inf)))
-    psi0 = float(psi[k]) / sf
-    width = 1.0 + abs(psi0)
-    for bump in np.geomspace(1e-3, 1e-31, 15):
-        # Zero multipliers move inside; Q stays definite for a small bump.
-        y = np.array([psi0 - width,
-                      max(lam1[k] * sg / sf, bump), max(lam2[k] * sh / sf, bump)])
-        L = factor(y)
-        if L is not None:
-            break
-    else:
-        return result("numerical_failure", float(psi[k]), float(lam1[k]), float(lam2[k]))
-
-    best = [y[0] + L[-1, -1] ** 2, y]
-
-    def visit(y, L):
-        # psi at an iterate: gamma plus the Schur complement of Q in Z.
-        value = y[0] + L[-1, -1] ** 2
-        if value > best[0]:
-            best[:] = value, y
-        if trace is not None:
-            trace.append({"lambda1": y[1] * sf / sg, "lambda2": y[2] * sf / sh,
-                          "value": sf * value})
-
-    converged = _follow_path(factor, visit, GH, y, L, m / width, tol)
-    status = "finite" if converged else "numerical_failure"
-    value, y = best
-    return result(status, sf * float(value), float(y[1]) * sf / sg, float(y[2]) * sf / sh)
-
-
-def _follow_path(factor, visit, GH: np.ndarray, y: np.ndarray, L: np.ndarray,
-                 t: float, tol: float) -> bool:
-    """Follow the central path from the strictly feasible y at barrier weight t.
-
-    ``L`` is the Cholesky factor of Z(y), ``factor(y)`` returns that of
-    another point or None when it is not strictly feasible, and
-    ``visit(y, L)`` sees every iterate.  Returns whether a centered point met
-    the duality-gap bound ``tol``.
-    """
-    m = GH.shape[1] + 2  # barrier parameter: log det Z plus two logs
-    newton = _newton_step(L, y, t, GH)
-    converged = smooth = False
-    hindsight = None
-    while True:
-        centered = False
-        dec2_prev = np.inf
-        for _ in range(_CENTERING_STEPS):
-            if newton is None:
-                break
-            step, dec2, tangent, F = newton
-            # Inside the region of quadratic convergence each full step cuts
-            # dec2 at least fivefold; when it does not, rounding in the
-            # nearly singular Z has taken over and the point is as centered
-            # as it can get.
-            stalled = dec2_prev < _FULL_STEP_DEC2 and dec2 > 0.25 * dec2_prev
-            if dec2 <= 1e-10 or (stalled and dec2 <= 1e-4):
-                centered = True
-                break
-            if stalled:
-                break
-            dec2_prev = dec2
-            s = 1.0 if dec2 < _FULL_STEP_DEC2 else 1.0 / (1.0 + np.sqrt(dec2))
-            L_new = factor(y + s * step)
-            while L_new is None and s > 1e-12:
-                s *= 0.5
-                L_new = factor(y + s * step)
-            if L_new is None:
-                break
-            y, L = y + s * step, L_new
-            visit(y, L)
-            newton = _newton_step(L, y, t, GH)
-        if not centered:
-            break
-        if hindsight is not None:
-            # Where the path is straight in s, the prediction the last plain
-            # step skipped lands within the region of full Newton steps.
-            smooth = float(np.sum((F @ (hindsight - y)) ** 2)) < _FULL_STEP_DEC2
-        # Duality-gap bound at the center; lam1 + lam2 enters through the
-        # linear term that keeps the center finite on unbounded optimal faces.
-        gap = (m + y[1] + y[2]) / t
-        converged = gap <= tol * (1.0 + abs(y[0]))
-        if gap <= _GAP_RTOL * (1.0 + abs(y[0])):
-            break
-        # The central path solves grad = t*e0, so dy/dt = H^-1 e0 and, linear
-        # in s = 1/t, the center at t' is about y + t*(1 - t/t')*H^-1 e0.
-        # Accept the first prediction whose Newton step at t' is full.
-        for growth in _PREDICT_GROWTHS if smooth else ():
-            y_new = y + (t - t / growth) * tangent
-            L_new = factor(y_new)
-            predicted = None if L_new is None else _newton_step(L_new, y_new, growth * t, GH)
-            if predicted is not None and predicted[1] < _FULL_STEP_DEC2:
-                y, L, t, newton = y_new, L_new, growth * t, predicted
-                hindsight = None
-                visit(y, L)
+    # The axes: in the class the optimum has one multiplier at zero.
+    start = phi(0.0)
+    if start is not None and start.slope <= 0.0:
+        return result(start)
+    mu, d = maximize(F, Q)
+    if d is not None and mu < np.inf:
+        if evaluate(P, _candidates(Q, mu, d, tol)[-1]) <= 0.0:
+            return result(record(_Phi(mu, 0.0, d.value, 0.0, 0.0)))
+        if start is None:
+            start = phi(mu)
+    elif start is None and d is None:
+        # psi is -inf on both axes: probe until some block has a finite pair.
+        u1, u2 = _probe_units(f, g), _probe_units(f, h)
+        for pair in _probe_blocks():
+            l1, l2 = pair[0] * u1, pair[1] * u2
+            psi = _probe(f, g, h, l1, l2)
+            evals += psi.size
+            if (psi > -np.inf).any():
+                k = int(np.argmax(psi))
+                start = phi((l1[k] * sg if swap else l2[k] * sh) / sf)
                 break
         else:
-            # A plain centering step: the gradient drops by dt*e0, so the
-            # step gains dt*H^-1 e0 and dec2 the matching terms.
-            dt = (_T_GROWTH - 1.0) * t
-            newton = (step + dt * tangent,
-                      dec2 + 2.0 * dt * step[0] + dt * dt * tangent[0], tangent, F)
-            hindsight = y + (t - t / _T_GROWTH) * tangent
-            t *= _T_GROWTH
+            return result(None, "dual_infeasible_everywhere")
+    if mu == np.inf or start is None or start.value == np.inf:
+        return result(None, "numerical_failure")
 
-    return converged
+    def at(mu):
+        # phi, or the certified optimum the polish reaches from there; None
+        # once psi rises without bound; toward the start beyond phi's domain.
+        nonlocal best, far
+        if mu > far:
+            # Far out, test once for a rise without bound: some rho >= 0
+            # with inf (rho*p + q) > 0 lifts psi linearly along (rho, 1).
+            far = np.inf
+            rho, r = maximize(Q, P)
+            if rho == np.inf or (r is not None and r.value > _POLISH_RTOL):
+                return None
+        pt = phi(mu)
+        if pt is None:
+            return _Phi(mu, 0.0, -np.inf, np.inf if mu < start.mu else -np.inf, np.nan)
+        if pt.value == np.inf:
+            return None
+        pt = record(_polish(F, P, Q, pt.lam, mu)) or pt
+        best = max(best, pt, key=lambda p: p.value)
+        return bounded(pt)
+
+    def bounded(pt):
+        # Step rules of this search alone, passed to the shared loop through
+        # phi's curvature.  Until a slope turns negative, a step at most
+        # doubles mu (plus one): phi is often nearly flat up to a kink.  A
+        # Newton step longer than half the last step creeps toward a pole of
+        # phi' at the end of its domain, so the loop bisects instead.
+        nonlocal rising, last
+        rising = rising and pt.slope > 0.0
+        step = -pt.slope / pt.curvature if pt.curvature < 0.0 else np.inf
+        last = pt.mu, abs(pt.mu - last[0]) if last else np.inf
+        if abs(step) > 0.5 * last[1]:
+            return pt._replace(curvature=np.nan)
+        if rising and step > 1.0 + pt.mu:
+            return pt._replace(curvature=-pt.slope / (1.0 + pt.mu))
+        return pt
+
+    rising, last = True, None
+    best = start = record(_polish(F, P, Q, start.lam, start.mu)) or start
+    far = _FAR * (1.0 + start.mu)
+    mu, pt = _concave_search(at, start.mu, bounded(start), 0.0, np.inf, 1.0)
+    return result(None, "numerical_failure") if pt is None or mu == np.inf else result(best)
 
 
-def _newton_step(L: np.ndarray, y: np.ndarray, t: float, GH: np.ndarray):
-    """Newton step of -t*gamma + lam1 + lam2 - log det Z - log lam1 - log lam2.
+def _polish(F: QuadForm, P: QuadForm, Q: QuadForm, lam: float, mu: float):
+    """Newton's method in both multipliers from (lam, mu): its point with an
+    optimality certificate, else None.
 
-    ``L`` is the Cholesky factor of Z(y) and ``GH`` stacks the lam1 and lam2
-    coefficients of Z.  The gradient is -tr(W_i) and the Hessian <W_i, W_j>
-    with W_i = L^-1 A_i L^-T; the gamma direction is -E, so its W is -l l'.
-    The Hessian is B'B, and a QR factor of B keeps the step accurate when Z
-    has eigenvalues near 1/t, where the Hessian's condition number is the
-    square of B's.  Returns (step, squared Newton decrement, H^-1 e0, F)
-    with H = F'F, or None when B is numerically rank deficient.
+    Where Q(lam, mu) is positive definite it solves grad psi = (p, q)(x) = 0
+    (x = -Q^-1 v, Hessian -2 w_i'Q^-1 w_j with w = Ax + a of each
+    constraint), certified by a Newton decrement below rounding.  Otherwise
+    it solves (lambda_min, z'v) = 0 (the two-multiplier hard case; the
+    derivatives are z'Az and z'(Ax + a) at x = -Q^+v), certified when 0 lies
+    in the convex hull of (p, q)(x + t z) over t: a convex combination of
+    minimizers of the Lagrangian then meets both constraints with equality.
     """
-    k = L.shape[0]
-    kk = k * k
-    Linv = np.linalg.inv(L)
-    l = Linv[:, -1]
-    W = Linv @ GH @ Linv.T
-    _, y1, y2 = y.tolist()
-    trg, trh = W.trace(axis1=1, axis2=2).tolist()
-    grad = np.array([l @ l - t, 1.0 - trg - 1.0 / y1, 1.0 - trh - 1.0 / y2])
-    # B' row by row: vec(-l l'), vec(W_g), vec(W_h), then the two log terms.
-    Bt = np.zeros((3, kk + 2))
-    np.multiply.outer(-l, l, out=Bt[0, :kk].reshape(k, k))
-    Bt[1:, :kk] = W.reshape(2, kk)
-    Bt[1, kk] = 1.0 / y1
-    Bt[2, kk + 1] = 1.0 / y2
-    d = np.sqrt(np.einsum("ij,ij->i", Bt, Bt))
-    Bt /= d[:, None]
-    # The raw Householder output holds R' in its lower triangle.
-    (r00, _, _), (r01, r11, _), (r02, r12, r22) = np.linalg.qr(Bt.T, mode="raw")[0][:, :3].tolist()
-    if r00 == 0.0 or r11 == 0.0 or r22 == 0.0:
-        return None
+    singular, last = False, None
+    for _ in range(_POLISH_STEPS):
+        M = F.A + lam * P.A + mu * Q.A
+        v = F.a + lam * P.a + mu * Q.a
+        qi = quad_inf(M, v, F.a0 + lam * P.a0 + mu * Q.a0)
+        ed, V = qi.eig, qi.eig.vectors
+        if not singular and ed.values[0] <= _NEAR_SINGULAR * ed.cut(1.0):
+            # Q is not positive definite: a step aimed past a boundary
+            # optimum.  The hard-case system takes over from the last point.
+            singular = True
+            if last is not None:
+                lam, mu = last
+                continue
+        w = ed.inverse(INF_PSD_RTOL)
+        if singular:
+            w[0] = 0.0
+        x = -V @ (w * (V.T @ v))
+        wp, wq = P.A @ x + P.a, Q.A @ x + Q.a
+        if singular:
+            z = V[:, 0]
+            r = np.array([ed.values[0], z @ v])
+            J = np.array([[z @ P.A @ z, z @ Q.A @ z], [z @ wp, z @ wq]])
+            if np.abs(r).max() <= _POLISH_RTOL * (1.0 + np.abs(ed.values).max() + np.abs(v).max()):
+                # p and q along x + t z are c0 + c1 t + c2 t^2, and 0 is in the
+                # hull of that curve when 0 = c0 + c1 t + c2 s with s >= t^2.
+                B = np.column_stack([2.0 * J[1], J[0]])
+                if abs(np.linalg.det(B)) <= _POLISH_RTOL * (1.0 + np.abs(B).max()) ** 2:
+                    return None
+                t, s = np.linalg.solve(B, [-evaluate(P, x), -evaluate(Q, x)])
+                ok = s >= t * t and qi.value > -np.inf and min(lam, mu) >= 0.0
+                return _Phi(mu, lam, float(qi.value), 0.0, -1.0) if ok else None
+        else:
+            r = np.array([evaluate(P, x), evaluate(Q, x)])
+            C = V.T @ np.column_stack([wp, wq])
+            J = -2.0 * C.T @ (w[:, None] * C)
+        try:
+            step = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            return None
+        if (not singular and min(lam, mu) >= 0.0
+                and np.abs(r).max() <= np.sqrt(_POLISH_RTOL) * (1.0 + float(x @ x))
+                and float(r @ step) <= _POLISH_RTOL * (1.0 + abs(qi.value))):
+            return _Phi(mu, lam, float(qi.value), 0.0, -1.0)
+        last, lam, mu = (lam, mu), lam + float(step[0]), mu + float(step[1])
+        if not max(abs(lam), abs(mu)) <= 1e8:
+            return None
+    return None
 
-    def solve(b0, b1, b2):
-        # R'R w = b: forward substitution on R', then back on R.
-        z0 = b0 / r00
-        z1 = (b1 - r01 * z0) / r11
-        z2 = (b2 - r02 * z0 - r12 * z1) / r22
-        w2 = z2 / r22
-        w1 = (z1 - r12 * w2) / r11
-        return np.array([(z0 - r01 * w1 - r02 * w2) / r00, w1, w2])
-
-    step = solve(*(-grad / d).tolist()) / d
-    tangent = solve(1.0 / d[0], 0.0, 0.0) / d
-    F = np.array([[r00, r01, r02], [0.0, r11, r12], [0.0, 0.0, r22]]) * d
-    return step, float(-grad @ step), tangent, F

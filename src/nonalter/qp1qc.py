@@ -34,9 +34,12 @@ from .quad_core import (
 )
 
 
-#: Newton or bisection steps on psi', and the relative step that ends them.
+#: Newton or bisection steps on a concave function's slope, the relative
+#: step that ends them, and the point, in units of the search, past which a
+#: slope that stays positive counts as a rise without bound.
 _NEWTON_STEPS = 60
 _STEP_RTOL = 1e-14
+_SEARCH_CAP = 1e15
 
 
 @dataclass(frozen=True)
@@ -143,31 +146,48 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     if d is None:
         lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
         d = _dual_at(f, g, lam)
+    lam, d = _concave_search(lambda t: _dual_at(f, g, t), lam, d, a, b, unit)
+    if d is None:
+        # Inside the PSD interval Q(lam) is singular only on the common
+        # kernel K of f.A and g.A, so psi is finite at most where
+        # K'(a + lam*b) = 0.
+        K = EigenDecomp.of(f.A + lam * g.A).kernel(_NEAR_KERNEL_RTOL)
+        kb = K.T @ g.a
+        if not kb.any():
+            return None, None
+        lam = -float((K.T @ f.a) @ kb) / float(kb @ kb)
+        return (lam, _dual_at(f, g, lam)) if lam >= 0.0 else (None, None)
+    return lam, d
+
+
+def _concave_search(at, lam: float, d, a: float, b: float, unit: float):
+    """Maximize a concave function over [a, b] from lam, d = at(lam) (with
+    ``slope`` and ``curvature``, or None), by Newton's method on the slope in
+    the bracket its signs keep; a step that leaves it bisects, or doubles
+    lam plus ``unit`` while b is infinite.  Returns (lam, d) at a zero
+    slope, a step below ``_STEP_RTOL`` or a None, and (inf, d) once doubling
+    passes ``_SEARCH_CAP * unit``: the function rises without bound."""
     for _ in range(_NEWTON_STEPS):
         if d is None:
-            # Inside the PSD interval Q(lam) is singular only on the common
-            # kernel K of f.A and g.A, so psi is finite at most where
-            # K'(a + lam*b) = 0.
-            K = EigenDecomp.of(f.A + lam * g.A).kernel(_NEAR_KERNEL_RTOL)
-            kb = K.T @ g.a
-            if not kb.any():
-                return None, None
-            lam = -float((K.T @ f.a) @ kb) / float(kb @ kb)
-            return (lam, _dual_at(f, g, lam)) if lam >= 0.0 else (None, None)
+            break
         if d.slope > 0.0:
             a = lam
-        else:
+        elif d.slope < 0.0:
             b = lam
+        else:
+            break
         nxt = lam - d.slope / d.curvature if d.curvature < 0.0 else np.nan
         if abs(nxt - lam) <= _STEP_RTOL * nxt:
             break
         # A step onto an end of the bracket returns to a point already
         # evaluated: Newton would cycle there, so bisect instead.
-        if not (a < nxt < b and np.isfinite(nxt)):
+        if not (a < nxt < min(b, _SEARCH_CAP * unit) and np.isfinite(nxt)):
             nxt = 0.5 * (a + b) if b < np.inf else 2.0 * lam + unit
+            if nxt > _SEARCH_CAP * unit:
+                return np.inf, d
         if min(abs(nxt - lam), b - a) <= _STEP_RTOL * nxt:
             break
-        lam, d = nxt, _dual_at(f, g, nxt)
+        lam, d = nxt, at(nxt)
     return lam, d
 
 
@@ -184,6 +204,18 @@ def _hard_case_step(g, d: _DualPoint, tol):
         if abs(evaluate(g, x)) <= tol * (1.0 + g.data_scale()):
             return x
     return None
+
+
+def _candidates(g, lam, d: _DualPoint, tol):
+    """x(lam), then the hard-case point where x(lam) breaks feasibility or
+    complementarity: the primal candidates at the dual optimum, best last."""
+    feas = evaluate(g, d.x)
+    comp_tol = tol * (1.0 + abs(d.value)) * max(1.0, lam)
+    if feas > tol * (1.0 + g.data_scale()) or (lam > tol and abs(lam * feas) > comp_tol):
+        hard = _hard_case_step(g, d, tol)
+        if hard is not None:
+            return [d.x, hard]
+    return [d.x]
 
 
 def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResult:
@@ -229,15 +261,9 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
             value=None,
             note="dual is infeasible for every lam >= 0",
         )
-    value, x = d.value, d.x
-    feas = evaluate(g, x)
+    value = d.value
     comp_tol = tol * (1.0 + abs(value)) * max(1.0, lam_star)
-    candidates = [x]
-    if feas > tol * gscale or (lam_star > tol and abs(lam_star * feas) > comp_tol):
-        hard = _hard_case_step(g, d, tol)
-        if hard is not None:
-            candidates.append(hard)
-    for cand in reversed(candidates):
+    for cand in reversed(_candidates(g, lam_star, d, tol)):
         feas_c = evaluate(g, cand)
         val_c = evaluate(f, cand)
         if feas_c <= tol * gscale and abs(val_c - value) <= max(

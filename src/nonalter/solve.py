@@ -11,7 +11,7 @@ estimate flagged as non-certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -261,7 +261,6 @@ def solve_nonalter(
     *,
     spec: SearchSpec = SearchSpec(),
     classification: Optional[ArrangementReport] = None,
-    oracle_fallback: bool = True,
     collect_trace: bool = False,
 ) -> SolveReport:
     """Solve min f over {g <= 0, h <= 0} with a fully certified report."""
@@ -321,17 +320,13 @@ def solve_nonalter(
                     attained=True, x_star=x0, residuals=_residuals(f, g, h, x0, val),
                     reduction=reduction, pathway=pathway + ("subspace is a single point",),
                 )
-            fbar = restrict_affine(f, x0, N)
             if remaining is None:
                 sub = solve_on_affine_subspace(f, x0, N, tol)
             else:
+                fbar = restrict_affine(f, x0, N)
                 qbar = restrict_affine(g if remaining == "g" else h, x0, N)
                 inner = solve_qp1qc(fbar, qbar, tol)
-                x = x0 + N @ inner.x if inner.x is not None else None
-                sub = Qp1qcResult(
-                    status=inner.status, value=inner.value, x=x, lam=inner.lam,
-                    kkt=inner.kkt, note=inner.note,
-                )
+                sub = replace(inner, x=None if inner.x is None else x0 + N @ inner.x)
             return _report_from_qp1qc(f, g, h, report, sub, reduction, pathway, tol)
 
     if cls is ArrangementClass.ASSUMPTION5_DEGENERATE:
@@ -364,7 +359,7 @@ def solve_nonalter(
         dual = solve_dual_2d(f, g, h, tol, collect_trace=collect_trace)
         if dual.status == "dual_infeasible_everywhere":
             estimate = None
-            if f.n <= 3 and oracle_fallback:
+            if f.n <= 3:
                 w = probe_unbounded(f, g, h, GridSpec.cube(f.n, resolution=201))
                 if w is not None:
                     estimate = {
@@ -395,7 +390,7 @@ def solve_nonalter(
         estimate = None
         status = "undetermined"
         nu = None
-        if f.n <= 3 and oracle_fallback:
+        if f.n <= 3:
             res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401))
             if res.feasible_count == 0:
                 res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401, eps=1e-3))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import poly2
-from nonalter import corpus, duality
+from nonalter import corpus, duality, qp1qc
 from nonalter.duality import (
     DualPoint,
     _probe,
@@ -13,6 +13,7 @@ from nonalter.duality import (
 )
 from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min
+from nonalter.qp1qc import solve_qp1qc
 from nonalter.quad_core import PsdVerdict, QuadForm, psd_status
 
 
@@ -55,8 +56,8 @@ class TestSolveDual2d:
         assert res.best.lambda2 == pytest.approx(1.0 + res.best.lambda1, abs=1e-4)
 
     def test_objective_scaled_far(self):
-        # The optimal lam1 exceeds 1e9, beyond every probe in data units; in
-        # probe units the problem is the unscaled one.
+        # The optimal lam1 exceeds 1e9 in data units; in lift-normalized
+        # units the problem is the unscaled one.
         f, g, h = two_point_instance()
         res = solve_dual_2d(QuadForm(1e9 * f.A, 1e9 * f.a, 1e9 * f.a0), g, h)
         assert res.status == "finite"
@@ -88,8 +89,8 @@ class TestSolveDual2d:
         assert res.status == "dual_infeasible_everywhere"
 
     def test_domain_without_interior(self):
-        # psi is finite only on the line lam1 = 1, where Q vanishes: no
-        # barrier start exists and the best probe is the answer.
+        # psi is finite only on the line lam1 = 1, where Q vanishes: the
+        # domain has no interior, and the optimum lies on its edge.
         f = poly2(bx=1)
         g = poly2(bx=-1, c=-1)
         h = QuadForm.constant(2, -1.0)
@@ -102,7 +103,7 @@ class TestSolveDual2d:
         f, g, h = two_point_instance()
         res = solve_dual_2d(f, g, h, collect_trace=True)
         assert res.trace and all(set(e) == {"lambda1", "lambda2", "value"} for e in res.trace)
-        # One entry per Newton iterate, and the result is the best of them.
+        # One entry per search point, and the result is the best of them.
         assert len(res.trace) < 1000
         assert max(e["value"] for e in res.trace) == pytest.approx(res.value, rel=1e-12)
 
@@ -173,6 +174,103 @@ class TestCorpusRegression:
         assert abs(mirrored - res.value) <= 1e-9 * (1.0 + abs(res.value))
 
 
+def _scaled(q, s):
+    return QuadForm(s * q.A, s * q.a, s * q.a0)
+
+
+def _dichotomy_cases():
+    """In-class corpus pairs with f scaled by 1, 1e2 and 1e4, then seeded
+    in-class instances at n = 2, 5 and 10."""
+    for name in ("ex24", "ex25a", "gtrs"):
+        f, g, h, _ = corpus.load(name)
+        for k in (0, 2, 4):
+            yield _scaled(f, 10.0 ** k), g, h
+    for n in (2, 5, 10):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(6):
+            yield random_nonalter_instance(rng, n)
+
+
+class TestDichotomy:
+    def test_dual_is_the_better_single_constraint_dual(self):
+        # In the class the optimum sits on the blocking constraint, so the
+        # two-multiplier dual equals the larger single-constraint value, and
+        # it is -inf everywhere only when both relaxations are unbounded.
+        infeasible = 0
+        for f, g, h in _dichotomy_cases():
+            res = solve_dual_2d(f, g, h)
+            single = [solve_qp1qc(f, g), solve_qp1qc(f, h)]
+            if res.status == "dual_infeasible_everywhere":
+                assert all(r.status == "unbounded_below" for r in single)
+                infeasible += 1
+                continue
+            assert res.status == "finite"
+            best = max(r.value for r in single if r.value is not None)
+            assert abs(res.value - best) <= 1e-9 * (1.0 + abs(best))
+        assert infeasible >= 2
+
+    def test_in_class_optimum_has_a_zero_multiplier(self):
+        # The axis solves settle every in-class instance exactly on an axis.
+        for f, g, h in _dichotomy_cases():
+            res = solve_dual_2d(f, g, h)
+            if res.status == "finite":
+                assert min(res.best.lambda1, res.best.lambda2) == 0.0
+                assert res.evaluations <= 2
+
+
+class TestNestedSearch:
+    def test_swap_is_bit_identical(self, rng):
+        triples = [corpus.load(name)[:3] for name in corpus.NAMES]
+        triples += [(random_quadform(rng, 2, convex=True), random_quadform(rng, 2),
+                     random_quadform(rng, 2)) for _ in range(20)]
+        for f, g, h in triples:
+            res, swapped = solve_dual_2d(f, g, h), solve_dual_2d(f, h, g)
+            assert res.status == swapped.status
+            if res.status == "finite":
+                assert res.value == swapped.value
+                assert (res.best.lambda1, res.best.lambda2) == (swapped.best.lambda2,
+                                                                 swapped.best.lambda1)
+
+    def test_two_multiplier_hard_case(self):
+        # ex22's optimum (1, 4) makes Q singular with v orthogonal to its
+        # kernel: the certified Newton step reaches it from the first axis.
+        f, g, h, _ = corpus.load("ex22")
+        res = solve_dual_2d(f, g, h)
+        assert res.value == pytest.approx(49.0, rel=1e-14)
+        assert (res.best.lambda1, res.best.lambda2) == pytest.approx((1.0, 4.0), rel=1e-12)
+        assert res.evaluations <= 3
+
+    def test_disjoint_constraints_rise_without_bound(self):
+        # |x| <= 1 and |x| >= 2 have no common point: psi grows along a ray
+        # off both axes, and the search says so after a few solves.
+        f = poly2(axx=1, ayy=1)
+        g = poly2(axx=1, c=-1)
+        h = poly2(axx=-1, c=4)
+        res = solve_dual_2d(f, g, h)
+        assert res.status == "numerical_failure"
+        assert res.evaluations <= 12
+
+    def test_search_alone_reaches_the_polished_optimum(self, monkeypatch):
+        # Without the two-multiplier Newton step, the outer search on the
+        # single-constraint dual's own loop finds the same off-axis optima.
+        rng = np.random.default_rng(5)
+        triples = [(random_quadform(rng, 2, convex=True), random_quadform(rng, 2),
+                    random_quadform(rng, 2)) for _ in range(30)]
+        polished = [solve_dual_2d(*t) for t in triples]
+        calls = []
+        search = qp1qc._concave_search
+        monkeypatch.setattr(duality, "_concave_search", lambda *a: calls.append(a) or search(*a))
+        monkeypatch.setattr(duality, "_polish", lambda *a: None)
+        off_axis = 0
+        for t, ref in zip(triples, polished):
+            res = solve_dual_2d(*t)
+            assert res.status == ref.status
+            if ref.status == "finite":
+                assert abs(res.value - ref.value) <= 1e-12 * (1.0 + abs(ref.value))
+                off_axis += min(ref.best.lambda1, ref.best.lambda2) > 0.0
+        assert off_axis >= 3 and len(calls) >= off_axis
+
+
 class TestProbe:
     def test_stacked_closed_form_matches_scalar(self, rng):
         # The scalar closed form is the reference; the stacked one sums the
@@ -184,11 +282,11 @@ class TestProbe:
                 f = random_quadform(rng, 2, convex=True)
             lam1, lam2 = rng.uniform(0, 3, size=(2, 40))
             lam1[:10] = 0.0
-            psi, strict = _probe(f, g, h, lam1, lam2)
+            psi = _probe(f, g, h, lam1, lam2)
             for k in range(lam1.size):
                 ref = lagrangian_dual_value(f, g, h, lam1[k], lam2[k])
                 if ref == -np.inf:
-                    assert psi[k] == -np.inf and not strict[k]
+                    assert psi[k] == -np.inf
                 else:
                     assert psi[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
                     finite += 1
@@ -302,122 +400,3 @@ class TestWeakDuality:
             assert res.value <= o.min_value + 1e-6
             checked += 1
         assert checked >= 25
-
-
-def _barrier_reference(factor, visit, GH, y, L, t, tol):
-    """The central-path loop without the predictor: t grows tenfold after each
-    centering, and each Newton step solves with R through two LU solves.  The
-    reference for ``duality._follow_path``, which it replaces by monkeypatch."""
-    G, H = GH
-    m = GH.shape[1] + 2
-    converged = False
-    while True:
-        centered = False
-        dec2_prev = np.inf
-        for _ in range(duality._CENTERING_STEPS):
-            newton = _newton_step_reference(L, y, t, G, H)
-            if newton is None:
-                break
-            step, dec2 = newton
-            stalled = dec2_prev < 0.0625 and dec2 > 0.25 * dec2_prev
-            if dec2 <= 1e-10 or (stalled and dec2 <= 1e-4):
-                centered = True
-                break
-            if stalled:
-                break
-            dec2_prev = dec2
-            s = 1.0 if dec2 < 0.0625 else 1.0 / (1.0 + np.sqrt(dec2))
-            L_new = factor(y + s * step)
-            while L_new is None and s > 1e-12:
-                s *= 0.5
-                L_new = factor(y + s * step)
-            if L_new is None:
-                break
-            y, L = y + s * step, L_new
-            visit(y, L)
-        if not centered:
-            break
-        gap = (m + y[1] + y[2]) / t
-        converged = gap <= tol * (1.0 + abs(y[0]))
-        if gap <= duality._GAP_RTOL * (1.0 + abs(y[0])):
-            break
-        t *= 10.0
-    return converged
-
-
-def _newton_step_reference(L, y, t, G, H):
-    Linv = np.linalg.inv(L)
-    l = Linv[:, -1]
-    Wg = Linv @ G @ Linv.T
-    Wh = Linv @ H @ Linv.T
-    grad = np.array([l @ l - t, 1.0 - np.trace(Wg) - 1.0 / y[1], 1.0 - np.trace(Wh) - 1.0 / y[2]])
-    B = np.vstack([np.column_stack([-np.outer(l, l).ravel(), Wg.ravel(), Wh.ravel()]),
-                   [[0.0, 1.0 / y[1], 0.0], [0.0, 0.0, 1.0 / y[2]]]])
-    d = np.linalg.norm(B, axis=0)
-    R = np.linalg.qr(B / d, mode="r")
-    try:
-        step = np.linalg.solve(R, np.linalg.solve(R.T, -grad / d)) / d
-    except np.linalg.LinAlgError:
-        return None
-    return step, float(-grad @ step)
-
-
-def _scaled(q, s):
-    return QuadForm(s * q.A, s * q.a, s * q.a0)
-
-
-def _parity_set():
-    """The corpus with f scaled by 1, 1e2 and 1e4, then seeded in-class and
-    outside-class families (convex objectives for the latter, as in the
-    benchmark, so that the dual is finite at lam = 0)."""
-    for name in corpus.NAMES:
-        f, g, h, _ = corpus.load(name)
-        for k in (0, 2, 4):
-            yield f"{name}x1e{k}", (_scaled(f, 10.0 ** k), g, h)
-    rng = np.random.default_rng(909)
-    for n in (2, 3, 5, 10):
-        for i in range(6):
-            yield f"in{n}_{i}", random_nonalter_instance(rng, n)
-    for n in (2, 3):
-        for i in range(10):
-            f = random_quadform(rng, n, convex=True)
-            yield f"out{n}_{i}", (f, random_quadform(rng, n), random_quadform(rng, n))
-
-
-@pytest.fixture(scope="module")
-def parity_runs():
-    """(name, predictor result, reference result) over the parity set."""
-    runs = []
-    for name, (f, g, h) in _parity_set():
-        new = solve_dual_2d(f, g, h, collect_trace=True)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(duality, "_follow_path", _barrier_reference)
-            ref = solve_dual_2d(f, g, h, collect_trace=True)
-        runs.append((name, new, ref))
-    return runs
-
-
-class TestPredictor:
-    def test_matches_reference_loop(self, parity_runs):
-        finite = 0
-        for name, new, ref in parity_runs:
-            assert new.status == ref.status, name
-            if ref.status == "finite":
-                assert abs(new.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value)), name
-                finite += 1
-        assert finite >= 50
-
-    def test_newton_iterates_halved(self, parity_runs):
-        # About 95 iterates per corpus solve with a tenfold t growth.
-        corpus_runs = [(new, ref) for name, new, ref in parity_runs if "x1e" in name]
-        steps = np.mean([len(new.trace) for new, _ in corpus_runs])
-        assert steps <= 60
-        assert steps <= 0.65 * np.mean([len(ref.trace) for _, ref in corpus_runs])
-
-    def test_hard_case_costs_no_more(self, parity_runs):
-        # gtrs's lam1 converges like t^-1/2, so the path is not straight in
-        # s = 1/t and no prediction is tried: a rejected prediction would
-        # cost a factorization the plain step does not.
-        for name, new, ref in parity_runs:
-            if name.startswith("gtrs"):
-                assert new.evaluations <= ref.evaluations
