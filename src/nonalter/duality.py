@@ -15,7 +15,8 @@ single 1 in the homogenizing corner.
 psi is maximized by the single-constraint machinery of :mod:`.qp1qc`
 (Moré and Sorensen, 1983), nested: one multiplier in an outer search, the
 other in exact single-constraint dual solves, hard case included (see
-:func:`solve_dual_2d`).
+:func:`solve_dual_2d`).  It hands back the Lagrangian minimizer at its
+optimum: in the class, the optimal point on the blocking constraint.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class DualSolveResult:
     multipliers of ``best``.  ``evaluations`` counts the single-constraint
     dual solves (``qp1qc._maximize_dual`` calls), plus the probes when the
     grid runs.  ``trace`` holds psi at each search point and at a certified
-    point of the Newton step in both multipliers.
+    point of the Newton step in both multipliers.  ``x`` minimizes the
+    Lagrangian at ``best``: the inner single-constraint optimizer, or -Q^-1 v
+    at a regular Newton point; None in the two-multiplier hard case.
     """
 
     status: str
@@ -75,6 +78,7 @@ class DualSolveResult:
     best: Optional[DualPoint] = None
     evaluations: int = 0
     trace: Optional[Tuple[dict, ...]] = None
+    x: Optional[np.ndarray] = None
 
 
 def lagrangian_dual_value(
@@ -163,13 +167,15 @@ def _probe(f: QuadForm, g: QuadForm, h: QuadForm, lam1: np.ndarray, lam2: np.nda
 
 
 class _Phi(NamedTuple):
-    """phi(mu) = max over lam >= 0 of psi, its maximizer lam, slope and curvature."""
+    """phi(mu) = max over lam >= 0 of psi, its maximizer lam, slope and
+    curvature, and the minimizer x of the Lagrangian there (None if unknown)."""
 
     mu: float
     lam: float
     value: float
     slope: float
     curvature: float
+    x: Optional[np.ndarray] = None
 
 
 def solve_dual_2d(
@@ -229,17 +235,18 @@ def solve_dual_2d(
         if lam > 0.0 and d.curvature < 0.0:
             # lam follows mu: the Schur complement of psi_11 in the Hessian.
             curvature -= 4.0 * float(cp @ (inv * cq)) ** 2 / d.curvature
-        return record(_Phi(mu, lam, d.value, evaluate(Q, x), curvature))
+        return record(_Phi(mu, lam, d.value, evaluate(Q, x), curvature, x))
 
     def result(pt, status="finite"):
-        value = point = None
+        value = point = x = None
         if pt is not None:
+            x = pt.x
             (l1, l2), value = to_data(pt), sf * pt.value
             Z = slack_matrix(f, g, h, value, l1, l2)
             point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
                               slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
         return DualSolveResult(status=status, value=value, best=point, evaluations=evals,
-                               trace=tuple(trace) if trace is not None else None)
+                               trace=tuple(trace) if trace is not None else None, x=x)
 
     # The axes: in the class the optimum has one multiplier at zero.
     start = phi(0.0)
@@ -247,8 +254,9 @@ def solve_dual_2d(
         return result(start)
     mu, d = maximize(F, Q)
     if d is not None and mu < np.inf:
-        if evaluate(P, _candidates(Q, mu, d, tol)[-1]) <= 0.0:
-            return result(record(_Phi(mu, 0.0, d.value, 0.0, 0.0)))
+        x = _candidates(Q, mu, d, tol)[-1]
+        if evaluate(P, x) <= 0.0:
+            return result(record(_Phi(mu, 0.0, d.value, 0.0, 0.0, x)))
         if start is None:
             start = phi(mu)
     elif start is None and d is None:
@@ -364,7 +372,7 @@ def _polish(F: QuadForm, P: QuadForm, Q: QuadForm, lam: float, mu: float):
         if (not singular and min(lam, mu) >= 0.0
                 and np.abs(r).max() <= np.sqrt(_POLISH_RTOL) * (1.0 + float(x @ x))
                 and float(r @ step) <= _POLISH_RTOL * (1.0 + abs(qi.value))):
-            return _Phi(mu, lam, float(qi.value), 0.0, -1.0)
+            return _Phi(mu, lam, float(qi.value), 0.0, -1.0, x)
         last, lam, mu = (lam, mu), lam + float(step[0]), mu + float(step[1])
         if not max(abs(lam), abs(mu)) <= 1e8:
             return None

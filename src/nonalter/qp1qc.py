@@ -25,6 +25,7 @@ from .quad_core import (
     EigenDecomp,
     QuadForm,
     evaluate,
+    find_negative_point,
     line_roots,
     psd_interval,
     pseudo_inverse,
@@ -192,15 +193,27 @@ def _concave_search(at, lam: float, d, a: float, b: float, unit: float):
 
 
 def _hard_case_step(g, d: _DualPoint, tol):
-    """Move from x(lam*) along a near-kernel direction of Q(lam*) to reach {g = 0}."""
-    Z = d.eig.kernel(_NEAR_KERNEL_RTOL).T
-    for z, roots in zip(Z, line_roots(g, np.broadcast_to(d.x, Z.shape), Z, RANK_RTOL)):
+    """Move from x(lam*) to {g = 0} within x(lam*) + span(near kernel of Q(lam*)):
+    along a kernel eigenvector, else toward a point of that set where g changes sign."""
+    Z = d.eig.kernel(_NEAR_KERNEL_RTOL)
+    x = _first_root(g, d.x, Z.T, tol)
+    if x is None and Z.shape[1] > 1:
+        gbar = restrict_affine(g, d.x, Z)
+        y = find_negative_point(gbar if evaluate(g, d.x) > 0.0 else -gbar)
+        if y is not None:
+            x = _first_root(g, d.x, (Z @ y)[None], tol)
+    return x
+
+
+def _first_root(g, x0, D, tol):
+    """The first line x0 + t*d (rows d of D) that meets {g = 0}, at its root."""
+    for z, roots in zip(D, line_roots(g, np.broadcast_to(x0, D.shape), D, RANK_RTOL)):
         roots = roots[~np.isnan(roots)]
         if not roots.size:
             continue
         # Deterministic: smaller magnitude first, positive wins a tie.
         t = min(roots, key=lambda t: (abs(t), -np.sign(t)))
-        x = d.x + t * z
+        x = x0 + t * z
         if abs(evaluate(g, x)) <= tol * (1.0 + g.data_scale()):
             return x
     return None

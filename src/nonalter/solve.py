@@ -4,9 +4,10 @@ The dispatch mirrors the arrangement classes: infeasibility and redundant
 constraints exit through single-constraint solves; Slater failures restrict
 to an affine subspace; the degenerate one-variable pattern splits into a
 halfspace piece and a hyperplane piece; instances with both zero sets
-one-sided get the two-multiplier dual followed by solution recovery; and
-for everything outside that class the report falls back to a brute-force
-estimate flagged as non-certified.
+one-sided get the two-multiplier dual, whose Lagrangian minimizer is checked
+as the optimal point (a search of the minimizers of f only when both
+multipliers are 0); and for everything outside that class the report falls
+back to a brute-force estimate flagged as non-certified.
 """
 
 from __future__ import annotations
@@ -106,67 +107,45 @@ def _residuals(f, g, h, x, nu):
 
 
 def recover_solution(
-    f: QuadForm, g: QuadForm, h: QuadForm, nu_star: float, tol: float = DEFAULT_TOL
+    f: QuadForm, g: QuadForm, h: QuadForm, dual: DualSolveResult, tol: float = DEFAULT_TOL
 ):
-    """Recover an optimal point for a finite value, or None when unattained.
+    """Recover an optimal point from a finite dual, or None when unattained.
 
-    Branch A (nu_star equals the unconstrained infimum): search the affine
-    manifold of unconstrained minimizers for a feasible point by minimizing
-    the restricted g under the restricted h.  Branch B (nu_star strictly
-    above): determine the side of the sublevel set and solve the
-    single-constraint problem on the blocking constraint; the minimizer must
-    land on that constraint's boundary and satisfy the other one.
+    The side comes from the multipliers: a positive multiplier on g alone
+    means {f < nu*} lies where g > 0 > h, on h alone the mirror side.  The
+    dual's Lagrangian minimizer ``dual.x`` is optimal when f there is nu*
+    within tol*(1 + |nu*|), both constraints hold and one with a positive
+    multiplier is active, within tol*(1 + its data scale).  Otherwise, with both
+    multipliers 0 (nu* is the unconstrained infimum), the affine manifold of
+    unconstrained minimizers is searched for a feasible point by minimizing
+    the restricted g under the restricted h.
 
     Returns ``(x_star or None, side or None, notes)``.
     """
-    notes = []
-    um = unconstrained_min(f)
-    gate = tol * (1.0 + abs(nu_star))
-    if um.status == "attained" and abs(um.value - nu_star) <= gate:
-        notes.append("branch A: optimum equals the unconstrained infimum")
-        Z = um.kernel
-        x_c = um.x
-        if Z.shape[1] == 0:
-            if evaluate(g, x_c) <= gate and evaluate(h, x_c) <= gate:
-                return x_c, None, notes
-            notes.append("unique unconstrained minimizer is infeasible")
-            return None, None, notes
-        gbar = restrict_affine(g, x_c, Z)
-        hbar = restrict_affine(h, x_c, Z)
-        sub = solve_qp1qc(gbar, hbar, tol)
-        if sub.status == "attained" and sub.value <= gate and evaluate(hbar, sub.x) <= gate:
-            x = x_c + Z @ sub.x
-            return x, None, notes
-        notes.append("no feasible point on the minimizer manifold: value unattained")
-        return None, None, notes
+    nu, lam = dual.value, (dual.best.lambda1, dual.best.lambda2)
+    active = (lam[0] > 0.0, lam[1] > 0.0)
+    side = {(True, False): SIDE_G_POS_H_NEG, (False, True): SIDE_G_NEG_H_POS}.get(active)
 
-    notes.append("branch B: optimum above the unconstrained infimum")
-    try:
-        side = side_of_sublevel(f, nu_star, g, h)
-    except NoSublevelPoint as exc:
-        notes.append(str(exc))
-        return None, None, notes
-    # Mirror-symmetric: on side (g<0, h>0) the blocking constraint is h.
-    blocking, other = (h, g) if side == SIDE_G_NEG_H_POS else (g, h)
-    notes.append(f"side {side}: solving the single-constraint problem on the blocking constraint")
-    sub = solve_qp1qc(f, blocking, tol)
-    if sub.status != "attained":
-        notes.append(f"single-constraint subproblem status: {sub.status}")
-        return None, side, notes
-    x = sub.x
-    bscale = 1.0 + blocking.data_scale()
-    if abs(sub.value - nu_star) > gate:
-        notes.append(
-            f"subproblem value {sub.value:.12g} does not match {nu_star:.12g}"
-        )
-        return None, side, notes
-    if not (abs(evaluate(blocking, x)) <= tol * bscale):
-        notes.append("recovered point is not on the blocking boundary")
-        return None, side, notes
-    if evaluate(other, x) > tol * (1.0 + other.data_scale()):
-        notes.append("recovered point violates the other constraint")
-        return None, side, notes
-    return x, side, notes
+    def optimal(x):
+        gates = [(evaluate(q, x), tol * (1.0 + q.data_scale()), on) for q, on in zip((g, h), active)]
+        return (abs(evaluate(f, x) - nu) <= tol * (1.0 + abs(nu))
+                and all(v <= cut and (v >= -cut or not on) for v, cut, on in gates))
+
+    if dual.x is not None and optimal(dual.x):
+        return dual.x, side, ["the dual's Lagrangian minimizer is optimal"]
+    if any(active):
+        return None, side, ["no optimal Lagrangian minimizer from the dual: value unattained"]
+    notes = ["both multipliers 0: searching the minimizers of f"]
+    um = unconstrained_min(f)
+    x = um.x
+    if um.status == "attained" and um.kernel.shape[1]:
+        Z = um.kernel
+        sub = solve_qp1qc(restrict_affine(g, x, Z), restrict_affine(h, x, Z), tol)
+        x = x + Z @ sub.x if sub.status == "attained" else None
+    if x is not None and optimal(x):
+        return x, side, notes
+    notes.append("no feasible point on the minimizer manifold: value unattained")
+    return None, side, notes
 
 
 def _build_reduction(f, g, h, hint: dict, tol: float) -> ReducedProblem:
@@ -377,7 +356,7 @@ def solve_nonalter(
                 certified=False, dual=dual, pathway=pathway,
             )
         nu = dual.value
-        x, side, notes = recover_solution(f, g, h, nu, tol)
+        x, side, notes = recover_solution(f, g, h, dual, tol)
         res = _residuals(f, g, h, x, nu) if x is not None else None
         return SolveReport(
             classification=report, status="solved", nu_star=nu, certified=True,

@@ -14,7 +14,7 @@ from nonalter.duality import (
 from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min
 from nonalter.qp1qc import solve_qp1qc
-from nonalter.quad_core import PsdVerdict, QuadForm, psd_status
+from nonalter.quad_core import PsdVerdict, QuadForm, evaluate, psd_status
 
 
 def two_point_instance():
@@ -218,6 +218,17 @@ class TestDichotomy:
                 assert res.evaluations <= 2
 
 
+    def test_lagrangian_minimizer_is_optimal(self):
+        # On an axis the dual hands back its single-constraint optimizer,
+        # which in the class is feasible for both constraints and optimal.
+        for f, g, h in _dichotomy_cases():
+            res = solve_dual_2d(f, g, h)
+            if res.status == "finite":
+                assert abs(evaluate(f, res.x) - res.value) <= 1e-9 * (1.0 + abs(res.value))
+                for q in (g, h):
+                    assert evaluate(q, res.x) <= 1e-8 * (1.0 + q.data_scale())
+
+
 class TestNestedSearch:
     def test_swap_is_bit_identical(self, rng):
         triples = [corpus.load(name)[:3] for name in corpus.NAMES]
@@ -238,6 +249,9 @@ class TestNestedSearch:
         res = solve_dual_2d(f, g, h)
         assert res.value == pytest.approx(49.0, rel=1e-14)
         assert (res.best.lambda1, res.best.lambda2) == pytest.approx((1.0, 4.0), rel=1e-12)
+        # Its certificate is a convex combination of Lagrangian minimizers:
+        # no single point comes back.
+        assert res.x is None
         assert res.evaluations <= 3
 
     def test_disjoint_constraints_rise_without_bound(self):

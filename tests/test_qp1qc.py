@@ -42,6 +42,20 @@ class TestHandCases:
         assert r.lam == pytest.approx(1.0, abs=1e-14)
         assert r.kkt.stationarity <= 1e-14
 
+    @pytest.mark.parametrize("c", [(2.0, 2.0), (2.0, 0.0)])
+    def test_hard_case_with_a_planar_kernel(self, c):
+        # min |w - c|^2 s.t. |w - c| >= 1/2: at lam* = 1, Q = 0 and x(lam*) = 0.
+        # Off the axes no kernel eigenvector line through 0 meets the circle;
+        # the line toward a point where g changes sign does.
+        c = np.array(c)
+        f = QuadForm(np.eye(2), -c, c @ c)
+        g = QuadForm(-np.eye(2), c, 0.25 - c @ c)
+        r = solve_qp1qc(f, g)
+        assert r.status == "attained"
+        assert r.value == pytest.approx(0.25, rel=1e-12)
+        assert evaluate(g, r.x) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate(f, r.x) == pytest.approx(0.25, rel=1e-12)
+
     def test_infeasible(self):
         r = solve_qp1qc(poly1(axx=1), poly1(axx=1, c=1))
         assert r.status == "infeasible"

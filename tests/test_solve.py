@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import poly1, poly2
-from nonalter import corpus
+from nonalter import corpus, solve
 from nonalter.classify import ArrangementClass
-from nonalter.duality import DualPoint, sdp_certificate
+from nonalter.duality import DualPoint, DualSolveResult, sdp_certificate, solve_dual_2d
 from nonalter.oracle import GridSpec, grid_min, s1_empirical
 from nonalter.qp1qc import solve_qp1qc
 from nonalter.quad_core import QuadForm, evaluate, null_basis, restrict_affine
 from nonalter.solve import (
+    SIDE_G_NEG_H_POS,
     SIDE_G_POS_H_NEG,
     NoSublevelPoint,
     recover_solution,
@@ -64,6 +67,23 @@ class TestSolveExamples:
         assert rep.dual.value <= rep.nu_star + 1e-6
 
 
+    def test_annulus_with_a_planar_kernel(self):
+        # f = x1^2 over 1/2 <= |y - c| <= 1, y = (x2, x3): the value 0 is
+        # attained on the annulus.  The Lagrangian minimizer at (0, 0) is the
+        # origin, and no kernel eigenvector line through it meets the annulus.
+        c = np.array([0.0, 2.0, 2.0])
+        P = np.diag([0.0, 1.0, 1.0])
+        f = QuadForm(np.diag([1.0, 0.0, 0.0]), np.zeros(3), 0.0)
+        g = QuadForm(P, -c, c @ c - 1.0)
+        h = QuadForm(-P, c, 0.25 - c @ c)
+        rep = solve_nonalter(f, g, h)
+        assert rep.classification.overall_class is ArrangementClass.NON_ALTER
+        assert rep.status == "solved" and rep.certified and rep.attained
+        assert rep.nu_star == 0.0
+        assert abs(rep.residuals[0]) <= 1e-12
+        assert max(rep.residuals[1:]) <= 1e-8
+
+
 class TestObjectiveScaling:
     @pytest.mark.parametrize("name, nu_scaled", [
         ("ex24", 236335.989122), ("ex25a", 2e4), ("gtrs", 1e4),
@@ -106,32 +126,66 @@ class TestSideOfSublevel:
         assert side_of_sublevel(f, 3.0, g, h) == side_of_sublevel(f, 4.0, g, h)
 
 
+def _origin_dual(nu):
+    """A finite dual at multipliers (0, 0) with value nu and no point."""
+    return DualSolveResult(status="finite", value=nu, best=DualPoint(0.0, 0.0, nu, 0.0))
+
+
 class TestRecoverSolution:
     def test_branch_a_manifold(self):
         # f = x^2: minimizer manifold is the y-axis; g, h select y = 0.
         f = poly2(axx=1)
         g = poly2(ayy=1, c=-1)
         h = poly2(by=-1)
-        x, side, notes = recover_solution(f, g, h, 0.0)
-        assert x is not None
+        x, side, notes = recover_solution(f, g, h, _origin_dual(0.0))
+        assert x is not None and side is None
         assert np.allclose(x, [0.0, 0.0], atol=1e-8)
 
     def test_branch_b_mirror_side(self):
         f = poly1(axx=1, bx=-6, c=9)
         g = poly1(axx=1, c=-1)
         h = QuadForm.constant(1, -1.0)
-        x, side, _ = recover_solution(f, g, h, 4.0)
+        dual = solve_dual_2d(f, g, h)
+        assert dual.value == pytest.approx(4.0, abs=1e-9)
+        x, side, _ = recover_solution(f, g, h, dual)
         assert side == SIDE_G_POS_H_NEG
         assert x[0] == pytest.approx(1.0, abs=1e-7)
         assert evaluate(g, x) == pytest.approx(0.0, abs=1e-8)
         assert evaluate(h, x) <= 0
 
+    def test_side_g_neg_h_pos(self):
+        f, g, h, _ = corpus.load("ex25a")
+        x, side, _ = recover_solution(f, g, h, solve_dual_2d(f, g, h))
+        assert side == SIDE_G_NEG_H_POS
+        assert evaluate(h, x) == pytest.approx(0.0, abs=1e-8) and evaluate(g, x) <= 1e-8
+
+    def test_positive_multiplier_needs_its_constraint_active(self):
+        # x = 0 has the dual's value and meets both constraints, but g(0) = -1
+        # although the multiplier of g is positive.
+        f = poly1(axx=1, bx=-6, c=9)
+        g = poly1(axx=1, c=-1)
+        h = QuadForm.constant(1, -1.0)
+        dual = DualSolveResult("finite", 9.0, DualPoint(2.0, 0.0, 9.0, 0.0), x=np.zeros(1))
+        x, side, notes = recover_solution(f, g, h, dual)
+        assert x is None and side == SIDE_G_POS_H_NEG and notes[-1].endswith("unattained")
+        x, side, _ = recover_solution(f, g, h, replace(dual, best=DualPoint(0.0, 0.0, 9.0, 0.0)))
+        assert np.array_equal(x, np.zeros(1)) and side is None
+
     def test_branch_a_unique_minimizer(self):
         f = poly2(axx=1, ayy=1)
         g = poly2(bx=1, by=1, c=-1)
         h = QuadForm.constant(2, -1.0)
-        x, _, _ = recover_solution(f, g, h, 0.0)
+        x, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
         assert np.allclose(x, 0.0, atol=1e-10)
+
+    def test_manifold_gates_in_constraint_units(self):
+        # Minimizers of f are (0, y); g = y^2 + 0.5 is positive on all of
+        # them.  With f's value 1e8 a gate in f's units would pass g = 0.5.
+        f = poly2(axx=1, c=1e8)
+        g = poly2(ayy=1, c=0.5)
+        h = QuadForm.constant(2, -1.0)
+        x, side, notes = recover_solution(f, g, h, _origin_dual(1e8))
+        assert x is None and side is None and notes[-1].endswith("unattained")
 
     def test_branch_a_decomposes_f_once(self, eig_calls):
         # The minimizer manifold comes from the kernel of the unconstrained
@@ -142,28 +196,28 @@ class TestRecoverSolution:
         solve_qp1qc(restrict_affine(g, np.zeros(2), Z), restrict_affine(h, np.zeros(2), Z))
         sub = eig_calls[0]
         eig_calls[0] = 0
-        x, _, _ = recover_solution(f, g, h, 0.0)
+        x, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
         assert x is not None and eig_calls[0] == 1 + sub
         eig_calls[0] = 0
-        recover_solution(poly2(axx=1, ayy=1), poly2(bx=1, by=1, c=-1), QuadForm.constant(2, -1.0), 0.0)
+        recover_solution(poly2(axx=1, ayy=1), poly2(bx=1, by=1, c=-1), QuadForm.constant(2, -1.0),
+                         _origin_dual(0.0))
         assert eig_calls[0] == 1
 
-    def test_branch_b_decomposes_f_once(self, eig_calls):
-        # The side probe reuses the unconstrained solve of branch B: one
-        # eigendecomposition of f.A plus those of the subproblem on g.  Each
-        # count starts from freshly loaded quadratics, which own no
-        # decompositions yet.
-        f, g, h, _ = corpus.load("ex24")
-        nu = solve_nonalter(f, g, h).nu_star
-        f, g, h, _ = corpus.load("ex24")
-        eig_calls[0] = 0
-        solve_qp1qc(f, g)
-        sub = eig_calls[0]
-        f, g, h, _ = corpus.load("ex24")
-        eig_calls[0] = 0
-        x, side, notes = recover_solution(f, g, h, nu)
-        assert notes[0].startswith("branch B") and side == SIDE_G_POS_H_NEG and x is not None
-        assert eig_calls[0] == 1 + sub
+    def test_recovery_from_the_dual_solves_nothing(self, eig_calls, monkeypatch):
+        # The dual's point is checked, not recomputed: no single-constraint
+        # solve and no eigendecomposition.
+        calls = []
+        for name in ("ex24", "ex25a", "gtrs"):
+            for scale in (1.0, 1e4):
+                f, g, h, _ = corpus.load(name)
+                f = scale * f
+                dual = solve_dual_2d(f, g, h)
+                with monkeypatch.context() as m:
+                    m.setattr(solve, "solve_qp1qc", lambda *a: calls.append(a))
+                    eig_calls[0] = 0
+                    x, side, _ = recover_solution(f, g, h, dual)
+                assert x is not None and side is not None
+                assert calls == [] and eig_calls[0] == 0
 
 
 class TestStrongDualityOnCorpus:
