@@ -39,7 +39,7 @@ from .quad_core import (
     find_negative_point,
     line_roots,
     nonneg_everywhere,
-    psd_interval,
+    pencil_interval,
     psd_status,
     quad_inf,
     unconstrained_min,
@@ -177,17 +177,17 @@ def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
 def pencil_psd_search(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
     """A real lambda with lift(p) + lambda*lift(q) PSD, if one exists.
 
-    The feasible multipliers form an interval (:func:`psd_interval`); the
+    The feasible multipliers form an interval (:func:`pencil_interval`); the
     point of it nearest zero is returned, which keeps certificates small
     and reproducible.
     """
-    iv = psd_interval(lift(p), lift(q), tol)
+    iv = pencil_interval(p, q, tol, lifted=True)
     return None if iv is None else min(max(0.0, iv[0]), iv[1])
 
 
 def pencil_psd_search_nonneg(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
     """Like :func:`pencil_psd_search` but restricted to lambda >= 0."""
-    iv = psd_interval(lift(p), lift(q), tol)
+    iv = pencil_interval(p, q, tol, lifted=True)
     return None if iv is None or iv[1] < 0.0 else max(0.0, iv[0])
 
 

@@ -27,7 +27,7 @@ from .quad_core import (
     evaluate,
     find_negative_point,
     line_roots,
-    psd_interval,
+    pencil_interval,
     pseudo_inverse,
     quad_inf,
     restrict_affine,
@@ -85,8 +85,8 @@ class _DualPoint(NamedTuple):
 
 def _dual_at(f: QuadForm, g: QuadForm, lam: float) -> Optional[_DualPoint]:
     """The dual and its derivatives at lam from one closed form; None where
-    psi(lam) = -inf."""
-    qi = quad_inf(f.A + lam * g.A, f.a + lam * g.a, f.a0 + lam * g.a0)
+    psi(lam) = -inf; at lam = 0 it reads f's own decomposition."""
+    qi = quad_inf(f.eig if lam == 0.0 else f.A + lam * g.A, f.a + lam * g.a, f.a0 + lam * g.a0)
     if qi.value == -np.inf:
         return None
     V = qi.eig.vectors
@@ -131,7 +131,7 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     the upper end when psi' > 0 there (the hard case), and otherwise the root
     of psi', found by Newton's method safeguarded by bisection.
     """
-    iv = psd_interval(f.A, g.A, INF_PSD_RTOL)
+    iv = pencil_interval(f, g, INF_PSD_RTOL)
     if iv is None or iv[1] < 0.0:
         return None, None
     a, b = max(iv[0], 0.0), iv[1]

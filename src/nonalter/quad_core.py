@@ -59,7 +59,10 @@ class QuadForm:
 
     ``A`` is symmetrized exactly on construction; all data is immutable.
     Each quadratic decomposes ``A`` and its lift at most once (``eig``,
-    ``lift_eig``), and ``-q`` shares them with ``q``, negated.
+    ``lift_eig``), and ``-q`` shares them with ``q``, negated.  It also
+    keeps the pencil root solves of the pairs it came first in (see
+    :func:`pencil_interval`), in one table with ``-q``, and its
+    unconstrained minimum at the default cutoff (:func:`unconstrained_min`).
     """
 
     A: np.ndarray
@@ -126,6 +129,17 @@ class QuadForm:
         # -q's decomposition, once it exists, serves q negated.
         ed = self.__dict__["_neg"].__dict__.get(name) if "_neg" in self.__dict__ else None
         return None if ed is None else ed.negated()
+
+    @cached_property
+    def _pencils(self) -> dict:
+        """Pencil root solves keyed by (lifted, the other quadratic's table),
+        one table for q and -q."""
+        neg = self.__dict__.get("_neg")
+        return {} if neg is None else neg.__dict__.setdefault("_pencils", {})
+
+    @cached_property
+    def _min(self) -> "UnconstrainedMin":
+        return _unconstrained_min(self, RANK_RTOL)
 
     def is_constant(self) -> bool:
         """Exact constancy check (zero quadratic and linear coefficients)."""
@@ -371,9 +385,65 @@ _PENCIL_SHIFTS = (0.0, 0.4142, -1.7321, 2.6458, -3.3166)
 _PENCIL_FAR = 1e8
 
 
-def _rcond(M: np.ndarray) -> float:
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[-1] / max(sv[0], 1e-300))
+class _PencilSolve(NamedTuple):
+    """One root solve of the pencil P + lam*Q, reduced off the common kernel
+    of P and Q to Pr + lam*Qr: the eigenvalues theta of (Pr + mu*Qr)^-1 Qr
+    at the shift mu (all zero when Qr is), and the largest entries of Pr
+    and Qr.  It serves all four orientations (+-P, Q) and (+-Q, +-P)."""
+
+    theta: np.ndarray
+    mu: float
+    p_max: float
+    q_max: float
+
+    def test_points(self, sign: int = 1, swap: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        """The roots and test points (:func:`_pencil_test_points`) of
+        sign*P + lam*Q, or of sign*Q + lam*P when ``swap``.
+
+        det(Pr + lam*Qr) = 0 at lam = mu - 1/theta, so the roots are
+        sign*(mu - 1/theta), and swapped sign/lam = sign*theta/(mu*theta - 1):
+        there theta = 0 gives the root 0 and lam = 0 an infinite one.  A root
+        more than ``_PENCIL_FAR`` units from the shift (swapped: from 0) is
+        infinite, from a rounded zero theta (swapped: lam).
+        """
+        top, bottom = (self.q_max, self.p_max) if swap else (self.p_max, self.q_max)
+        if not bottom:
+            return np.empty(0), np.zeros(1)
+        unit = top / bottom or 1.0
+        theta = self.theta
+        if swap:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                lam = theta / (self.mu * theta - 1.0)
+            lam = lam[np.abs(lam) < unit * _PENCIL_FAR]
+        else:
+            lam = self.mu - 1.0 / theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
+        roots = np.array(sorted(set((sign * lam).real.tolist())))
+        if not roots.size:
+            return roots, np.zeros(1)
+        reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
+        pts = np.empty(2 * roots.size + 1)
+        pts[1::2] = roots
+        pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
+        pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
+        return roots, pts
+
+
+def _solve_pencil(P: np.ndarray, Q: np.ndarray) -> Optional[_PencilSolve]:
+    """The root solve of P + lam*Q at the best-conditioned shift (one stacked
+    SVD of the shifted matrices); None when no shift leaves the reduced
+    pencil well conditioned."""
+    _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
+    V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
+    Pr, Qr = V.T @ P @ V, V.T @ Q @ V
+    p_max, q_max = float(np.abs(Pr).max(initial=0.0)), float(np.abs(Qr).max(initial=0.0))
+    if not q_max:
+        return _PencilSolve(np.zeros(len(Pr)), 0.0, p_max, q_max)
+    shifts = (p_max / q_max or 1.0) * np.array(_PENCIL_SHIFTS)
+    sv = np.linalg.svd(Pr + shifts[:, None, None] * Qr, compute_uv=False)
+    rcond, mu = max(zip((sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist(), shifts.tolist()))
+    if not rcond > RANK_RTOL:
+        return None
+    return _PencilSolve(np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
 
 
 def _pencil_test_points(P: np.ndarray, Q: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -383,26 +453,41 @@ def _pencil_test_points(P: np.ndarray, Q: np.ndarray) -> Optional[Tuple[np.ndarr
     root, ascending.  With no root the one test point is 0.  None when no
     shift leaves the reduced pencil well conditioned.
     """
-    _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
-    V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
-    Pr, Qr = V.T @ P @ V, V.T @ Q @ V
-    if not Qr.any():
-        return np.empty(0), np.zeros(1)
-    unit = float(np.abs(Pr).max()) / float(np.abs(Qr).max()) or 1.0
-    rcond, mu = max((_rcond(Pr + c * unit * Qr), c * unit) for c in _PENCIL_SHIFTS)
-    if not rcond > RANK_RTOL:
+    solve = _solve_pencil(P, Q)
+    return None if solve is None else solve.test_points()
+
+
+def _pair_test_points(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
+    """:func:`_pencil_test_points` of P + lam*Q, the quadratic parts of p and
+    q or their lifts, from one root solve per pair up to the sign and the
+    order of p and q.
+
+    The solve sits in the table of the pair's first quadratic (shared with
+    its negative) under the other's table, as (id of the first, the other,
+    solve): the table lives as long as the first, which keeps that id, and
+    the entry keeps the other and with it its table's id.
+    """
+    for first, second, swap in ((p, q, False), (q, p, True)):
+        entry = first._pencils.get((lifted, id(second._pencils)))
+        if entry is not None:
+            break
+    else:
+        first, second, swap = p, q, False
+        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, _solve_pencil(P, Q))
+    owner, other, solve = entry
+    if solve is None:
         return None
-    theta = np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr))
-    theta = theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
-    roots = np.array(sorted(set((mu - 1.0 / theta).real.tolist())))
-    if not roots.size:
-        return roots, np.zeros(1)
-    reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
-    pts = np.empty(2 * roots.size + 1)
-    pts[1::2] = roots
-    pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
-    pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
-    return roots, pts
+    sign = (1 if id(first) == owner else -1) * (1 if second is other else -1)
+    return solve.test_points(sign, swap)
+
+
+def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
+                    lifted: bool = False) -> Optional[Tuple[float, float]]:
+    """:func:`psd_interval` of p.A + lam*q.A, or of lift(p) + lam*lift(q)
+    when ``lifted``, from the root solve the pair shares across negation and
+    swap of p and q."""
+    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
+    return _interval(P, Q, _pair_test_points(p, q, lifted, P, Q), tol)
 
 
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
@@ -436,9 +521,17 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     nothing, and the search goes on to both sides.  From the first passing
     test point it meets, two searches on eigenvalues alone find the first
     and the last passing one.
+
+    On raw matrices each call solves for the roots.  Between quadratics,
+    :func:`pencil_interval` reads them from the root solve the pair owns:
+    one per pair, shared across the negation of either and their swap.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    found = _pencil_test_points(P, Q)
+    return _interval(P, Q, _pencil_test_points(P, Q), tol)
+
+
+def _interval(P: np.ndarray, Q: np.ndarray, found, tol: float) -> Optional[Tuple[float, float]]:
+    """:func:`psd_interval` from the roots and test points ``found`` of P + lam*Q."""
     if found is None:
         return None
     roots, pts = found
@@ -590,15 +683,27 @@ class UnconstrainedMin:
 
 
 def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
-    """Global infimum of q over R^n, with minimizer or escape direction."""
+    """Global infimum of q over R^n, with minimizer or escape direction.
+
+    Its arrays are read-only; at the default ``rtol`` it is computed at most
+    once per quadratic."""
+    return q._min if rtol == RANK_RTOL else _unconstrained_min(q, rtol)
+
+
+def _unconstrained_min(q: QuadForm, rtol: float) -> UnconstrainedMin:
     qi = quad_inf(q.eig, q.a, q.a0, rtol)
     V = qi.eig.vectors
     K = V[:, qi.zero]
     if qi.eig.values[0] < -qi.eig.cut(rtol):
-        return UnconstrainedMin(status="unbounded_below", value=-np.inf,
-                                direction=V[:, 0].copy(), kind="negative_curvature", kernel=K)
-    if qi.value == -np.inf:
+        um = UnconstrainedMin(status="unbounded_below", value=-np.inf,
+                              direction=V[:, 0].copy(), kind="negative_curvature", kernel=K)
+    elif qi.value == -np.inf:
         w = K.T @ q.a
-        return UnconstrainedMin(status="unbounded_below", value=-np.inf,
-                                direction=-K @ (w / np.linalg.norm(w)), kind="affine", kernel=K)
-    return UnconstrainedMin(status="attained", value=evaluate(q, qi.x), x=qi.x, kernel=K)
+        um = UnconstrainedMin(status="unbounded_below", value=-np.inf,
+                              direction=-K @ (w / np.linalg.norm(w)), kind="affine", kernel=K)
+    else:
+        um = UnconstrainedMin(status="attained", value=evaluate(q, qi.x), x=qi.x, kernel=K)
+    for arr in (um.x, um.direction, um.kernel):
+        if arr is not None:
+            arr.setflags(write=False)
+    return um

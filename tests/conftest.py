@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nonalter.instances import random_quadform
+import nonalter.quad_core as quad_core
 from nonalter.quad_core import QuadForm
 
 
@@ -72,3 +73,17 @@ def eig_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return count
+
+
+@pytest.fixture()
+def work_counts(monkeypatch):
+    """Counts of pencil root solves (``solves``) and of unconstrained minima
+    computed (``minima``); reset them by hand."""
+    counts = {"solves": 0, "minima": 0}
+    for name, key in (("_solve_pencil", "solves"), ("_unconstrained_min", "minima")):
+        def counted(*args, _orig=getattr(quad_core, name), _key=key):
+            counts[_key] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(quad_core, name, counted)
+    return counts

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from nonalter.classify import (
     slater_two_sided,
 )
 from nonalter.instances import random_triple
+from nonalter.problem_io import dumps_report, parse_problem_dict
 from nonalter.quad_core import (
     DEFAULT_TOL,
     QuadForm,
@@ -397,3 +399,34 @@ class TestOneSidedImpliesNoSeparation:
             assert detect_separation_by_hyperplane(-1.0 * g, h) is None
             assert detect_separation_by_hyperplane(h, g) is None
             assert detect_separation_by_hyperplane(-1.0 * h, g) is None
+
+
+class TestWorkPerClassification:
+    def test_two_pencil_solves_and_four_minima(self, work_counts):
+        # One root solve per pencil of the pair (the quadratic parts and the
+        # lifts), shared by every orientation; one minimum per g, h, -g, -h.
+        for name in corpus.NAMES:
+            _, g, h, _ = corpus.load(name)
+            work_counts.update(solves=0, minima=0)
+            classify_problem(g, h, 1e-9)
+            assert work_counts["solves"] == 2, name
+            assert work_counts["minima"] <= 4, name
+
+    def test_parsed_copies_share_nothing(self, work_counts):
+        # The solves live on the quadratics of one request: a second parse of
+        # the same document starts from nothing and gives the same report.
+        doc = json.loads(corpus.corpus_path("ex25b").read_text())
+        reports, copies = [], []
+        for _ in range(2):
+            _, g, h, _ = parse_problem_dict(doc)
+            work_counts.update(solves=0, minima=0)
+            reports.append(dumps_report(classify_problem(g, h, 1e-9)))
+            assert work_counts == {"solves": 2, "minima": 4}
+            quads = (g, h, -g, -h)
+            for q in quads:
+                for owner, other, _ in q._pencils.values():
+                    assert owner in map(id, quads) and any(other is r for r in quads)
+            copies.append(quads)
+        assert reports[0] == reports[1]
+        tables = [{id(q._pencils) for q in quads} for quads in copies]
+        assert not tables[0] & tables[1]

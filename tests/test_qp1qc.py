@@ -219,6 +219,18 @@ class TestWork:
         assert eig_calls[0] == 1
         assert r.status == "attained" and np.allclose(r.x, 0.0)
 
+    def test_dual_at_zero_reads_the_objectives_decomposition(self, rng, eig_calls):
+        # At lam = 0 the matrix of the dual is f.A, which f.eig already holds.
+        f, g, _ = trust_region_pair(rng, 5, False)
+        f = f + 10.0 * QuadForm(np.eye(5), np.zeros(5), 0.0)  # f.A definite: no kernel step
+        ed = f.eig
+        eig_calls[0] = 0
+        d = qp1qc._dual_at(f, g, 0.0)
+        assert eig_calls[0] == 0 and d.eig is ed
+        ref = qp1qc._dual_at(f, g, 1e-300)  # the same matrices, decomposed afresh
+        assert eig_calls[0] == 1
+        assert d.value == pytest.approx(ref.value, rel=1e-14) and np.allclose(d.x, ref.x, rtol=1e-13)
+
     def test_multiplier_pinned_by_common_kernel(self):
         # f = -x, g = x + y^2 share the kernel direction x of their Hessians;
         # psi is finite only where -1 + lam = 0.

@@ -14,8 +14,9 @@ from nonalter.quad_core import (
     PSD_RTOL,
     RANK_RTOL,
     DimensionError,
+    _pair_test_points,
     _pencil_test_points,
-    _status_of,
+    _solve_pencil,
     EigenDecomp,
     PsdVerdict,
     QuadForm,
@@ -27,6 +28,7 @@ from nonalter.quad_core import (
     from_lift,
     nonneg_everywhere,
     null_basis,
+    pencil_interval,
     psd_interval,
     psd_status,
     pseudo_inverse,
@@ -334,16 +336,17 @@ class TestPsdInterval:
         assert lo == pytest.approx(0.0, abs=1e-14) and hi == pytest.approx(1.0, abs=1e-14)
 
 
-def _psd_interval_scan(P, Q, tol=PSD_RTOL):
-    """psd_interval from a full eigendecomposition at every test point: the
-    reference for its bisection."""
+def _psd_interval_scan(P, Q, tol=PSD_RTOL, found=None):
+    """psd_interval from the verdicts at every test point, read from one
+    stacked eigenvalue call: the reference for its bisection.  ``found``
+    holds the roots and test points, by default those of a direct solve."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    found = _pencil_test_points(P, Q)
+    found = _pencil_test_points(P, Q) if found is None else found
     if found is None:
         return None
     roots, pts = found
-    ok = np.array([_status_of(EigenDecomp.of(P + t * Q), tol).verdict is not PsdVerdict.INDEFINITE
-                   for t in pts])
+    ed = EigenDecomp.values_of(P + pts[:, None, None] * Q)
+    ok = ~(ed.values[:, 0] < -ed.cut(tol))
     # Segment j runs from edge j to edge j + 1; root j is edge j + 1.
     edges = np.concatenate([[-np.inf], roots, [np.inf]])
     seg_ok, root_ok = ok[0::2], ok[1::2]
@@ -480,6 +483,100 @@ class TestPsdIntervalBisection:
         assert split >= 20
 
 
+def _pencil_families():
+    """(P, Q) pairs: the random pencils of TestPsdIntervalBisection, then a
+    singular Q, a singular P, a common kernel, Q = 0, P = 0 and both zero."""
+    rng = np.random.default_rng(8101)
+    for m in range(2, 52):
+        for kind in range(3):
+            Q = _sym(rng, m)
+            if kind == 0:
+                P = _sym(rng, m)
+            else:
+                L = rng.normal(size=(m, m - kind + 1))
+                P = L @ L.T - float(rng.normal()) * Q
+            yield P, Q
+    rng = np.random.default_rng(8108)
+    for m in (2, 3, 7, 20):
+        L = rng.normal(size=(m, m - 1))
+        yield _sym(rng, m), L @ L.T
+        yield L @ L.T, _sym(rng, m)
+        W, _ = np.linalg.qr(rng.normal(size=(m, m - 1)))
+        yield W @ _sym(rng, m - 1) @ W.T, W @ (L[: m - 1] @ L[: m - 1].T) @ W.T
+        for S in (_sym(rng, m), L @ L.T):
+            yield S, np.zeros((m, m))
+            yield np.zeros((m, m)), S
+    yield np.zeros((3, 3)), np.zeros((3, 3))
+
+
+def _same_roots(got, want, unit, rtol=1e-9):
+    """Every root of each within rtol of the other's, relative to |root| + unit."""
+    for a, b in ((got, want), (want, got)):
+        for r in a:
+            assert np.abs(b - r).min(initial=np.inf) <= rtol * (abs(r) + unit), (r, b)
+
+
+class TestSharedPencilSolve:
+    """One root solve of a pair of quadratics serves (+-P, Q) and (+-Q, +-P)."""
+
+    @staticmethod
+    def _orientations(p, q):
+        return ((p, q), (-p, q), (q, p), (-q, p), (q, -p), (-q, -p))
+
+    def test_orientations_match_direct_solves(self, work_counts):
+        kinds = {"interval": 0, "none": 0, "swapped_root_at_0": 0}
+        for P, Q in _pencil_families():
+            m = len(P)
+            p, q = QuadForm(P, np.zeros(m), 0.0), QuadForm(Q, np.zeros(m), 0.0)
+            work_counts["solves"] = 0
+            for a, b in self._orientations(p, q):
+                iv = pencil_interval(a, b)
+                found = _pair_test_points(a, b, False, a.A, b.A)
+                direct = _solve_pencil(a.A, b.A)
+                if found is None:
+                    assert iv is None and direct is None
+                    kinds["none"] += 1
+                    continue
+                assert iv == _psd_interval_scan(a.A, b.A, found=found)
+                kinds["interval" if iv is not None else "none"] += 1
+                want = direct.test_points()[0]
+                unit = (np.abs(a.A).max() / np.abs(b.A).max() if b.A.any() else 0.0) or 1.0
+                _same_roots(found[0], want, unit)
+                kinds["swapped_root_at_0"] += b is not q and bool((found[0] == 0.0).any())
+            assert work_counts["solves"] == 1
+        assert min(kinds.values()) > 0, kinds
+
+    def test_lifted_pencils_of_the_corpus(self, work_counts):
+        for name in corpus.NAMES:
+            _, g, h, _ = corpus.load(name)
+            work_counts["solves"] = 0
+            for a, b in self._orientations(g, h):
+                found = _pair_test_points(a, b, True, lift(a), lift(b))
+                direct = _solve_pencil(lift(a), lift(b))
+                assert (found is None) == (direct is None)
+                if found is not None:
+                    iv = pencil_interval(a, b, PSD_RTOL, lifted=True)
+                    assert iv == _psd_interval_scan(lift(a), lift(b), found=found)
+                    # Double roots (ex25b's at 4) are accurate to about sqrt(eps).
+                    _same_roots(found[0], direct.test_points()[0], 1.0, 1e-7)
+            # The quadratic parts are a second pencil of the same pair.
+            pencil_interval(h, g)
+            pencil_interval(-g, h)
+            assert work_counts["solves"] == 2
+
+    def test_entry_lives_on_the_first_quadratic(self):
+        _, g, h, _ = corpus.load("ex24")
+        pencil_interval(g, h)
+        assert len(g._pencils) == 1 and not h._pencils
+        assert (-g)._pencils is g._pencils
+        pencil_interval(-h, g)  # found in g's table, swapped
+        assert len(g._pencils) == 1 and not h._pencils
+        # A transient first quadratic takes its entry with it.
+        tmp = g + 2.0 * h
+        pencil_interval(tmp, g)
+        assert len(tmp._pencils) == 1 and len(g._pencils) == 1
+
+
 def _reference_roots(q, x, d, cut):
     """np.roots of the restriction q(x + t*d), trimmed at the same cutoff."""
     c2 = float(d @ q.A @ d)
@@ -592,6 +689,16 @@ class TestSpectralPrimitive:
             nonneg_everywhere(-p)
             find_negative_point(-p)
             assert eig_calls[0] == 2
+
+    def test_unconstrained_min_once_and_read_only(self):
+        for name in corpus.NAMES:
+            for q in corpus.load(name)[:3]:
+                for p in (q, -q):
+                    um = unconstrained_min(p)
+                    assert unconstrained_min(p) is um and unconstrained_min(p, RANK_RTOL) is um
+                    assert unconstrained_min(p, 1e-6) is not um
+                    for arr in (um.x, um.direction, um.kernel):
+                        assert arr is None or not arr.flags.writeable
 
     def test_stacked_closed_form_matches_single(self):
         kinds = {"finite": 0, "curvature": 0, "range": 0}
