@@ -33,8 +33,12 @@ def _require(cond: bool, msg: str):
 
 
 def _has_bool(x) -> bool:
-    # JSON true and false load as bool, an int subclass that numpy reads as 1 and 0.
-    return isinstance(x, bool) or (isinstance(x, list) and any(_has_bool(y) for y in x))
+    # JSON true and false load as bool, an int subclass that numpy reads as 1
+    # and 0.  One pass over the element types of each list; only lists nest.
+    if not isinstance(x, list):
+        return isinstance(x, bool)
+    types = set(map(type, x))
+    return bool in types or (list in types and any(_has_bool(y) for y in x if isinstance(y, list)))
 
 
 def quadform_from_dict(data: dict, name: str, n: int) -> QuadForm:
@@ -126,7 +130,7 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

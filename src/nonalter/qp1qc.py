@@ -4,6 +4,9 @@
 dual ``lam -> inf_x [f + lam*g](x)``, maximized over lam >= 0 on the exact
 interval where f.A + lam*g.A is PSD by Newton's method on the dual's
 derivative, followed by primal recovery ``x(lam*) = -Q(lam*)^+ v(lam*)``.
+The Newton iterates are predicted in O(n) each, in an eigenbasis of the
+pencil taken from one exact point, and the exact closed form corrects
+where they end.
 When the stationary system at the optimal multiplier is singular and
 complementarity fails, a kernel direction is added and scaled to reach the
 constraint boundary (the hard case).  Degenerate constraints (constants,
@@ -41,6 +44,11 @@ from .quad_core import (
 _NEWTON_STEPS = 60
 _STEP_RTOL = 1e-14
 _SEARCH_CAP = 1e15
+#: The relative Newton step below which an exact point at the predicted
+#: maximizer ends the single-constraint search.  The exact slope carries
+#: rounding of about 1e-13 of lam at n = 50, so exact steps below that would
+#: chase the rounding of the slope, not the root.
+_CORRECT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,9 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     the points where v(lam) leaves the range of Q(lam).  psi' = g(x(lam)) is
     nonincreasing, so the maximizer is the lower end when psi' <= 0 there,
     the upper end when psi' > 0 there (the hard case), and otherwise the root
-    of psi', found by Newton's method safeguarded by bisection.
+    of psi', found by Newton's method safeguarded by bisection: on the
+    :func:`_predictor` from the first exact point inside, then on exact
+    points.  The returned dual is always an exact point.
     """
     iv = pencil_interval(f, g, INF_PSD_RTOL)
     if iv is None or iv[1] < 0.0:
@@ -147,6 +157,21 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     if d is None:
         lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
         d = _dual_at(f, g, lam)
+    predict = None if d is None else _predictor(f, g, lam, d)
+    if predict is not None:
+        # Newton's iterates come from the predictor, and the exact closed
+        # form corrects where they end: it is the maximizer when the exact
+        # Newton step from there is below _CORRECT_RTOL, else the search
+        # goes on from there on exact points.  A predicted rise without
+        # bound is checked halfway to the cap.
+        guess, p = _concave_search(predict, lam, d, a, b, unit)
+        far = guess == np.inf
+        guess = 0.5 * _SEARCH_CAP * unit if far else guess
+        d_guess = None if p is None or guess == lam else _dual_at(f, g, guess)
+        if d_guess is not None:
+            lam, d = guess, d_guess
+            if not far and abs(d.slope) <= _CORRECT_RTOL * lam * -d.curvature:
+                return lam, d
     lam, d = _concave_search(lambda t: _dual_at(f, g, t), lam, d, a, b, unit)
     if d is None:
         # Inside the PSD interval Q(lam) is singular only on the common
@@ -159,6 +184,45 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
         lam = -float((K.T @ f.a) @ kb) / float(kb @ kb)
         return (lam, _dual_at(f, g, lam)) if lam >= 0.0 else (None, None)
     return lam, d
+
+
+class _Slope(NamedTuple):
+    """psi' and psi'' at one point, for :func:`_concave_search`."""
+
+    slope: float
+    curvature: float
+
+
+def _predictor(f: QuadForm, g: QuadForm, lam0: float, d0: _DualPoint):
+    """psi' and psi'' in O(n) per point, from the decomposition at lam0; None
+    unless Q(lam0) = V Lam V' is positive definite.
+
+    Write g = x'Bx + 2b'x + b0, v(lam) = f.a + lam*b and s(lam) = f.a0 +
+    lam*b0.  With Lam^-1/2 V'BV Lam^-1/2 = U Theta U' and T = V Lam^-1/2 U,
+    the pencil is diagonal, T'Q(lam)T = diag(e) with e = 1 + (lam - lam0)
+    theta (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  For
+    c = T'v(lam) and y = c/e the stationary point is x = -Ty, so
+    psi' = g(x) = y'Theta y - 2(T'b)'y + b0 and psi'' = -2 sum (T'b -
+    Theta y)^2/e; None where some e is not positive.  The search reads no
+    value of psi (s - c'y), so none is computed.
+    """
+    ed = d0.eig
+    if ed.values[0] <= ed.cut(INF_PSD_RTOL):
+        return None
+    W = ed.vectors / np.sqrt(ed.values)
+    pencil = EigenDecomp.of(W.T @ g.A @ W)
+    T = W @ pencil.vectors
+    theta, ca, cb = pencil.values, T.T @ f.a, T.T @ g.a
+
+    def at(lam: float) -> Optional[_Slope]:
+        e = 1.0 + (lam - lam0) * theta
+        if not (e > 0.0).all():
+            return None
+        y = (ca + lam * cb) / e
+        w = cb - theta * y
+        return _Slope(float(y @ (theta * y) - 2.0 * (cb @ y) + g.a0), float(-2.0 * (w @ (w / e))))
+
+    return at
 
 
 def _concave_search(at, lam: float, d, a: float, b: float, unit: float):

@@ -389,7 +389,10 @@ class _PencilSolve(NamedTuple):
     """One root solve of the pencil P + lam*Q, reduced off the common kernel
     of P and Q to Pr + lam*Qr: the eigenvalues theta of (Pr + mu*Qr)^-1 Qr
     at the shift mu (all zero when Qr is), and the largest entries of Pr
-    and Qr.  It serves all four orientations (+-P, Q) and (+-Q, +-P)."""
+    and Qr.  A positive definite Q has no common kernel with P: then
+    Pr, Qr = P, Q, mu = 0 and theta = 1/sigma for the eigenvalues sigma of
+    L^-1 P L^-T (an infinite theta is the root 0).  It serves all four
+    orientations (+-P, Q) and (+-Q, +-P)."""
 
     theta: np.ndarray
     mu: float
@@ -428,10 +431,33 @@ class _PencilSolve(NamedTuple):
         return roots, pts
 
 
+def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
+    """A Cholesky factor L of Q (LL' = Q) whose smallest pivot L_ii^2 is
+    above ``RANK_RTOL`` times the largest, the rcond bar of the shifts;
+    None when Q has no such factor."""
+    try:
+        L = np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.square(L.diagonal())
+    return L if pivots.min() > RANK_RTOL * pivots.max() else None
+
+
 def _solve_pencil(P: np.ndarray, Q: np.ndarray) -> Optional[_PencilSolve]:
-    """The root solve of P + lam*Q at the best-conditioned shift (one stacked
-    SVD of the shifted matrices); None when no shift leaves the reduced
-    pencil well conditioned."""
+    """The root solve of P + lam*Q.
+
+    With a Cholesky factor LL' = Q (:func:`_definite_factor`) the roots are
+    lam = -sigma for the eigenvalues sigma of L^-1 P L^-T (Moré, Optim.
+    Methods Softw. 2, 1993), stored as theta = 1/sigma at mu = 0; a
+    definite Q leaves no common kernel to remove.  Otherwise the solve is at
+    the best-conditioned shift (one stacked SVD of the shifted matrices);
+    None when no shift leaves the reduced pencil well conditioned."""
+    L = _definite_factor(Q)
+    if L is not None:
+        sigma = EigenDecomp.values_of(np.linalg.solve(L, np.linalg.solve(L, P).T)).values
+        with np.errstate(divide="ignore", over="ignore"):
+            theta = 1.0 / sigma
+        return _PencilSolve(theta, 0.0, float(np.abs(P).max()), float(np.abs(Q).max()))
     _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
     V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
     Pr, Qr = V.T @ P @ V, V.T @ Q @ V
@@ -497,9 +523,11 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     Ends may be -inf or inf.  Up to the cutoff, the set is an interval
     because the smallest eigenvalue of P + lam*Q is concave in lam, and its
     finite ends are real roots of det(P + lam*Q) once the common kernel of
-    P and Q is removed (Moré, Optim. Methods Softw. 2, 1993).  The roots
-    come from the eigenvalues theta of (P + mu*Q)^-1 Q at a
-    well-conditioned shift mu, as lam = mu - 1/theta.  Between two roots
+    P and Q is removed (Moré, Optim. Methods Softw. 2, 1993).  When Q is
+    positive definite, LL' = Q, they are minus the eigenvalues of
+    L^-1 P L^-T; otherwise they come from the eigenvalues theta of
+    (P + mu*Q)^-1 Q at a well-conditioned shift mu, as lam = mu - 1/theta
+    (:func:`_solve_pencil`).  Between two roots
     the inertia is constant, so a passing midpoint admits the closed
     segment, and a passing root admits itself.  Without a common kernel, a
     pencil that is singular for every lam is never semidefinite (its

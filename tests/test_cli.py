@@ -73,12 +73,21 @@ class TestParseProblem:
         assert f2.a0 == f.a0
         assert np.array_equal(g2.A, g.A) and np.array_equal(h2.A, h.A)
 
-    @pytest.mark.parametrize("field", ["n", "f.a0", "g.a0", "h.a0", "f.A", "g.a"])
+    @pytest.mark.parametrize("field", ["n", "f.a0", "g.a0", "h.a0", "f.A", "g.a", "last", "nested"])
     def test_boolean_rejected(self, tmp_path, capsys, field):
         # JSON true is not the integer 1, nor the number 1.0.
         doc = simple_doc()
         if field == "n":
             doc["n"] = True
+        elif field == "last":
+            # The last entry of a 50 x 50 matrix.
+            n = 50
+            doc = {"n": n}
+            for role in "fgh":
+                doc[role] = {"A": np.eye(n).tolist(), "a": [0.0] * n, "a0": -1.0}
+            doc["g"]["A"][n - 1][n - 1] = True
+        elif field == "nested":
+            doc["h"]["A"] = [[0.0, [1.0, [True]]]]
         else:
             role, key = field.split(".")
             doc[role][key] = {"A": [[True]], "a": [True], "a0": True}[key]

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import poly1, poly2, trust_region_pair
-from nonalter import qp1qc
+from nonalter import corpus, qp1qc
 from nonalter.duality import lagrangian_dual_value
-from nonalter.instances import random_quadform
+from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min, probe_unbounded
 from nonalter.qp1qc import solve_qp1qc, solve_on_affine_subspace
-from nonalter.quad_core import QuadForm, evaluate
+from nonalter.quad_core import INF_PSD_RTOL, EigenDecomp, QuadForm, evaluate, pencil_interval
 
 
 class TestHandCases:
@@ -175,6 +175,24 @@ class TestWork:
             if hard:
                 assert r.lam == pytest.approx(lam_hard, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_exact_evaluations(self, rng, monkeypatch, n):
+        # The Newton iterates come from the predictor; the exact closed form
+        # evaluates the start, the interval ends and the correction.
+        calls = [0]
+        dual_at = qp1qc._dual_at
+
+        def counted(*args):
+            calls[0] += 1
+            return dual_at(*args)
+
+        monkeypatch.setattr(qp1qc, "_dual_at", counted)
+        for _ in range(10):
+            f, g, _ = trust_region_pair(rng, n, False)
+            calls[0] = 0
+            assert solve_qp1qc(f, g).status == "attained"
+            assert calls[0] <= 4
+
     def test_newton_does_not_cycle(self, monkeypatch):
         # Pairs 14 and 33 of this stream once sent Newton back and forth
         # between two multipliers 3e-14 apart, whose psi' have opposite
@@ -239,3 +257,72 @@ class TestWork:
         assert r.lam == pytest.approx(1.0, abs=1e-12)
         assert r.value == pytest.approx(0.0, abs=1e-12)
         assert solve_qp1qc(poly2(bx=1), poly2(ayy=1, bx=1)).status == "unbounded_below"
+
+
+def _all_exact_maximize_dual(f, g):
+    """The dual maximizer with every Newton iterate from the exact closed
+    form: the reference for the predicted iterates of qp1qc._maximize_dual."""
+    iv = pencil_interval(f, g, INF_PSD_RTOL)
+    if iv is None or iv[1] < 0.0:
+        return None, None
+    a, b = max(iv[0], 0.0), iv[1]
+    d = qp1qc._dual_at(f, g, a)
+    if d is not None and d.slope <= 0.0:
+        return a, d
+    if b < np.inf:
+        d_hi = qp1qc._dual_at(f, g, b)
+        if d_hi is not None and d_hi.slope > 0.0:
+            return b, d_hi
+    unit = f.data_scale() / g.data_scale()
+    lam = a
+    if d is None:
+        lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
+        d = qp1qc._dual_at(f, g, lam)
+    lam, d = qp1qc._concave_search(lambda t: qp1qc._dual_at(f, g, t), lam, d, a, b, unit)
+    if d is None:
+        K = EigenDecomp.of(f.A + lam * g.A).kernel(qp1qc._NEAR_KERNEL_RTOL)
+        kb = K.T @ g.a
+        if not kb.any():
+            return None, None
+        lam = -float((K.T @ f.a) @ kb) / float(kb @ kb)
+        return (lam, qp1qc._dual_at(f, g, lam)) if lam >= 0.0 else (None, None)
+    return lam, d
+
+
+def _replay_pairs():
+    """(f, g) pairs: trust-region pairs n = 1...50, easy and (from n = 2)
+    hard, then the single-constraint solves of classifications, min +-q over
+    {p <= 0} for both orders of the constraints, on the corpus and on seeded
+    triples and class instances at n = 2, 3 and 6."""
+    rng = np.random.default_rng(8201)
+    for n in range(1, 51):
+        for hard in (False, True) if n > 1 else (False,):
+            yield trust_region_pair(rng, n, hard)[:2]
+    constraints = [corpus.load(name)[1:3] for name in corpus.NAMES]
+    for n in (2, 3, 6):
+        for _ in range(10):
+            constraints.append(random_triple(rng, n)[1:])
+            constraints.append(random_nonalter_instance(rng, n)[1:])
+    for g, h in constraints:
+        for p, q in ((g, h), (h, g)):
+            yield q, p
+            yield -q, p
+
+
+class TestPredictedIterates:
+    """The predicted Newton iterates end where the all-exact loop ends."""
+
+    def test_matches_the_all_exact_loop(self, monkeypatch):
+        cases = 0
+        for f, g in _replay_pairs():
+            got = solve_qp1qc(f, g)
+            with monkeypatch.context() as mp:
+                mp.setattr(qp1qc, "_maximize_dual", _all_exact_maximize_dual)
+                want = solve_qp1qc(f, g)
+            assert got.status == want.status
+            for a, b in ((got.lam, want.lam), (got.value, want.value)):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+            cases += got.lam is not None and got.lam > 0.0
+        assert cases >= 150

@@ -577,6 +577,69 @@ class TestSharedPencilSolve:
         assert len(tmp._pencils) == 1 and len(g._pencils) == 1
 
 
+class TestDefinitePencil:
+    """A positive definite Q gives the roots of P + lam*Q from its Cholesky factor."""
+
+    @staticmethod
+    def _shift_path(monkeypatch, P, Q):
+        # The general solve, with the Cholesky factor unavailable.
+        def no_factor(M):
+            raise np.linalg.LinAlgError("disabled")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "cholesky", no_factor)
+            return _solve_pencil(P, Q)
+
+    def test_roots_match_the_shift_path(self, monkeypatch):
+        rng = np.random.default_rng(8109)
+        for m in range(2, 52):
+            M = rng.normal(size=(m, m))
+            P, Q = _sym(rng, m), M @ M.T / m + 0.1 * np.eye(m)
+            got, want = _solve_pencil(P, Q), self._shift_path(monkeypatch, P, Q)
+            assert got.mu == 0.0
+            unit = np.abs(P).max() / np.abs(Q).max()
+            for sign in (1, -1):
+                for swap in (False, True):
+                    _same_roots(got.test_points(sign, swap)[0], want.test_points(sign, swap)[0],
+                                1.0 / unit if swap else unit)
+            assert psd_interval(P, Q) == _psd_interval_scan(P, Q)
+
+    def test_nearly_singular_factor_takes_the_shift_path(self, monkeypatch):
+        # Pivots 1e-12 apart, and a rank-deficient Q whose factor rounding
+        # lets through, pass Cholesky but not the rcond bar of the shifts.
+        rng = np.random.default_rng(8110)
+        factored = [0, 0]
+        for m in (2, 3, 5, 8, 20, 40) * 4:
+            L = rng.normal(size=(m, m - 1))
+            D = np.diag(np.r_[rng.uniform(1.0, 2.0, size=m - 1), 1e-12])
+            for k, Q in enumerate((D, L @ L.T)):
+                P = _sym(rng, m)
+                try:
+                    np.linalg.cholesky(Q)
+                    factored[k] += 1
+                except np.linalg.LinAlgError:
+                    pass
+                got, want = _solve_pencil(P, Q), self._shift_path(monkeypatch, P, Q)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got.theta, want.theta) and got.mu == want.mu
+        assert factored[0] == 24 and factored[1] > 0, factored
+
+    def test_no_svd_when_q_is_definite(self, monkeypatch):
+        calls = []
+        for name in ("svd", "eigvals"):
+            orig = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _o=orig, _n=name, **k: calls.append(_n) or _o(*a, **k))
+        rng = np.random.default_rng(8111)
+        for m in (1, 3, 50):
+            M = rng.normal(size=(m, m))
+            assert _solve_pencil(_sym(rng, m), M @ M.T + np.eye(m)) is not None
+        assert calls == []
+        _solve_pencil(_sym(rng, 3), _sym(rng, 3) - 10.0 * np.eye(3))  # indefinite or negative Q
+        assert "svd" in calls
+
+
 def _reference_roots(q, x, d, cut):
     """np.roots of the restriction q(x + t*d), trimmed at the same cutoff."""
     c2 = float(d @ q.A @ d)
