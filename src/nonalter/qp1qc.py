@@ -11,7 +11,8 @@ When the stationary system at the optimal multiplier is singular and
 complementarity fails, a kernel direction is added and scaled to reach the
 constraint boundary (the hard case).  Degenerate constraints (constants,
 everywhere-nonnegative g) are dispatched structurally before the dual is
-touched.
+touched; a definite g whose minimizer, read from its Cholesky factor, is
+clearly strictly feasible goes to the dual without a decomposition of g.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .quad_core import (
     RANK_RTOL,
     EigenDecomp,
     QuadForm,
+    _min_clearly_below,
+    _pencil_interval,
     evaluate,
     find_negative_point,
     line_roots,
-    pencil_interval,
     pseudo_inverse,
     quad_inf,
     restrict_affine,
@@ -91,10 +93,13 @@ class _DualPoint(NamedTuple):
     eig: EigenDecomp
 
 
-def _dual_at(f: QuadForm, g: QuadForm, lam: float) -> Optional[_DualPoint]:
+def _dual_at(f: QuadForm, g: QuadForm, lam: float,
+             eig: Optional[EigenDecomp] = None) -> Optional[_DualPoint]:
     """The dual and its derivatives at lam from one closed form; None where
-    psi(lam) = -inf; at lam = 0 it reads f's own decomposition."""
-    qi = quad_inf(f.eig if lam == 0.0 else f.A + lam * g.A, f.a + lam * g.a, f.a0 + lam * g.a0)
+    psi(lam) = -inf.  At lam = 0 it reads f's own decomposition, elsewhere
+    ``eig`` when the caller holds that of f.A + lam*g.A."""
+    Q = f.eig if lam == 0.0 else f.A + lam * g.A if eig is None else eig
+    qi = quad_inf(Q, f.a + lam * g.a, f.a0 + lam * g.a0)
     if qi.value == -np.inf:
         return None
     V = qi.eig.vectors
@@ -141,11 +146,12 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     :func:`_predictor` from the first exact point inside, then on exact
     points.  The returned dual is always an exact point.
     """
-    iv = pencil_interval(f, g, INF_PSD_RTOL)
+    # lower: the decomposition at a = iv[0] > 0, when the interval made one.
+    iv, lower = _pencil_interval(f, g, INF_PSD_RTOL)
     if iv is None or iv[1] < 0.0:
         return None, None
     a, b = max(iv[0], 0.0), iv[1]
-    d = _dual_at(f, g, a)
+    d = _dual_at(f, g, a, lower)
     if d is not None and d.slope <= 0.0:
         return a, d
     if b < np.inf:
@@ -306,8 +312,8 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
             return Qp1qcResult(status="infeasible", note="constant constraint is positive")
         return _unconstrained_result(f, note="constant constraint dropped")
 
-    gmin = unconstrained_min(g)
-    if gmin.status == "attained":
+    gmin = None if _min_clearly_below(g, tol * gscale) else unconstrained_min(g)
+    if gmin is not None and gmin.status == "attained":
         if gmin.value > tol * gscale:
             return Qp1qcResult(
                 status="infeasible",

@@ -61,8 +61,9 @@ class QuadForm:
     Each quadratic decomposes ``A`` and its lift at most once (``eig``,
     ``lift_eig``), and ``-q`` shares them with ``q``, negated.  It also
     keeps the pencil root solves of the pairs it came first in (see
-    :func:`pencil_interval`), in one table with ``-q``, and its
-    unconstrained minimum at the default cutoff (:func:`unconstrained_min`).
+    :func:`pencil_interval`), in one table with ``-q``, the Cholesky factor
+    of A when A is definite (``chol``), and its unconstrained minimum at the
+    default cutoff (:func:`unconstrained_min`).
     """
 
     A: np.ndarray
@@ -124,6 +125,15 @@ class QuadForm:
     def lift_eig(self) -> "EigenDecomp":
         """The read-only decomposition of lift(q), computed at most once."""
         return self._from_negation("lift_eig") or sym_eigen(lift(self))
+
+    @cached_property
+    def chol(self) -> Optional[np.ndarray]:
+        """The read-only Cholesky factor L of A (LL' = A) from
+        :func:`_definite_factor`, computed at most once; None when A has none."""
+        L = _definite_factor(self.A)
+        if L is not None:
+            L.setflags(write=False)
+        return L
 
     def _from_negation(self, name: str) -> Optional["EigenDecomp"]:
         # -q's decomposition, once it exists, serves q negated.
@@ -388,16 +398,20 @@ _PENCIL_FAR = 1e8
 class _PencilSolve(NamedTuple):
     """One root solve of the pencil P + lam*Q, reduced off the common kernel
     of P and Q to Pr + lam*Qr: the eigenvalues theta of (Pr + mu*Qr)^-1 Qr
-    at the shift mu (all zero when Qr is), and the largest entries of Pr
-    and Qr.  A positive definite Q has no common kernel with P: then
-    Pr, Qr = P, Q, mu = 0 and theta = 1/sigma for the eigenvalues sigma of
-    L^-1 P L^-T (an infinite theta is the root 0).  It serves all four
-    orientations (+-P, Q) and (+-Q, +-P)."""
+    at the shift mu (all zero when Qr is), the largest entries of Pr
+    and Qr, and whether the solve came from a Cholesky factor of Q.  A
+    positive definite Q has no common kernel with P: then ``definite`` is
+    set, Pr, Qr = P, Q, mu = 0 and theta = 1/sigma for the eigenvalues sigma
+    of L^-1 P L^-T (an infinite theta is the root 0).  It serves every
+    orientation +-P + lam*(+-Q) and +-Q + lam*(+-P); a definite solve knows
+    a positive definite member of all but -Q + lam*(+-P)
+    (:meth:`definite_segment`)."""
 
     theta: np.ndarray
     mu: float
     p_max: float
     q_max: float
+    definite: bool = False
 
     def test_points(self, sign: int = 1, swap: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """The roots and test points (:func:`_pencil_test_points`) of
@@ -430,6 +444,22 @@ class _PencilSolve(NamedTuple):
         pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
         return roots, pts
 
+    def definite_segment(self, roots: np.ndarray, swap: bool = False, q_sign: int = 1) -> Optional[int]:
+        """The segment j, from root j - 1 to root j (``roots`` of
+        :meth:`test_points`), that holds a positive definite member of the
+        pencil +-P + lam*q_sign*Q, or of q_sign*Q + lam*(+-P) when ``swap``.
+
+        Q = LL' is definite, so +-P + lam*Q is definite as lam -> inf (the
+        last segment), +-P - lam*Q as lam -> -inf (the first) and Q + lam*P
+        at lam = 0.  None for -Q + lam*P, for a solve that is not definite,
+        and when no root is left.
+        """
+        if not self.definite or not roots.size:
+            return None
+        if swap:
+            return int(np.searchsorted(roots, 0.0)) if q_sign > 0 else None
+        return roots.size if q_sign > 0 else 0
+
 
 def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
     """A Cholesky factor L of Q (LL' = Q) whose smallest pivot L_ii^2 is
@@ -443,21 +473,22 @@ def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
     return L if pivots.min() > RANK_RTOL * pivots.max() else None
 
 
-def _solve_pencil(P: np.ndarray, Q: np.ndarray) -> Optional[_PencilSolve]:
+def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) -> Optional[_PencilSolve]:
     """The root solve of P + lam*Q.
 
-    With a Cholesky factor LL' = Q (:func:`_definite_factor`) the roots are
-    lam = -sigma for the eigenvalues sigma of L^-1 P L^-T (Moré, Optim.
-    Methods Softw. 2, 1993), stored as theta = 1/sigma at mu = 0; a
-    definite Q leaves no common kernel to remove.  Otherwise the solve is at
-    the best-conditioned shift (one stacked SVD of the shifted matrices);
-    None when no shift leaves the reduced pencil well conditioned."""
-    L = _definite_factor(Q)
+    With a Cholesky factor LL' = Q (:func:`_definite_factor`; ``q.chol``
+    when Q is the quadratic part of ``q``) the roots are lam = -sigma for the
+    eigenvalues sigma of L^-1 P L^-T (Moré, Optim. Methods Softw. 2, 1993),
+    stored as theta = 1/sigma at mu = 0; a definite Q leaves no common
+    kernel to remove.  Otherwise the solve is at the best-conditioned shift
+    (one stacked SVD of the shifted matrices); None when no shift leaves
+    the reduced pencil well conditioned."""
+    L = _definite_factor(Q) if q is None else q.chol
     if L is not None:
         sigma = EigenDecomp.values_of(np.linalg.solve(L, np.linalg.solve(L, P).T)).values
         with np.errstate(divide="ignore", over="ignore"):
             theta = 1.0 / sigma
-        return _PencilSolve(theta, 0.0, float(np.abs(P).max()), float(np.abs(Q).max()))
+        return _PencilSolve(theta, 0.0, float(np.abs(P).max()), float(np.abs(Q).max()), True)
     _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
     V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
     Pr, Qr = V.T @ P @ V, V.T @ Q @ V
@@ -472,21 +503,13 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray) -> Optional[_PencilSolve]:
     return _PencilSolve(np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
 
 
-def _pencil_test_points(P: np.ndarray, Q: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The sorted real roots of det(P + lam*Q) off the common kernel of P
-    and Q, and the test points of :func:`psd_interval`: each root, the
-    midpoint of each pair of neighbours and one point beyond each extreme
-    root, ascending.  With no root the one test point is 0.  None when no
-    shift leaves the reduced pencil well conditioned.
-    """
-    solve = _solve_pencil(P, Q)
-    return None if solve is None else solve.test_points()
-
-
-def _pair_test_points(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
-    """:func:`_pencil_test_points` of P + lam*Q, the quadratic parts of p and
-    q or their lifts, from one root solve per pair up to the sign and the
-    order of p and q.
+def _pair_solve(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
+    """The root solve of P + lam*Q, the quadratic parts of p and q or their
+    lifts, as (solve, sign, swap, q_sign): one solve per pair up to the sign
+    and the order of p and q (solve None when no shift leaves the pencil
+    well conditioned).  ``sign`` and ``swap`` map its roots to this pencil
+    (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with which
+    the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
 
     The solve sits in the table of the pair's first quadratic (shared with
     its negative) under the other's table, as (id of the first, the other,
@@ -499,12 +522,11 @@ def _pair_test_points(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: 
             break
     else:
         first, second, swap = p, q, False
-        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, _solve_pencil(P, Q))
+        solve = _solve_pencil(P, Q, None if lifted else q)
+        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, solve)
     owner, other, solve = entry
-    if solve is None:
-        return None
-    sign = (1 if id(first) == owner else -1) * (1 if second is other else -1)
-    return solve.test_points(sign, swap)
+    q_sign = 1 if second is other else -1
+    return solve, (1 if id(first) == owner else -1) * q_sign, swap, q_sign
 
 
 def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
@@ -512,8 +534,15 @@ def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
     """:func:`psd_interval` of p.A + lam*q.A, or of lift(p) + lam*lift(q)
     when ``lifted``, from the root solve the pair shares across negation and
     swap of p and q."""
+    return _pencil_interval(p, q, tol, lifted)[0]
+
+
+def _pencil_interval(p: QuadForm, q: QuadForm, tol: float, lifted: bool = False):
+    """:func:`pencil_interval`, and the decomposition with vectors of
+    P + lo*Q at the interval's lower end lo when lo > 0 was read off a
+    definite solve (None otherwise), for a caller that goes on at lo."""
     P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    return _interval(P, Q, _pair_test_points(p, q, lifted, P, Q), tol)
+    return _interval(P, Q, tol, *_pair_solve(p, q, lifted, P, Q))
 
 
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
@@ -533,8 +562,19 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     pencil that is singular for every lam is never semidefinite (its
     singular Kronecker blocks have a zero diagonal block), which gives None.
 
-    The verdicts at the test points (:func:`_pencil_test_points`) are read
-    by bisection, in O(log n) decompositions unless some verdict is close.
+    The test points (:meth:`_PencilSolve.test_points`) are each root, the
+    midpoint of each pair of neighbours and one point beyond each extreme
+    root; with no root the one test point is 0.  A definite Q gives the
+    answer from the solve: P + lam*Q is definite on the last segment, which
+    closes at the largest root (Moré and Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 1983).  Two decompositions confirm it: the root passes, and
+    the test point before it fails clearly (below).  Between quadratics the
+    same solve serves P - lam*Q, definite on the first segment, and
+    Q + lam*P, definite on the segment around 0, confirmed at both ends in
+    at most four.  Where a check does not hold, and for every other pencil,
+    the verdicts are read by bisection, in O(log n) decompositions unless
+    some verdict is close.
+
     The cutoff grows with the spectral radius, so a test point may fail
     between two passing ones; the result spans the first to the last
     passing one, as a scan of all of them gives.  A failure is clear when
@@ -555,21 +595,46 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     one per pair, shared across the negation of either and their swap.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    return _interval(P, Q, _pencil_test_points(P, Q), tol)
+    return _interval(P, Q, tol, _solve_pencil(P, Q))[0]
 
 
-def _interval(P: np.ndarray, Q: np.ndarray, found, tol: float) -> Optional[Tuple[float, float]]:
-    """:func:`psd_interval` from the roots and test points ``found`` of P + lam*Q."""
-    if found is None:
-        return None
-    roots, pts = found
+def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilSolve],
+              sign: int = 1, swap: bool = False, q_sign: int = 1):
+    """:func:`psd_interval` of P + lam*Q, and the decomposition of
+    :func:`_pencil_interval`, from ``solve``, the root solve of a pencil
+    P0 + lam*Q0 that P + lam*Q is up to ``sign``, ``swap`` and ``q_sign``
+    (:func:`_pair_solve`)."""
+    if solve is None:
+        return None, None
+    roots, pts = solve.test_points(sign, swap)
     clear = 2.0 * tol * (1.0 + np.linalg.norm(P) + np.abs(pts[[0, -1]]).max() * np.linalg.norm(Q))
+    # Test point 2j is segment j, from edge j to edge j + 1; test point 2j + 1
+    # is root j, which is edge j + 1.
+    edges = np.concatenate([[-np.inf], roots, [np.inf]])
 
     def verdict(ed: EigenDecomp) -> Optional[bool]:
         # True: passes; False: fails clearly; None: fails, but close.
         if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
             return True
         return False if ed.values[0] < -clear else None
+
+    j = solve.definite_segment(roots, swap, q_sign)
+    if j is not None:
+        # Segment j holds a definite member, so its inertia passes.  Each
+        # finite end must pass, and the test point beyond it fail clearly,
+        # which by concavity rules out every test point farther out.  The
+        # lower end, when positive, is decomposed with vectors for the caller.
+        lower = None
+        for k, out in ((2 * j - 1, 2 * j - 2), (2 * j + 1, 2 * j + 2)):
+            if not 0 < k < pts.size:
+                continue  # an infinite end
+            M = P + pts[k] * Q
+            ed = EigenDecomp.of(M) if out < k and pts[k] > 0.0 else EigenDecomp.values_of(M)
+            if not verdict(ed) or verdict(EigenDecomp.values_of(P + pts[out] * Q)) is not False:
+                break
+            lower = ed if ed.vectors is not None else lower
+        else:
+            return (float(edges[j]), float(edges[j + 1])), lower
 
     def any_passing(lo: int, hi: int) -> Optional[Tuple[int, int, int]]:
         # A passing test point in [lo, hi] and a range within [lo, hi]
@@ -619,14 +684,11 @@ def _interval(P: np.ndarray, Q: np.ndarray, found, tol: float) -> Optional[Tuple
 
     start = any_passing(0, pts.size - 1)
     if start is None:
-        return None
+        return None, None
     k, lo, hi = start
     first, last = first_passing(lo, k - 1), last_passing(k + 1, hi)
     first, last = k if first is None else first, k if last is None else last
-    # Test point 2j is segment j, from edge j to edge j + 1; test point 2j + 1
-    # is root j, which is edge j + 1.
-    edges = np.concatenate([[-np.inf], roots, [np.inf]])
-    return float(edges[(first + 1) // 2]), float(edges[last // 2 + 1])
+    return (float(edges[(first + 1) // 2]), float(edges[last // 2 + 1])), None
 
 
 def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:
@@ -716,6 +778,36 @@ def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
     Its arrays are read-only; at the default ``rtol`` it is computed at most
     once per quadratic."""
     return q._min if rtol == RANK_RTOL else _unconstrained_min(q, rtol)
+
+
+def _min_clearly_below(q: QuadForm, cut: float) -> bool:
+    """True when q's minimum lies clearly below -cut, read at its minimizer
+    x = -L^-T L^-1 q.a from the Cholesky factor LL' = q.A (``q.chol``)
+    without a decomposition of q.A.  False leaves the verdict to
+    :func:`unconstrained_min`: when q.A has no factor, when the test is
+    close, and when q.A is already decomposed (``q.eig``, or ``-q``'s),
+    from which that minimum costs no decomposition.
+
+    A True never contradicts that minimum.  The test runs only when every
+    eigenvalue of q.A is above twice the minimum's cutoff, as
+    lam_min >= 1/|L^-1|_F^2 and lam_max <= |L|_F^2 show, so both read the
+    same exact minimum.  The margin covers the rounding of both evaluations
+    and what a solve's residual e costs in value, at most |e|^2 |L^-1|_F^2,
+    with |e| <= 8n eps (lam_max |x| + |q.a|).
+    """
+    neg = q.__dict__.get("_neg")
+    if "eig" in q.__dict__ or (neg is not None and "eig" in neg.__dict__) or q.chol is None:
+        return False
+    Li = np.linalg.inv(q.chol)
+    inv_norm, top = float(np.square(Li).sum()), float(np.square(q.chol).sum())
+    if RANK_RTOL * (1.0 + top) * inv_norm >= 0.5:
+        return False
+    x = -(Li.T @ (Li @ q.a))
+    quad, lin, xn = float(x @ q.A @ x), float(q.a @ x), float(np.linalg.norm(x))
+    err = 8.0 * q.n * np.finfo(float).eps
+    resid = err * (top * xn + float(np.linalg.norm(q.a)))
+    margin = err * (top * xn * xn + 2.0 * abs(lin) + abs(q.a0)) + resid * resid * inv_norm
+    return quad + 2.0 * lin + q.a0 < -cut - margin
 
 
 def _unconstrained_min(q: QuadForm, rtol: float) -> UnconstrainedMin:

@@ -9,7 +9,15 @@ from nonalter.duality import lagrangian_dual_value
 from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min, probe_unbounded
 from nonalter.qp1qc import solve_qp1qc, solve_on_affine_subspace
-from nonalter.quad_core import INF_PSD_RTOL, EigenDecomp, QuadForm, evaluate, pencil_interval
+from nonalter.quad_core import (
+    INF_PSD_RTOL,
+    EigenDecomp,
+    QuadForm,
+    _min_clearly_below,
+    evaluate,
+    pencil_interval,
+    unconstrained_min,
+)
 
 
 class TestHandCases:
@@ -326,3 +334,116 @@ class TestPredictedIterates:
                     assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
             cases += got.lam is not None and got.lam > 0.0
         assert cases >= 150
+
+
+def _ball(rng, n, r2, far=1.0):
+    """(x - c)'P(x - c) <= r2 with P positive definite, c of norm about far*sqrt(n)."""
+    M = rng.normal(size=(n, n))
+    P = M @ M.T / n + 0.2 * np.eye(n)
+    c = far * rng.normal(size=n)
+    return QuadForm(P, -P @ c, float(c @ P @ c) - r2)
+
+
+class TestSlaterFromFactor:
+    """The Slater regime read from g's Cholesky factor takes the branch, and
+    gives the reply, that g's eigen-based minimum gives."""
+
+    @staticmethod
+    def _same_as_the_eigen_test(monkeypatch, f, g):
+        got = solve_qp1qc(f, g)
+        with monkeypatch.context() as mp:
+            mp.setattr(qp1qc, "_min_clearly_below", lambda g, cut: False)
+            want = solve_qp1qc(QuadForm(f.A, f.a, f.a0), QuadForm(g.A, g.a, g.a0))
+        assert (got.status, got.note, got.lam, got.value) == (want.status, want.note, want.lam, want.value)
+        return got
+
+    def test_near_collapse_balls(self, rng, monkeypatch):
+        for n in (1, 2, 5, 20):
+            gscale = 1.0 + _ball(np.random.default_rng(n), n, 0.0).data_scale()
+            for r2 in (0.0, 0.5e-8 * gscale, -0.5e-8 * gscale, 1.0):
+                f, g = random_quadform(rng, n), _ball(np.random.default_rng(n), n, r2)
+                r = self._same_as_the_eigen_test(monkeypatch, f, g)
+                assert r.status == "attained"
+                assert (r.note == "feasible set is a single point") == (r2 != 1.0)
+
+    def test_one_point_and_infeasible(self, rng, monkeypatch):
+        f = random_quadform(rng, 2)
+        r = self._same_as_the_eigen_test(monkeypatch, f, poly2(axx=1, ayy=1))
+        assert r.note == "feasible set is a single point"
+        r = self._same_as_the_eigen_test(monkeypatch, f, poly2(axx=1, ayy=1, c=1))
+        assert r.status == "infeasible"
+        r = self._same_as_the_eigen_test(monkeypatch, f, _ball(rng, 2, -1.0))
+        assert r.status == "infeasible"
+
+    def test_far_minimizer(self, rng, monkeypatch):
+        # Far from the origin the minimum -1 is within the cutoff, which
+        # grows with |c|^2: the eigen-based minimum decides, as before.
+        for far, decides in ((1e2, True), (1e6, False)):
+            for n in (2, 10):
+                g = _ball(rng, n, 1.0, far)
+                assert _min_clearly_below(g, 1e-8 * (1 + g.data_scale())) == decides
+                self._same_as_the_eigen_test(monkeypatch, random_quadform(rng, n), g)
+
+    def test_eigenvalues_below_the_cutoff(self, rng, monkeypatch):
+        # g.A = 1e-12 I has a Cholesky factor, but unconstrained_min counts
+        # its eigenvalues as zero: the factor must not decide.
+        n = 3
+        for a0 in (-1.0, -1e-8, 1e-9):
+            g = QuadForm(1e-12 * np.eye(n), 1e-13 * rng.normal(size=n), a0)
+            assert g.chol is not None and not _min_clearly_below(g, 1e-8 * (1 + g.data_scale()))
+            self._same_as_the_eigen_test(monkeypatch, random_quadform(rng, n), g)
+
+    def test_minimum_within_rounding_is_not_clear(self):
+        # g = 1.5|x|^2 - r2 has its minimum -r2 at x = 0; a few ulps below
+        # -cut is within the rounding the margin covers, twice -cut is not.
+        cut = 1e-8 * 2.5
+        for r2, clear in ((cut * (1.0 + 4.0 * np.finfo(float).eps), False), (2.0 * cut, True)):
+            g = QuadForm(1.5 * np.eye(2), np.zeros(2), -r2)
+            assert _min_clearly_below(g, cut) == clear
+
+    def test_known_decomposition_decides(self, rng, monkeypatch):
+        # Once g.A is decomposed (for g or -g), g's minimum costs no
+        # decomposition and decides the regime; the factor's test does not run.
+        def no_inverse(M):
+            raise AssertionError("the factor's test ran")
+
+        for known in (lambda g: unconstrained_min(g), lambda g: (-g).eig):
+            f, g, _ = trust_region_pair(rng, 5, False)
+            known(g)
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "inv", no_inverse)
+                assert solve_qp1qc(f, g).status == "attained"
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_constraint_never_decomposed(self, rng, n):
+        # An easy trust-region solve reads g.A through its Cholesky factor
+        # alone: neither its eigendecomposition nor its minimum is computed.
+        for _ in range(5):
+            f, g, _ = trust_region_pair(rng, n, False)
+            assert solve_qp1qc(f, g).status == "attained"
+            assert "eig" not in g.__dict__ and "_min" not in g.__dict__
+            assert g.chol is not None
+
+
+class TestLowerEnd:
+    """The dual at a positive lower end of its domain reads the interval's
+    decomposition there."""
+
+    def test_lower_end_decomposed_once(self, rng, monkeypatch):
+        # The interval check at a positive lower end a decomposes
+        # f.A + a*g.A, and the dual at a reads that decomposition.
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M, *a, **k: seen.append(M.copy()) or eigh(M, *a, **k))
+        checked = 0
+        for _ in range(20):
+            f, g, _ = trust_region_pair(rng, 8, False)
+            f = f - 3.0 * QuadForm(np.eye(8), np.zeros(8), 0.0)  # f.A indefinite: a > 0
+            lo = pencil_interval(f, g, INF_PSD_RTOL)[0]
+            f, g = QuadForm(f.A, f.a, f.a0), QuadForm(g.A, g.a, g.a0)  # nothing cached
+            seen.clear()
+            solve_qp1qc(f, g)
+            at_lo = [M for M in seen if np.array_equal(M, f.A + lo * g.A)]
+            assert len(at_lo) == (1 if lo > 0.0 else 0)
+            checked += lo > 0.0
+        assert checked >= 15

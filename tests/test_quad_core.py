@@ -14,8 +14,9 @@ from nonalter.quad_core import (
     PSD_RTOL,
     RANK_RTOL,
     DimensionError,
-    _pair_test_points,
-    _pencil_test_points,
+    _definite_factor,
+    _pair_solve,
+    _pencil_interval,
     _solve_pencil,
     EigenDecomp,
     PsdVerdict,
@@ -266,6 +267,20 @@ class TestValidation:
         q = poly2(axx=1)
         with pytest.raises(ValueError):
             q.A[0, 0] = 5.0
+
+
+def _pencil_test_points(P, Q):
+    """The roots and test points of a direct root solve of P + lam*Q; None
+    when no shift leaves the pencil well conditioned."""
+    solve = _solve_pencil(P, Q)
+    return None if solve is None else solve.test_points()
+
+
+def _pair_test_points(p, q, lifted, P, Q):
+    """The roots and test points of P + lam*Q from the root solve the pair
+    (p, q) shares."""
+    solve, sign, swap, _ = _pair_solve(p, q, lifted, P, Q)
+    return None if solve is None else solve.test_points(sign, swap)
 
 
 def _scan_verdicts(P, Q, lams, tol=1e-9):
@@ -638,6 +653,89 @@ class TestDefinitePencil:
         assert calls == []
         _solve_pencil(_sym(rng, 3), _sym(rng, 3) - 10.0 * np.eye(3))  # indefinite or negative Q
         assert "svd" in calls
+
+
+class TestDefiniteInterval:
+    """A definite Q gives the interval of an orientation of the pencil from
+    its root solve, confirmed at the ends; else the bisection reads it."""
+
+    @staticmethod
+    def _orientations(p, q):
+        # With the number of decompositions that confirm a read interval:
+        # +-P +- lam*Q and Q + lam*(+-P) have a known definite member.
+        return (((p, q), 2), ((-p, q), 2), ((p, -q), 2), ((-p, -q), 2),
+                ((q, p), 4), ((q, -p), 4), ((-q, p), None), ((-q, -p), None))
+
+    def _check(self, P, Q, eig_calls, tol=PSD_RTOL):
+        """Every orientation's interval is the scan's; returns the number of
+        orientations with a known definite member that took the bisection."""
+        m = len(P)
+        p, q = QuadForm(P, np.zeros(m), 0.0), QuadForm(Q, np.zeros(m), 0.0)
+        bisected = 0
+        for (a, b), budget in self._orientations(p, q):
+            found = _pair_test_points(a, b, False, a.A, b.A)
+            eig_calls[0] = 0
+            iv = pencil_interval(a, b, tol)
+            bisected += budget is not None and eig_calls[0] > budget
+            assert iv == _psd_interval_scan(a.A, b.A, tol, found=found)
+        return bisected
+
+    def test_matches_the_scan_in_every_orientation(self, eig_calls):
+        rng = np.random.default_rng(8112)
+        for m in range(2, 52):
+            M = rng.normal(size=(m, m))
+            Q = M @ M.T / m + 0.1 * np.eye(m)
+            L = rng.normal(size=(m, m - 1))
+            tol = PSD_RTOL if m % 2 else INF_PSD_RTOL
+            for P in (_sym(rng, m), L @ L.T - float(rng.normal()) * Q):
+                assert self._check(P, Q, eig_calls, tol) == 0
+
+    def test_close_top_roots_take_the_bisection(self, eig_calls):
+        # The top two roots of P + lam*Q lie within about twice the cutoff
+        # of each other: the test point between them fails, but not
+        # clearly, so the read is not confirmed.
+        rng = np.random.default_rng(8113)
+        bisected = 0
+        for m in (2, 3, 5, 10, 20, 51):
+            for _ in range(6):
+                r = np.sort(rng.uniform(-3.0, 3.0, size=m))
+                e = rng.uniform(0.5, 2.0, size=m)
+                r[-2] = r[-1] - rng.uniform(0.1, 4.0) * PSD_RTOL * (1.0 + 6.0 * np.abs(r).max()) / e[-1]
+                bisected += self._check(*_rotated(rng, -r * e, e), eig_calls)
+        assert bisected >= 50
+
+    def test_factor_just_above_the_bar(self, eig_calls):
+        # A smallest pivot one to three times RANK_RTOL of the largest puts
+        # roots past the far cutoff of the test points: reads that do not
+        # hold at their checks fall through to the bisection.
+        rng = np.random.default_rng(8114)
+        bisected = 0
+        for m in (2, 3, 5, 10, 20, 51):
+            for _ in range(6):
+                e = rng.uniform(1.0, 2.0, size=m)
+                e[0] = RANK_RTOL * e.max() * rng.uniform(1.05, 3.0)
+                Q = np.diag(e)
+                assert _definite_factor(Q) is not None and _solve_pencil(_sym(rng, m), Q).definite
+                bisected += self._check(_sym(rng, m), Q, eig_calls)
+        assert bisected >= 20
+
+    def test_lower_end_decomposition(self, rng):
+        # The read decomposes P + lo*Q at a positive lower end with vectors,
+        # bit for bit the decomposition of that matrix.
+        for _ in range(10):
+            f, g, _ = trust_region_pair(rng, 6, False)
+            iv, lower = _pencil_interval(f, g, INF_PSD_RTOL)
+            if iv[0] > 0.0:
+                ref = EigenDecomp.of(f.A + iv[0] * g.A)
+                assert np.array_equal(lower.values, ref.values)
+                assert np.array_equal(lower.vectors, ref.vectors)
+            else:
+                assert lower is None
+            # g.A + lam*f.A is definite at 0: its lower end is negative.
+            iv, lower = _pencil_interval(g, f, INF_PSD_RTOL)
+            assert iv[0] < 0.0 < iv[1] and lower is None
+        _, lower = _pencil_interval(-f, -g, INF_PSD_RTOL)  # -g is not definite
+        assert lower is None
 
 
 def _reference_roots(q, x, d, cut):
