@@ -2,11 +2,13 @@
 """End to end: classify, reduce or dual-solve, recover, cross-check.
 
 The orchestrator dispatches on the arrangement class: redundant or
-degenerate constraints exit through single-constraint solves, the
+degenerate constraints exit through single-constraint solves, and the
 certified class goes through the two-multiplier dual plus solution
-recovery, and everything else falls back to a brute-force estimate that
-is clearly flagged as non-certified.  Every recovered point carries its
-residuals in the report.
+recovery.  Outside the class the dual still runs: when its minimizer is
+feasible at the dual value, weak duality certifies it (ex23, cdt_s2,
+hqpd_s5a, hqpd_s5b); only where it is not (ex22, with a duality gap) does
+the report fall back to a brute-force estimate, clearly flagged as
+non-certified.  Every recovered point carries its residuals in the report.
 """
 
 import numpy as np

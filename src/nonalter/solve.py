@@ -6,8 +6,11 @@ to an affine subspace; the degenerate one-variable pattern splits into a
 halfspace piece and a hyperplane piece; instances with both zero sets
 one-sided get the two-multiplier dual, whose Lagrangian minimizer is checked
 as the optimal point (a search of the minimizers of f only when both
-multipliers are 0); and for everything outside that class the report falls
-back to a brute-force estimate flagged as non-certified.
+multipliers are 0).  Outside that class the dual is still computed, and the
+same check certifies its minimizer by weak duality alone: a feasible point
+at the dual value is a global minimizer in any class.  Only where it finds
+no such point does the report fall back to a brute-force estimate (n <= 3)
+flagged as non-certified, or to ``undetermined``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ from .classify import (
     SearchSpec,
     classify_problem,
 )
-from .duality import DualSolveResult, solve_dual_2d
+from .duality import DualPoint, DualSolveResult, slack_matrix, solve_dual_2d
 from .oracle import GridSpec, grid_min, probe_unbounded
 from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
+    EigenDecomp,
     QuadForm,
     evaluate,
     null_basis,
+    quad_inf,
     restrict_affine,
     unconstrained_min,
 )
@@ -43,6 +48,11 @@ class NoSublevelPoint(RuntimeError):
 
 SIDE_G_NEG_H_POS = "g_neg_h_pos"
 SIDE_G_POS_H_NEG = "g_pos_h_neg"
+#: :func:`_refine_kkt`: Newton steps at most, and the relative step below
+#: which it stops (the dual's point is first-order accurate, so one or two
+#: steps reach rounding).
+_REFINE_STEPS = 3
+_REFINE_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,12 @@ class ReducedProblem:
 @dataclass(frozen=True)
 class SolveReport:
     classification: ArrangementReport
-    status: str  # solved | infeasible | unbounded | dual_infeasible | undetermined | estimate_only | numerical_failure
+    # solved | infeasible | unbounded | dual_infeasible | undetermined |
+    # estimate_only | numerical_failure.  Outside the class, ``solved`` is
+    # certified by weak duality (a feasible point at the dual value);
+    # ``estimate_only`` and ``undetermined`` are left where no such point
+    # is found.
+    status: str
     nu_star: Optional[float]
     certified: bool
     attained: Optional[bool] = None
@@ -111,30 +126,51 @@ def recover_solution(
 ):
     """Recover an optimal point from a finite dual, or None when unattained.
 
-    The side comes from the multipliers: a positive multiplier on g alone
-    means {f < nu*} lies where g > 0 > h, on h alone the mirror side.  The
-    dual's Lagrangian minimizer ``dual.x`` is optimal when f there is nu*
-    within tol*(1 + |nu*|), both constraints hold and one with a positive
-    multiplier is active, within tol*(1 + its data scale).  Otherwise, with both
-    multipliers 0 (nu* is the unconstrained infimum), the affine manifold of
-    unconstrained minimizers is searched for a feasible point by minimizing
-    the restricted g under the restricted h.
+    The test needs no arrangement class, only weak duality: a point where
+    both constraints hold, each one with a positive multiplier is active
+    (both within tol*(1 + its data scale)), and f equals the dual value
+    psi(lam) within tol*(1 + |psi|) is a global minimizer.  The dual's
+    Lagrangian minimizer ``dual.x`` is tested first.  When it misses with
+    both multipliers positive, a few Newton steps on the KKT system
+    (grad_x L = 0, g = h = 0 in x and both multipliers) refine it; the
+    refined point is accepted by the same test at the refined multipliers,
+    which must stay nonnegative, against one exact evaluation of psi there,
+    and the returned dual then carries those multipliers and that value.
+    With both multipliers 0 (nu* is the unconstrained infimum) the affine
+    manifold of unconstrained minimizers is searched for a feasible point
+    by minimizing the restricted g under the restricted h.
 
-    Returns ``(x_star or None, side or None, notes)``.
+    The side comes from the multipliers: a positive multiplier on g alone
+    means {f < nu*} lies where g > 0 > h, on h alone the mirror side; it is
+    the paper's dichotomy, so it means something only in the class.
+
+    Returns ``(x_star or None, side or None, notes, dual)``, where ``dual``
+    is the input or its refinement, the one whose value ``x_star`` reaches.
     """
-    nu, lam = dual.value, (dual.best.lambda1, dual.best.lambda2)
+    lam = (dual.best.lambda1, dual.best.lambda2)
     active = (lam[0] > 0.0, lam[1] > 0.0)
     side = {(True, False): SIDE_G_POS_H_NEG, (False, True): SIDE_G_NEG_H_POS}.get(active)
 
-    def optimal(x):
+    def optimal(x, nu):
         gates = [(evaluate(q, x), tol * (1.0 + q.data_scale()), on) for q, on in zip((g, h), active)]
         return (abs(evaluate(f, x) - nu) <= tol * (1.0 + abs(nu))
                 and all(v <= cut and (v >= -cut or not on) for v, cut, on in gates))
 
-    if dual.x is not None and optimal(dual.x):
-        return dual.x, side, ["the dual's Lagrangian minimizer is optimal"]
+    if dual.x is not None and optimal(dual.x, dual.value):
+        return dual.x, side, ["the dual's Lagrangian minimizer is optimal"], dual
+    refined = _refine_kkt(f, g, h, dual.x, lam) if all(active) and dual.x is not None else None
+    if refined is not None and min(refined[1:]) >= 0.0:
+        x, l1, l2 = refined
+        psi = float(quad_inf(f.A + l1 * g.A + l2 * h.A, f.a + l1 * g.a + l2 * h.a,
+                             f.a0 + l1 * g.a0 + l2 * h.a0).value)
+        if np.isfinite(psi) and optimal(x, psi):
+            Z = slack_matrix(f, g, h, psi, l1, l2)
+            best = DualPoint(lambda1=l1, lambda2=l2, gamma=psi,
+                             slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
+            return x, side, ["the dual's Lagrangian minimizer is optimal after a KKT "
+                             "Newton refinement"], replace(dual, value=psi, best=best, x=x)
     if any(active):
-        return None, side, ["no optimal Lagrangian minimizer from the dual: value unattained"]
+        return None, side, ["no optimal Lagrangian minimizer from the dual: value unattained"], dual
     notes = ["both multipliers 0: searching the minimizers of f"]
     um = unconstrained_min(f)
     x = um.x
@@ -142,10 +178,35 @@ def recover_solution(
         Z = um.kernel
         sub = solve_qp1qc(restrict_affine(g, x, Z), restrict_affine(h, x, Z), tol)
         x = x + Z @ sub.x if sub.status == "attained" else None
-    if x is not None and optimal(x):
-        return x, side, notes
+    if x is not None and optimal(x, dual.value):
+        return x, side, notes, dual
     notes.append("no feasible point on the minimizer manifold: value unattained")
-    return None, side, notes
+    return None, side, notes, dual
+
+
+def _refine_kkt(f: QuadForm, g: QuadForm, h: QuadForm, x: np.ndarray, lam):
+    """Newton's method on (Q(lam)x + v(lam), g(x), h(x)) = 0 in (x, lam1, lam2).
+
+    At most ``_REFINE_STEPS`` steps, fewer once a step is below rounding.
+    Returns ``(x, lam1, lam2)``, or None when the Jacobian is singular.
+    """
+    n = f.n
+    (l1, l2), J = lam, np.zeros((n + 2, n + 2))
+    for _ in range(_REFINE_STEPS):
+        J[:n, :n] = f.A + l1 * g.A + l2 * h.A
+        wg, wh = g.A @ x + g.a, h.A @ x + h.a
+        r = np.concatenate([J[:n, :n] @ x + f.a + l1 * g.a + l2 * h.a,
+                            [evaluate(g, x), evaluate(h, x)]])
+        J[:n, n], J[:n, n + 1] = wg, wh
+        J[n, :n], J[n + 1, :n] = 2.0 * wg, 2.0 * wh
+        try:
+            step = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            return None
+        x, l1, l2 = x + step[:n], l1 + float(step[n]), l2 + float(step[n + 1])
+        if np.abs(step).max() <= _REFINE_RTOL * (1.0 + np.abs(x).max() + abs(l1) + abs(l2)):
+            break
+    return x, l1, l2
 
 
 def _build_reduction(f, g, h, hint: dict, tol: float) -> ReducedProblem:
@@ -355,8 +416,8 @@ def solve_nonalter(
                 classification=report, status="numerical_failure", nu_star=dual.value,
                 certified=False, dual=dual, pathway=pathway,
             )
+        x, side, notes, dual = recover_solution(f, g, h, dual, tol)
         nu = dual.value
-        x, side, notes = recover_solution(f, g, h, dual, tol)
         res = _residuals(f, g, h, x, nu) if x is not None else None
         return SolveReport(
             classification=report, status="solved", nu_star=nu, certified=True,
@@ -366,6 +427,19 @@ def solve_nonalter(
 
     if cls is ArrangementClass.OUTSIDE_NON_ALTER:
         dual = solve_dual_2d(f, g, h, tol, collect_trace=collect_trace)
+        if dual.status == "finite":
+            # Weak duality alone: a feasible point at the dual value is a
+            # global minimizer in any class.  The side is an in-class theorem.
+            x, _, notes, found = recover_solution(f, g, h, dual, tol)
+            if x is not None:
+                return SolveReport(
+                    classification=report, status="solved", nu_star=found.value,
+                    certified=True, attained=True, x_star=x,
+                    residuals=_residuals(f, g, h, x, found.value), dual=found,
+                    pathway=pathway + tuple(notes) + (
+                        "certified by weak duality: a feasible point at the dual value "
+                        "is a global minimizer",),
+                )
         estimate = None
         status = "undetermined"
         nu = None

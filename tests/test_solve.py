@@ -57,15 +57,32 @@ class TestSolveExamples:
         assert rep.nu_star == pytest.approx(1.0, abs=1e-7)
         assert np.allclose(rep.x_star, [1.0, 0.0], atol=1e-6)
 
-    def test_outside_class_is_estimate_only(self):
+    def test_outside_class_certified_by_weak_duality(self, monkeypatch):
+        # Outside the class the dual's minimizer (1, 0) is feasible and
+        # reaches the dual value, so weak duality certifies it without the
+        # grid; the side is an in-class theorem and stays unset.
+        monkeypatch.setattr(solve, "grid_min", None)
         f, g, h, _ = corpus.load("cdt_s2")
         rep = solve_nonalter(f, g, h)
-        assert rep.status == "estimate_only" and not rep.certified
-        assert rep.nu_star == pytest.approx(1.0, abs=1e-2)
-        # The dual is still reported as a (possibly loose) lower bound.
-        assert rep.dual is not None
-        assert rep.dual.value <= rep.nu_star + 1e-6
+        assert rep.classification.overall_class is ArrangementClass.OUTSIDE_NON_ALTER
+        assert rep.status == "solved" and rep.certified and rep.attained
+        assert rep.nu_star == pytest.approx(1.0, abs=1e-9)
+        assert rep.dual.value == rep.nu_star
+        assert rep.side is None and rep.oracle_estimate is None
+        assert "weak duality" in rep.pathway[-1]
 
+    def test_outside_class_with_a_gap_is_estimate_only(self, monkeypatch):
+        # ex22 has a duality gap: no feasible point reaches the dual value
+        # 49, so the grid estimate remains, bounded below by the dual.
+        grid_calls = []
+        monkeypatch.setattr(solve, "grid_min", lambda *a: grid_calls.append(a) or grid_min(*a))
+        f, g, h, _ = corpus.load("ex22")
+        rep = solve_nonalter(f, g, h)
+        assert rep.status == "estimate_only" and not rep.certified
+        assert rep.x_star is None and grid_calls
+        assert rep.dual.value == pytest.approx(49.0, rel=1e-9)
+        assert rep.nu_star == pytest.approx(63.845, abs=1e-9)
+        assert rep.dual.value <= rep.nu_star
 
     def test_annulus_with_a_planar_kernel(self):
         # f = x1^2 over 1/2 <= |y - c| <= 1, y = (x2, x3): the value 0 is
@@ -137,7 +154,7 @@ class TestRecoverSolution:
         f = poly2(axx=1)
         g = poly2(ayy=1, c=-1)
         h = poly2(by=-1)
-        x, side, notes = recover_solution(f, g, h, _origin_dual(0.0))
+        x, side, notes, _ = recover_solution(f, g, h, _origin_dual(0.0))
         assert x is not None and side is None
         assert np.allclose(x, [0.0, 0.0], atol=1e-8)
 
@@ -147,7 +164,7 @@ class TestRecoverSolution:
         h = QuadForm.constant(1, -1.0)
         dual = solve_dual_2d(f, g, h)
         assert dual.value == pytest.approx(4.0, abs=1e-9)
-        x, side, _ = recover_solution(f, g, h, dual)
+        x, side, _, _ = recover_solution(f, g, h, dual)
         assert side == SIDE_G_POS_H_NEG
         assert x[0] == pytest.approx(1.0, abs=1e-7)
         assert evaluate(g, x) == pytest.approx(0.0, abs=1e-8)
@@ -155,7 +172,7 @@ class TestRecoverSolution:
 
     def test_side_g_neg_h_pos(self):
         f, g, h, _ = corpus.load("ex25a")
-        x, side, _ = recover_solution(f, g, h, solve_dual_2d(f, g, h))
+        x, side, _, _ = recover_solution(f, g, h, solve_dual_2d(f, g, h))
         assert side == SIDE_G_NEG_H_POS
         assert evaluate(h, x) == pytest.approx(0.0, abs=1e-8) and evaluate(g, x) <= 1e-8
 
@@ -166,16 +183,16 @@ class TestRecoverSolution:
         g = poly1(axx=1, c=-1)
         h = QuadForm.constant(1, -1.0)
         dual = DualSolveResult("finite", 9.0, DualPoint(2.0, 0.0, 9.0, 0.0), x=np.zeros(1))
-        x, side, notes = recover_solution(f, g, h, dual)
+        x, side, notes, _ = recover_solution(f, g, h, dual)
         assert x is None and side == SIDE_G_POS_H_NEG and notes[-1].endswith("unattained")
-        x, side, _ = recover_solution(f, g, h, replace(dual, best=DualPoint(0.0, 0.0, 9.0, 0.0)))
+        x, side, _, _ = recover_solution(f, g, h, replace(dual, best=DualPoint(0.0, 0.0, 9.0, 0.0)))
         assert np.array_equal(x, np.zeros(1)) and side is None
 
     def test_branch_a_unique_minimizer(self):
         f = poly2(axx=1, ayy=1)
         g = poly2(bx=1, by=1, c=-1)
         h = QuadForm.constant(2, -1.0)
-        x, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
+        x, _, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
         assert np.allclose(x, 0.0, atol=1e-10)
 
     def test_manifold_gates_in_constraint_units(self):
@@ -184,7 +201,7 @@ class TestRecoverSolution:
         f = poly2(axx=1, c=1e8)
         g = poly2(ayy=1, c=0.5)
         h = QuadForm.constant(2, -1.0)
-        x, side, notes = recover_solution(f, g, h, _origin_dual(1e8))
+        x, side, notes, _ = recover_solution(f, g, h, _origin_dual(1e8))
         assert x is None and side is None and notes[-1].endswith("unattained")
 
     def test_branch_a_decomposes_f_once(self, eig_calls):
@@ -196,7 +213,7 @@ class TestRecoverSolution:
         solve_qp1qc(restrict_affine(g, np.zeros(2), Z), restrict_affine(h, np.zeros(2), Z))
         sub = eig_calls[0]
         eig_calls[0] = 0
-        x, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
+        x, _, _, _ = recover_solution(f, g, h, _origin_dual(0.0))
         assert x is not None and eig_calls[0] == 1 + sub
         eig_calls[0] = 0
         recover_solution(poly2(axx=1, ayy=1), poly2(bx=1, by=1, c=-1), QuadForm.constant(2, -1.0),
@@ -215,7 +232,7 @@ class TestRecoverSolution:
                 with monkeypatch.context() as m:
                     m.setattr(solve, "solve_qp1qc", lambda *a: calls.append(a))
                     eig_calls[0] = 0
-                    x, side, _ = recover_solution(f, g, h, dual)
+                    x, side, _, _ = recover_solution(f, g, h, dual)
                 assert x is not None and side is not None
                 assert calls == [] and eig_calls[0] == 0
 
