@@ -428,8 +428,10 @@ def _assumption5_one_orientation(g, h, tol):
     if form.m != 1 or form.theta != 1:
         return None
     c1, c0 = cbar[1], cbar[0]
-    if c1 < 0:  # orient the basis so the affine slope is positive
-        c1, c0 = -c1, -c0
+    if c1 < 0:  # flip y1 for a positive slope; g's -y1^2 + 1 is even in y1
+        T = change.T.copy()
+        T[:, 0] = -T[:, 0]
+        change, c1 = AffineChange(T, change.t, change.s), -c1
     return {"change": change, "c1": float(c1), "c0": float(c0)}
 
 

@@ -1,16 +1,20 @@
 """End-to-end solver: classify, reduce or dual-solve, then recover a point.
 
-The dispatch mirrors the arrangement classes: infeasibility and redundant
-constraints exit through single-constraint solves; Slater failures restrict
-to an affine subspace; the degenerate one-variable pattern splits into a
-halfspace piece and a hyperplane piece; instances with both zero sets
-one-sided get the two-multiplier dual, whose Lagrangian minimizer is checked
-as the optimal point (a search of the minimizers of f only when both
-multipliers are 0).  Outside that class the dual is still computed, and the
-same check certifies its minimizer by weak duality alone: a feasible point
-at the dual value is a global minimizer in any class.  Only where it finds
-no such point does the report fall back to a brute-force estimate (n <= 3)
-flagged as non-certified, or to ``undetermined``.
+One dispatch on the arrangement class, one path per class.  Infeasible
+instances exit at once.  A class with a reduction hint (a redundant
+constraint, Slater failures that restrict to an affine subspace, a parallel
+affine pair, the degenerate one-variable pattern with its halfspace and
+hyperplane pieces) has the reduction built and solved in one place, and
+its single-constraint outcome read by one report builder.  Both sides of the
+class share one dual path: the two-multiplier dual, whose Lagrangian
+minimizer is checked as the optimal point (a search of the minimizers of f
+only when both multipliers are 0).  The check needs only weak duality, so a
+point it finds is a global minimizer in any class.  The class decides four
+things: in it a finite dual is nu* even when no point is found, and the
+report names the side of the sublevel set; outside it the pathway names
+weak duality, and where no point is found a brute-force estimate (n <= 3),
+flagged as non-certified, or ``undetermined`` remains.  Where the dual is
+-inf everywhere the in-class fallback probes for unboundedness instead.
 """
 
 from __future__ import annotations
@@ -209,88 +213,80 @@ def _refine_kkt(f: QuadForm, g: QuadForm, h: QuadForm, x: np.ndarray, lam):
     return x, l1, l2
 
 
-def _build_reduction(f, g, h, hint: dict, tol: float) -> ReducedProblem:
+_REDUCED_STATUS = {"attained": "solved", "unattained": "solved",
+                   "infeasible": "infeasible", "unbounded_below": "unbounded"}
+#: Pathway notes of a single-constraint subproblem's infeasible or unbounded outcome.
+_SUBPROBLEM_NOTES = {"infeasible": "subproblem infeasible",
+                     "unbounded_below": "objective unbounded below on the reduction"}
+
+
+def _solve_reduction(f, g, h, hint: dict, tol: float):
+    """Build the reduction named by ``hint`` and solve it.
+
+    Returns ``(reduction, outcome, subsolve, notes)``: ``outcome`` is the
+    single-constraint result whose status decides the report, ``subsolve``
+    the single-constraint solve reported with it (None where the reduction
+    decides without one) and ``notes`` extend the pathway.
+    """
     kind = hint["kind"]
     if kind == "single_constraint":
-        which = hint["which"]
-        return ReducedProblem(kind="single_constraint", data={"constraint": which})
-    if kind == "subspace":
-        # Intersect the flat sets {q = 0} for each constraint without a
-        # negative value; on that affine set the other constraint remains.
-        flats = hint["flat"]
-        rows, rhs = [], []
-        for name in flats:
-            q = g if name == "g" else h
-            rows.append(q.A)
-            rhs.append(-q.a)
-        Astack = np.vstack(rows)
-        bstack = np.concatenate(rhs)
-        x0, *_ = np.linalg.lstsq(Astack, bstack, rcond=None)
-        if float(np.linalg.norm(Astack @ x0 - bstack)) > 1e-6 * (1 + np.linalg.norm(bstack)):
-            return ReducedProblem(kind="infeasible_subspace", data={})
-        gram = Astack.T @ Astack
-        N = null_basis(gram)
-        remaining = None
-        if len(flats) == 1:
-            remaining = "h" if flats[0] == "g" else "g"
-        return ReducedProblem(
-            kind="subspace_restriction",
-            data={"x0": x0, "N": N, "remaining": remaining},
-        )
+        sub = solve_qp1qc(f, g if hint["which"] == "g" else h, tol)
+        return ReducedProblem(kind, {"constraint": hint["which"]}), sub, sub, ()
     if kind == "product_constraint":
         b, b0, c0, t = hint["b"], hint["b0"], hint["c0"], hint["t"]
         lo, hi = -c0 / (2 * t), -b0 / 2.0  # interval for b'x
         if lo > hi + tol:
-            return ReducedProblem(kind="infeasible_interval", data={"lo": lo, "hi": hi})
-        A = np.outer(b, b)
-        a = 0.5 * (c0 / (2 * t) + b0 / 2.0) * b
-        a0 = (c0 / (2 * t)) * (b0 / 2.0)
-        prod = QuadForm(A, a, a0)
-        return ReducedProblem(kind="product_constraint", data={"constraint": prod})
-    if kind == "halfspace_union_hyperplane":
-        pat = hint["pattern"]
-        change: AffineChange = pat["change"]
-        n = change.n
-        # Canonical coordinate xi(x) = first row of T^{-1}(x - t); the
-        # degenerate feasible set is {xi <= -1} union {xi = 1}.
-        Tinv = np.linalg.inv(change.T)
-        row = Tinv[0]
-        const = -float(row @ change.t)
-        halfspace = QuadForm(np.zeros((n, n)), row / 2.0, const + 1.0)  # xi + 1 <= 0
-        x_plane = change.apply(np.eye(n)[0])  # point with xi = 1
-        N_plane = change.T[:, 1:] if n > 1 else None
-        return ReducedProblem(
-            kind="halfspace_union_hyperplane",
-            data={"halfspace": halfspace, "x_plane": x_plane, "N_plane": N_plane},
-        )
-    raise ValueError(f"unknown reduction hint {kind!r}")  # pragma: no cover
-
-
-def _report_from_qp1qc(f, g, h, classification, sub: Qp1qcResult, reduction, pathway, tol):
-    if sub.status == "infeasible":
-        return SolveReport(
-            classification=classification, status="infeasible", nu_star=None,
-            certified=True, reduction=reduction, subsolve=sub,
-            pathway=pathway + ("subproblem infeasible",),
-        )
-    if sub.status == "unbounded_below":
-        return SolveReport(
-            classification=classification, status="unbounded", nu_star=None,
-            certified=True, reduction=reduction, subsolve=sub,
-            pathway=pathway + ("objective unbounded below on the reduction",),
-        )
-    if sub.status in ("attained", "unattained"):
-        x = sub.x if sub.status == "attained" else None
-        res = _residuals(f, g, h, x, sub.value) if x is not None else None
-        return SolveReport(
-            classification=classification, status="solved", nu_star=sub.value,
-            certified=True, attained=sub.status == "attained", x_star=x,
-            residuals=res, reduction=reduction, subsolve=sub, pathway=pathway,
-        )
-    return SolveReport(
-        classification=classification, status="numerical_failure", nu_star=sub.value,
-        certified=False, reduction=reduction, subsolve=sub, pathway=pathway,
-    )
+            return (ReducedProblem("infeasible_interval", {"lo": lo, "hi": hi}),
+                    Qp1qcResult("infeasible"), None, ())
+        prod = QuadForm(np.outer(b, b), -0.5 * (lo + hi) * b, lo * hi)  # (b'x - lo)(b'x - hi)
+        sub = solve_qp1qc(f, prod, tol)
+        return ReducedProblem(kind, {"constraint": prod}), sub, sub, ()
+    if kind == "subspace":
+        # Intersect the flat sets {q = 0} of the constraints without a
+        # negative value; on that affine set the other constraint remains.
+        flats = [g if name == "g" else h for name in hint["flat"]]
+        Astack, bstack = np.vstack([q.A for q in flats]), np.concatenate([-q.a for q in flats])
+        x0, *_ = np.linalg.lstsq(Astack, bstack, rcond=None)
+        if float(np.linalg.norm(Astack @ x0 - bstack)) > 1e-6 * (1 + np.linalg.norm(bstack)):
+            return ReducedProblem("infeasible_subspace", {}), Qp1qcResult("infeasible"), None, ()
+        N = null_basis(Astack.T @ Astack)
+        remaining = None if len(flats) > 1 else ("h" if hint["flat"][0] == "g" else "g")
+        reduction = ReducedProblem("subspace_restriction",
+                                   {"x0": x0, "N": N, "remaining": remaining})
+        if N.shape[1] == 0:
+            if any(evaluate(q, x0) > tol * (1 + q.data_scale()) for q in (g, h)):
+                return reduction, Qp1qcResult("infeasible"), None, ()
+            point = Qp1qcResult("attained", evaluate(f, x0), x0)
+            return reduction, point, None, ("subspace is a single point",)
+        if remaining is None:
+            sub = solve_on_affine_subspace(f, x0, N, tol)
+        else:
+            q = restrict_affine(g if remaining == "g" else h, x0, N)
+            sub = solve_qp1qc(restrict_affine(f, x0, N), q, tol)
+            sub = replace(sub, x=None if sub.x is None else x0 + N @ sub.x)
+        return reduction, sub, sub, ()
+    # halfspace_union_hyperplane: in the canonical coordinate xi(x), the
+    # first row of T^{-1}(x - t), the feasible set is {xi <= -1} u {xi = 1}.
+    change: AffineChange = hint["pattern"]["change"]
+    n = change.n
+    row = np.linalg.inv(change.T)[0]
+    halfspace = QuadForm(np.zeros((n, n)), row / 2.0, 1.0 - float(row @ change.t))  # xi + 1 <= 0
+    x_plane = change.apply(np.eye(n)[0])  # the point with xi = 1 and y2 = .. = yn = 0
+    N_plane = change.T[:, 1:] if n > 1 else None
+    reduction = ReducedProblem(kind, {"halfspace": halfspace, "x_plane": x_plane,
+                                      "N_plane": N_plane})
+    half = solve_qp1qc(f, halfspace, tol)
+    if N_plane is not None:
+        plane = solve_on_affine_subspace(f, x_plane, N_plane, tol)
+    else:
+        plane = Qp1qcResult(status="attained", value=evaluate(f, x_plane), x=x_plane, lam=0.0)
+    if "unbounded_below" in (half.status, plane.status):
+        return reduction, Qp1qcResult("unbounded_below"), None, ("one branch unbounded below",)
+    branches = [b for b in (half, plane) if b.status in ("attained", "unattained")]
+    if not branches:
+        return reduction, Qp1qcResult("numerical_failure"), None, ()
+    best = min(branches, key=lambda b: b.value)
+    return reduction, best, best, ("minimum over halfspace and hyperplane branches",)
 
 
 def solve_nonalter(
@@ -307,13 +303,15 @@ def solve_nonalter(
     if not (f.n == g.n == h.n):
         raise ValueError("dimension mismatch between objective and constraints")
     report = classification or classify_problem(g, h, tol, spec)
-    pathway = (f"class:{report.overall_class.value}",)
+    cls = report.overall_class
+    pathway = (f"class:{cls.value}",)
+    if cls is ArrangementClass.INFEASIBLE:
+        return SolveReport(classification=report, status="infeasible", nu_star=None,
+                           certified=True, pathway=pathway)
 
     # A constant objective makes every feasible point optimal.
-    if f.is_constant() and report.overall_class not in (
-        ArrangementClass.INFEASIBLE, ArrangementClass.UNDETERMINED
-    ):
-        x = report.a3.witness if report.a3.holds else None
+    if f.is_constant() and cls is not ArrangementClass.UNDETERMINED and report.a3.holds:
+        x = report.a3.witness
         if x is not None:
             return SolveReport(
                 classification=report, status="solved", nu_star=f.a0, certified=True,
@@ -321,146 +319,66 @@ def solve_nonalter(
                 pathway=pathway + ("constant objective",),
             )
 
-    cls = report.overall_class
-    if cls is ArrangementClass.INFEASIBLE:
+    if report.reduction_hint is not None:
+        reduction, out, sub, notes = _solve_reduction(f, g, h, report.reduction_hint, tol)
+        status = _REDUCED_STATUS.get(out.status, "numerical_failure")
+        if sub is not None and out.status in _SUBPROBLEM_NOTES:
+            notes += (_SUBPROBLEM_NOTES[out.status],)
+        x = out.x if out.status == "attained" else None
         return SolveReport(
-            classification=report, status="infeasible", nu_star=None, certified=True,
-            pathway=pathway,
+            classification=report, status=status,
+            nu_star=out.value if status in ("solved", "numerical_failure") else None,
+            certified=status != "numerical_failure",
+            attained=x is not None if status == "solved" else None, x_star=x,
+            residuals=None if x is None else _residuals(f, g, h, x, out.value),
+            reduction=reduction, subsolve=sub, pathway=pathway + notes,
         )
 
-    if cls in (ArrangementClass.REDUCES_TO_QP1QC, ArrangementClass.AFFINE_PAIR_REDUCTION):
-        reduction = _build_reduction(f, g, h, report.reduction_hint, tol)
-        if reduction.kind in ("infeasible_subspace", "infeasible_interval"):
-            return SolveReport(
-                classification=report, status="infeasible", nu_star=None,
-                certified=True, reduction=reduction, pathway=pathway,
-            )
-        if reduction.kind == "single_constraint":
-            q = g if reduction.data["constraint"] == "g" else h
-            sub = solve_qp1qc(f, q, tol)
-            return _report_from_qp1qc(f, g, h, report, sub, reduction, pathway, tol)
-        if reduction.kind == "product_constraint":
-            sub = solve_qp1qc(f, reduction.data["constraint"], tol)
-            return _report_from_qp1qc(f, g, h, report, sub, reduction, pathway, tol)
-        if reduction.kind == "subspace_restriction":
-            x0, N = reduction.data["x0"], reduction.data["N"]
-            remaining = reduction.data["remaining"]
-            if N.shape[1] == 0:
-                ok = evaluate(g, x0) <= tol * (1 + g.data_scale()) and evaluate(
-                    h, x0
-                ) <= tol * (1 + h.data_scale())
-                if not ok:
-                    return SolveReport(
-                        classification=report, status="infeasible", nu_star=None,
-                        certified=True, reduction=reduction, pathway=pathway,
-                    )
-                val = evaluate(f, x0)
-                return SolveReport(
-                    classification=report, status="solved", nu_star=val, certified=True,
-                    attained=True, x_star=x0, residuals=_residuals(f, g, h, x0, val),
-                    reduction=reduction, pathway=pathway + ("subspace is a single point",),
-                )
-            if remaining is None:
-                sub = solve_on_affine_subspace(f, x0, N, tol)
-            else:
-                fbar = restrict_affine(f, x0, N)
-                qbar = restrict_affine(g if remaining == "g" else h, x0, N)
-                inner = solve_qp1qc(fbar, qbar, tol)
-                sub = replace(inner, x=None if inner.x is None else x0 + N @ inner.x)
-            return _report_from_qp1qc(f, g, h, report, sub, reduction, pathway, tol)
+    if cls not in (ArrangementClass.NON_ALTER, ArrangementClass.OUTSIDE_NON_ALTER):
+        return SolveReport(classification=report, status="undetermined", nu_star=None,
+                           certified=False, pathway=pathway)
 
-    if cls is ArrangementClass.ASSUMPTION5_DEGENERATE:
-        reduction = _build_reduction(f, g, h, report.reduction_hint, tol)
-        half = solve_qp1qc(f, reduction.data["halfspace"], tol)
-        x_plane, N_plane = reduction.data["x_plane"], reduction.data["N_plane"]
-        if N_plane is not None and N_plane.shape[1]:
-            plane = solve_on_affine_subspace(f, x_plane, N_plane, tol)
-        else:
-            v = evaluate(f, x_plane)
-            plane = Qp1qcResult(status="attained", value=v, x=x_plane, lam=0.0)
-        branches = [b for b in (half, plane) if b.status in ("attained", "unattained")]
-        if any(b.status == "unbounded_below" for b in (half, plane)):
+    # In the class a finite dual is nu* (strong duality), attained or not;
+    # outside it, weak duality alone certifies a feasible point at the dual
+    # value, and the sublevel side, an in-class theorem, stays unset.
+    inside = cls is ArrangementClass.NON_ALTER
+    dual = solve_dual_2d(f, g, h, tol, collect_trace=collect_trace)
+    if dual.status == "finite":
+        x, side, notes, found = recover_solution(f, g, h, dual, tol)
+        if inside or x is not None:
+            if not inside:
+                side, notes = None, notes + ["certified by weak duality: a feasible point at "
+                                             "the dual value is a global minimizer"]
             return SolveReport(
-                classification=report, status="unbounded", nu_star=None, certified=True,
-                reduction=reduction, pathway=pathway + ("one branch unbounded below",),
+                classification=report, status="solved", nu_star=found.value, certified=True,
+                attained=x is not None, x_star=x, side=side,
+                residuals=None if x is None else _residuals(f, g, h, x, found.value),
+                dual=found, pathway=pathway + tuple(notes),
             )
-        if not branches:
-            return SolveReport(
-                classification=report, status="numerical_failure", nu_star=None,
-                certified=False, reduction=reduction, pathway=pathway,
-            )
-        best = min(branches, key=lambda b: b.value)
-        return _report_from_qp1qc(
-            f, g, h, report, best, reduction,
-            pathway + ("minimum over halfspace and hyperplane branches",), tol,
-        )
-
-    if cls is ArrangementClass.NON_ALTER:
-        dual = solve_dual_2d(f, g, h, tol, collect_trace=collect_trace)
-        if dual.status == "dual_infeasible_everywhere":
-            estimate = None
-            if f.n <= 3:
-                w = probe_unbounded(f, g, h, GridSpec.cube(f.n, resolution=201))
-                if w is not None:
-                    estimate = {
-                        "unbounded_evidence_point": w,
-                        "value": evaluate(f, w),
-                    }
-            return SolveReport(
-                classification=report, status="dual_infeasible", nu_star=None,
-                certified=False, dual=dual, oracle_estimate=estimate,
-                pathway=pathway + ("dual infeasible everywhere",),
-            )
+    elif inside:
         if dual.status == "numerical_failure":
-            return SolveReport(
-                classification=report, status="numerical_failure", nu_star=dual.value,
-                certified=False, dual=dual, pathway=pathway,
-            )
-        x, side, notes, dual = recover_solution(f, g, h, dual, tol)
-        nu = dual.value
-        res = _residuals(f, g, h, x, nu) if x is not None else None
+            return SolveReport(classification=report, status="numerical_failure",
+                               nu_star=dual.value, certified=False, dual=dual, pathway=pathway)
+        w = probe_unbounded(f, g, h, GridSpec.cube(f.n, resolution=201)) if f.n <= 3 else None
         return SolveReport(
-            classification=report, status="solved", nu_star=nu, certified=True,
-            attained=x is not None, x_star=x, side=side, residuals=res, dual=dual,
-            pathway=pathway + tuple(notes),
+            classification=report, status="dual_infeasible", nu_star=None, certified=False,
+            dual=dual, pathway=pathway + ("dual infeasible everywhere",),
+            oracle_estimate=None if w is None else {"unbounded_evidence_point": w,
+                                                    "value": evaluate(f, w)},
         )
-
-    if cls is ArrangementClass.OUTSIDE_NON_ALTER:
-        dual = solve_dual_2d(f, g, h, tol, collect_trace=collect_trace)
-        if dual.status == "finite":
-            # Weak duality alone: a feasible point at the dual value is a
-            # global minimizer in any class.  The side is an in-class theorem.
-            x, _, notes, found = recover_solution(f, g, h, dual, tol)
-            if x is not None:
-                return SolveReport(
-                    classification=report, status="solved", nu_star=found.value,
-                    certified=True, attained=True, x_star=x,
-                    residuals=_residuals(f, g, h, x, found.value), dual=found,
-                    pathway=pathway + tuple(notes) + (
-                        "certified by weak duality: a feasible point at the dual value "
-                        "is a global minimizer",),
-                )
-        estimate = None
-        status = "undetermined"
-        nu = None
-        if f.n <= 3:
-            res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401))
-            if res.feasible_count == 0:
-                res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401, eps=1e-3))
-            if res.min_value is not None:
-                estimate = {
-                    "value": res.min_value,
-                    "argmin": res.argmin,
-                    "feasible_count": res.feasible_count,
-                }
-                status, nu = "estimate_only", res.min_value
-        return SolveReport(
-            classification=report, status=status, nu_star=nu, certified=False,
-            dual=dual, oracle_estimate=estimate,
-            pathway=pathway + ("no certified method outside the class; dual value is a lower bound",),
-        )
-
+    status, nu, estimate = "undetermined", None, None
+    if f.n <= 3:
+        res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401))
+        if res.feasible_count == 0:
+            res = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401, eps=1e-3))
+        if res.min_value is not None:
+            estimate = {"value": res.min_value, "argmin": res.argmin,
+                        "feasible_count": res.feasible_count}
+            status, nu = "estimate_only", res.min_value
     return SolveReport(
-        classification=report, status="undetermined", nu_star=None, certified=False,
-        pathway=pathway,
+        classification=report, status=status, nu_star=nu, certified=False,
+        dual=dual, oracle_estimate=estimate,
+        pathway=pathway + (("weak duality found no feasible point at the dual value, "
+                            "which stays a lower bound") if dual.status == "finite" else
+                           "no certified method outside the class: the dual is not finite",),
     )

@@ -248,6 +248,16 @@ class TestAssumption5:
         assert v.verdict is Verdict.FAILS
         assert v.certificate["sign"] == -1
 
+    def test_negative_slope(self):
+        # h = -x - 1 keeps the point x = -1 outside the halfspace x >= 1;
+        # h = -x + 1 makes that halfspace the whole feasible set.  The
+        # canonical y1 is oriented to the slope, and c0 keeps its sign.
+        degenerate = check_assumption5(poly1(axx=-1, c=1), poly1(bx=-1, c=-1))
+        halfspace = check_assumption5(poly1(axx=-1, c=1), poly1(bx=-1, c=1))
+        assert degenerate.verdict is halfspace.verdict is Verdict.FAILS
+        assert degenerate.certificate["sign"] == -1 and halfspace.certificate["sign"] == 1
+        assert degenerate.certificate["c1"] > 0 and halfspace.certificate["c1"] > 0
+
     def test_non_degenerate(self):
         v = check_assumption5(poly1(axx=-1, c=1), poly1(bx=1, c=-2))
         assert v.verdict is Verdict.HOLDS

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import poly1, poly2
+from conftest import poly1, poly2, poly3
 from nonalter import corpus, solve
 from nonalter.classify import ArrangementClass
 from nonalter.duality import DualPoint, DualSolveResult, sdp_certificate, solve_dual_2d
@@ -43,6 +43,8 @@ class TestSolveExamples:
         h = poly1(bx=-2, c=0.5)
         rep = solve_nonalter(f, g, h)
         assert rep.classification.overall_class is ArrangementClass.AFFINE_PAIR_REDUCTION
+        assert rep.status == "solved" and rep.certified and rep.attained
+        assert rep.reduction.kind == "product_constraint"
         assert rep.nu_star == pytest.approx(0.0625, abs=1e-9)
         assert rep.x_star[0] == pytest.approx(0.25, abs=1e-7)
 
@@ -83,6 +85,20 @@ class TestSolveExamples:
         assert rep.dual.value == pytest.approx(49.0, rel=1e-9)
         assert rep.nu_star == pytest.approx(63.845, abs=1e-9)
         assert rep.dual.value <= rep.nu_star
+        assert rep.pathway[-1].startswith("weak duality found no feasible point")
+
+    def test_outside_class_without_a_finite_dual(self):
+        # f is strongly concave: psi is -inf everywhere, so the fallback
+        # note names no dual value.
+        from nonalter.instances import random_quadform
+
+        rng = np.random.default_rng(5)
+        f = random_quadform(rng, 2) - QuadForm(5.0 * np.eye(2), np.zeros(2), 0.0)
+        rep = solve_nonalter(f, random_quadform(rng, 2), random_quadform(rng, 2))
+        assert rep.classification.overall_class is ArrangementClass.OUTSIDE_NON_ALTER
+        assert rep.dual.status == "dual_infeasible_everywhere"
+        assert rep.status == "estimate_only" and not rep.certified
+        assert rep.pathway[-1] == "no certified method outside the class: the dual is not finite"
 
     def test_annulus_with_a_planar_kernel(self):
         # f = x1^2 over 1/2 <= |y - c| <= 1, y = (x2, x3): the value 0 is
@@ -318,3 +334,141 @@ class TestRecoverySoundness:
             assert abs(fr) <= 1e-7 * (1 + abs(rep.nu_star))
             checked += 1
         assert checked >= 10
+
+
+def _feasible_at(q, x, tol=1e-8):
+    return evaluate(q, x) <= tol * (1.0 + q.data_scale())
+
+
+class TestEveryPath:
+    """One instance per branch of ``solve_nonalter``, each value checked
+    against a closed form or the grid oracle."""
+
+    def _solved(self, f, g, h, cls, nu, x=None):
+        rep = solve_nonalter(f, g, h)
+        assert rep.classification.overall_class is cls
+        assert rep.status == "solved" and rep.certified and rep.attained
+        assert rep.nu_star == pytest.approx(nu, abs=1e-9)
+        assert evaluate(f, rep.x_star) == pytest.approx(nu, abs=1e-9)
+        assert _feasible_at(g, rep.x_star) and _feasible_at(h, rep.x_star)
+        if x is not None:
+            assert np.allclose(rep.x_star, x, atol=1e-7)
+        if f.n <= 2:
+            o = grid_min(f, g, h, GridSpec.cube(f.n, resolution=401, eps=1e-9))
+            assert o.min_value == pytest.approx(nu, abs=1e-9)
+        return rep
+
+    def test_assumption4_one_flat(self):
+        # g = x1^2 pins x1 = 0; on that line f = 1 + (x2 - 1)^2 under x2 <= 0.
+        rep = self._solved(poly2(axx=1, ayy=1, bx=-2, by=-2, c=2), poly2(axx=1), poly2(by=1),
+                           ArrangementClass.REDUCES_TO_QP1QC, 2.0, [0.0, 0.0])
+        assert rep.classification.reduction_hint == {"kind": "subspace", "flat": ("g",)}
+
+    def test_assumption4_two_flats_meet_in_a_point(self):
+        # (x1 - 1)^2 <= 0 and (x2 + 2)^2 <= 0: the point (1, -2), where
+        # f = x1^2 + x1 x2 + x2^2 = 3.
+        rep = self._solved(poly2(axx=1, axy=1, ayy=1), poly2(axx=1, bx=-2, c=1),
+                           poly2(ayy=1, by=4, c=4), ArrangementClass.REDUCES_TO_QP1QC,
+                           3.0, [1.0, -2.0])
+        assert rep.pathway[-1] == "subspace is a single point"
+
+    def test_assumption4_two_flats_meet_in_a_line(self):
+        # (x1 + x2)^2 <= 0 and (x2 - 2)^2 <= 0: the line (-2, 2, t), where
+        # f = |x|^2 - 2 x3 = 8 + t^2 - 2t is least at t = 1.
+        g = QuadForm(np.outer([1.0, 1.0, 0.0], [1.0, 1.0, 0.0]), np.zeros(3), 0.0)
+        self._solved(poly3([1, 1, 1], lin=(0, 0, -2)), g, poly3([0, 1, 0], lin=(0, -4, 0), c=4),
+                     ArrangementClass.REDUCES_TO_QP1QC, 7.0, [-2.0, 2.0, 1.0])
+
+    def test_assumption5_degenerate(self):
+        # 1 - x^2 <= 0 and x - 1 <= 0: {x <= -1} and the point x = 1.
+        rep = self._solved(poly1(axx=1, bx=-1.8, c=0.81), poly1(axx=-1, c=1), poly1(bx=1, c=-1),
+                           ArrangementClass.ASSUMPTION5_DEGENERATE, 0.01, [1.0])
+        assert rep.reduction.kind == "halfspace_union_hyperplane"
+
+    def test_assumption5_degenerate_plane_branch(self):
+        # The same pattern in the plane: the hyperplane branch is the line
+        # x1 = 1, where f = 0.01 + (x2 - 1)^2.
+        self._solved(poly2(axx=1, bx=-1.8, ayy=1, by=-2, c=1.81), poly2(axx=-1, c=1),
+                     poly2(bx=1, c=-1), ArrangementClass.ASSUMPTION5_DEGENERATE,
+                     0.01, [1.0, 1.0])
+
+    def test_assumption5_unbounded_branch(self):
+        # f = -x^2 falls without bound on the halfspace x <= -1.
+        rep = solve_nonalter(poly1(axx=-1), poly1(axx=-1, c=1), poly1(bx=1, c=-1))
+        assert rep.classification.overall_class is ArrangementClass.ASSUMPTION5_DEGENERATE
+        assert rep.status == "unbounded" and rep.certified and rep.nu_star is None
+        assert rep.pathway[-1] == "one branch unbounded below"
+
+    def test_assumption5_halfspace_only(self):
+        # 1 - x^2 <= 0 and x + 1 <= 0: the halfspace x <= -1 alone.
+        rep = self._solved(poly1(axx=1, bx=-1.8, c=0.81), poly1(axx=-1, c=1), poly1(bx=1, c=1),
+                           ArrangementClass.REDUCES_TO_QP1QC, 3.61, [-1.0])
+        assert rep.classification.reduction_hint == {"kind": "single_constraint", "which": "h"}
+
+    def test_constant_objective(self):
+        # Every point of the annulus 1 <= |x|^2 <= 4 is optimal for f = 3.
+        rep = self._solved(QuadForm.constant(2, 3.0), poly2(axx=1, ayy=1, c=-4),
+                           poly2(axx=-1, ayy=-1, c=1), ArrangementClass.NON_ALTER, 3.0)
+        assert rep.pathway[-1] == "constant objective"
+
+    def test_undetermined(self):
+        rep = solve_nonalter(poly2(bx=1), poly2(axx=1, ayy=1), poly2(bx=1))
+        assert rep.classification.overall_class is ArrangementClass.UNDETERMINED
+        assert rep.status == "undetermined" and not rep.certified
+        assert rep.nu_star is None and rep.x_star is None
+
+    def test_in_class_dual_infeasible(self):
+        # f = -|x|^2 on an interval band l <= q0 <= u around an indefinite q0:
+        # the band is unbounded, so f is too.  g + h = l - u is constant, and
+        # far out along q0's positive eigenvector a step along its negative
+        # one reaches the level g = (l - u)/2, where h = g < 0.
+        from nonalter.instances import interval_instance
+
+        g, h = interval_instance(np.random.default_rng(0), 2)
+        f = QuadForm(-np.eye(2), np.zeros(2), 0.0)
+        rep = solve_nonalter(f, g, h)
+        assert rep.classification.overall_class is ArrangementClass.NON_ALTER
+        assert rep.status == "dual_infeasible" and not rep.certified
+        assert rep.nu_star is None and rep.x_star is None
+        assert rep.dual.status == "dual_infeasible_everywhere"
+        level = 0.5 * (g + h).a0
+        d, U = np.linalg.eigh(g.A)
+        for R in (1e2, 1e4):
+            p = R * U[:, 1]
+            b = 2.0 * U[:, 0] @ (g.A @ p + g.a)
+            s = (-b - np.sqrt(b * b - 4 * d[0] * (evaluate(g, p) - level))) / (2 * d[0])
+            x = p + s * U[:, 0]
+            assert _feasible_at(g, x, 1e-6) and _feasible_at(h, x, 1e-6)
+            assert evaluate(f, x) <= -R * R
+
+
+def _in_frame(Q, s, A, a, a0):
+    """The quadratic y -> y'Ay + 2a'y + a0 read at y = Q'(x - s)."""
+    B = Q @ A @ Q.T
+    return QuadForm(B, Q @ a - B @ s, float(s @ B @ s - 2 * a @ Q.T @ s + a0))
+
+
+class TestAssumption5Orientation:
+    def test_rotated_copies(self):
+        # In the frame y = Q'(x - s): g = k(1 - y1^2), h = m(sigma*y1 + c0),
+        # f = (y1 - 0.9)^2 + y2^2.  With c0 = -1 the feasible set is a
+        # halfspace plus the line y1 = sigma; with c0 = 1 the halfspace
+        # sigma*y1 <= -1 alone.  The minimum is 3.61 at y1 = -1 when that
+        # halfspace is y1 <= -1, and 0.01 at y1 = 1 otherwise.
+        rng = np.random.default_rng(3)
+        zero = np.zeros((2, 2))
+        for i in range(40):
+            sigma, c0 = (1.0, -1.0, 1.0, -1.0)[i % 2], (-1.0, 1.0)[(i // 2) % 2]
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            Q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+            s = rng.normal(size=2)
+            k, m = rng.uniform(0.5, 2.0, size=2)
+            g = _in_frame(Q, s, np.diag([-k, 0.0]), np.zeros(2), k)
+            h = _in_frame(Q, s, zero, np.array([m * sigma / 2.0, 0.0]), m * c0)
+            f = _in_frame(Q, s, np.eye(2), np.array([-0.9, 0.0]), 0.81)
+            y1 = -1.0 if (sigma, c0) == (1.0, 1.0) else 1.0
+            nu, x = (y1 - 0.9) ** 2, Q @ [y1, 0.0] + s
+            for rep in (solve_nonalter(f, g, h), solve_nonalter(f, h, g)):
+                assert rep.status == "solved" and rep.certified
+                assert rep.nu_star == pytest.approx(nu, abs=1e-8)
+                assert np.allclose(rep.x_star, x, atol=1e-6)
