@@ -32,6 +32,8 @@ from .quad_core import (
     PsdStatus,
     PsdVerdict,
     QuadForm,
+    _pencil_interval,
+    _status_of,
     evaluate,
     evaluate_many,
     gradient_many,
@@ -54,11 +56,22 @@ class SearchSpec:
 
 
 class Candidates(NamedTuple):
-    """Witness candidate points of (g, h) and two single-constraint solves behind them."""
+    """Witness candidate points of (g, h), two single-constraint solves
+    behind them, and the candidates moved onto the zero set of g and of h."""
 
     points: np.ndarray
     min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
     min_h: qp1qc.Qp1qcResult  # min h subject to g <= 0
+    moved: dict  # id(q) -> (q, the points on {q = 0}), filled by on_zero_set
+
+    def on_zero_set(self, q: QuadForm) -> np.ndarray:
+        """The candidates moved onto {q = 0} that land there, moved at most
+        once per quadratic (:func:`_move_to_zero_set`).  An entry keeps its
+        quadratic, and with it the id it is filed under."""
+        entry = self.moved.get(id(q))
+        if entry is None:
+            entry = self.moved[id(q)] = (q, _move_to_zero_set(q, self.points))
+        return entry[1]
 
 
 def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
@@ -107,13 +120,11 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     keep = ~np.isnan(T)
     points = np.vstack([np.reshape(optima, (-1, n)),
                         (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
-    return Candidates(points, min_g=mins[1], min_h=mins[0])
+    return Candidates(points, min_g=mins[1], min_h=mins[0], moved={})
 
 
-def _zero_set_witness(
-    q: QuadForm, objective: QuadForm, margin: float, pts: np.ndarray
-) -> Optional[np.ndarray]:
-    """A point with q(x) ~ 0 and objective(x) > margin, or None.
+def _move_to_zero_set(q: QuadForm, pts: np.ndarray) -> np.ndarray:
+    """The points of {q = 0} that the rows of ``pts`` move to.
 
     Each candidate p moves along the gradient of q at p to the nearer real
     root of q on that line, an exact point of {q = 0}; a candidate whose
@@ -126,10 +137,17 @@ def _zero_set_witness(
     nearer = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
     dirs *= np.nan_to_num(roots[np.arange(len(roots)), nearer])[:, None]
     dirs += pts  # the moved points; the candidates are shared between checkers
-    on_set = np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())
-    if not on_set.any():
+    return dirs[np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())]
+
+
+def _zero_set_witness(
+    q: QuadForm, objective: QuadForm, margin: float, cands: Candidates
+) -> Optional[np.ndarray]:
+    """A point with q(x) ~ 0 and objective(x) > margin, or None, among the
+    candidates moved onto {q = 0} (:meth:`Candidates.on_zero_set`)."""
+    pts = cands.on_zero_set(q)
+    if not len(pts):
         return None
-    pts = dirs[on_set]
     vals = evaluate_many(objective, pts)
     clear = vals > margin
     if not clear.any():
@@ -183,6 +201,27 @@ def pencil_psd_search(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Option
     """
     iv = pencil_interval(p, q, tol, lifted=True)
     return None if iv is None else min(max(0.0, iv[0]), iv[1])
+
+
+def _pencil_certificate(p: QuadForm, q: QuadForm) -> Optional[float]:
+    """:func:`pencil_psd_search`'s lambda when lift(p) + lambda*lift(q) passes
+    :func:`nonneg_everywhere` as well, else None.
+
+    That check reads lift(p)'s decomposition at lambda = 0, and at an end of
+    the interval the decomposition the interval search made there
+    (:func:`_pencil_interval`), the same matrix bit for bit; it does not
+    assume the end passed: a root next to a passing midpoint can fail.
+    """
+    iv, lower, upper = _pencil_interval(p, q, PSD_RTOL, lifted=True)
+    if iv is None:
+        return None
+    if iv[1] < 0.0:
+        lam, ed = iv[1], upper
+    else:
+        lam, ed = (iv[0], lower) if iv[0] > 0.0 else (0.0, p.lift_eig)
+    if ed is None:
+        return lam if nonneg_everywhere(p + lam * q) else None
+    return lam if _status_of(ed, PSD_RTOL).verdict is not PsdVerdict.INDEFINITE else None
 
 
 def pencil_psd_search_nonneg(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
@@ -353,8 +392,8 @@ def check_inclusion_zeroset(
         return InclusionVerdict(InclusionStatus.VACUOUS, note="{g=0} is empty")
     signed_h = h if sign > 0 else -h
     p = -signed_h
-    lam = pencil_psd_search(p, g)
-    if lam is not None and nonneg_everywhere(p + lam * g):
+    lam = _pencil_certificate(p, g)
+    if lam is not None:
         return InclusionVerdict(InclusionStatus.CERTIFIED_PENCIL, lam=lam)
     if not witness_search:
         return InclusionVerdict(
@@ -364,7 +403,7 @@ def check_inclusion_zeroset(
     margin = tol * (1.0 + h.data_scale())
     if cands is None:
         cands = _ray_candidates(g, h, spec, tol)
-    w = _zero_set_witness(g, signed_h, margin, cands.points)
+    w = _zero_set_witness(g, signed_h, margin, cands)
     if w is not None:
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
     ts = slater_two_sided(g)
@@ -443,9 +482,14 @@ def check_assumption5(
     Fails exactly when c0 = +-c1 (within tolerance); holds, possibly as
     "not applicable", otherwise.
     """
+    return _check_assumption5(g, h, tol)[0]
+
+
+def _check_assumption5(g: QuadForm, h: QuadForm, tol: float):
+    """:func:`check_assumption5`, and the pattern behind it (None when not applicable)."""
     pat = _assumption5_one_orientation(g, h, PSD_RTOL)
     if pat is None:
-        return AssumptionVerdict(Verdict.HOLDS, note="pattern not applicable")
+        return AssumptionVerdict(Verdict.HOLDS, note="pattern not applicable"), None
     c0, c1 = pat["c0"], pat["c1"]
     scale = tol * (1.0 + abs(c1))
     if abs(c0 - c1) <= scale or abs(c0 + c1) <= scale:
@@ -454,12 +498,12 @@ def check_assumption5(
             Verdict.FAILS,
             note=f"degenerate pattern with c0 = {side} * c1",
             certificate={"c0": c0, "c1": c1, "sign": 1 if side == "+1" else -1},
-        )
+        ), pat
     return AssumptionVerdict(
         Verdict.HOLDS,
         note="pattern applicable, c0 differs from both +-c1",
         certificate={"c0": c0, "c1": c1},
-    )
+    ), pat
 
 
 def check_assumption2(
@@ -561,7 +605,7 @@ def check_assumption3(
         )
         if mask.any():
             continue
-        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), pts)
+        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), cands)
         if w is not None:
             continue
         lam = pencil_psd_search_nonneg(-second, first)
@@ -614,7 +658,7 @@ def check_assumption1(
                 continue  # D empty; nonemptiness is assumption 3's business
             if abs(r.value) <= tol * (1 + first.data_scale()):
                 # D sits inside {first = 0}; find a zero-set point outside D.
-                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), pts)
+                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), cands)
                 if w is not None:
                     return AssumptionVerdict(
                         Verdict.FAILS,
@@ -709,9 +753,9 @@ def classify_problem(
     cands = _ray_candidates(g, h, spec, tol)
     a3 = check_assumption3(g, h, tol, spec, cands)
     a4 = check_assumption4(g, h)
-    a5_gh = check_assumption5(g, h, tol)
-    a5_hg = check_assumption5(h, g, tol)
-    a5 = a5_gh if a5_gh.fails or not a5_hg.fails else a5_hg
+    a5_gh, pat_gh = _check_assumption5(g, h, tol)
+    a5_hg, pat_hg = _check_assumption5(h, g, tol)
+    a5, pat = (a5_gh, pat_gh) if a5_gh.fails or not a5_hg.fails else (a5_hg, pat_hg)
     a2, inclusions = check_assumption2(g, h, tol, spec, cands)
     a1 = check_assumption1(g, h, tol, spec, cands)
 
@@ -760,9 +804,6 @@ def classify_problem(
     elif a5.fails:
         sign = (a5.certificate or {}).get("sign", 1)
         role = "g" if a5 is a5_gh else "h"
-        pat = _assumption5_one_orientation(
-            g if role == "g" else h, h if role == "g" else g, PSD_RTOL
-        )
         if sign > 0:
             overall = ArrangementClass.REDUCES_TO_QP1QC
             hint = {"kind": "single_constraint", "which": "h" if role == "g" else "g"}

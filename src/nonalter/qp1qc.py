@@ -146,8 +146,9 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     :func:`_predictor` from the first exact point inside, then on exact
     points.  The returned dual is always an exact point.
     """
-    # lower: the decomposition at a = iv[0] > 0, when the interval made one.
-    iv, lower = _pencil_interval(f, g, INF_PSD_RTOL)
+    # lower, upper: the decompositions at iv's ends, where the interval made
+    # them; at a = 0 the dual reads f's own.
+    iv, lower, upper = _pencil_interval(f, g, INF_PSD_RTOL)
     if iv is None or iv[1] < 0.0:
         return None, None
     a, b = max(iv[0], 0.0), iv[1]
@@ -155,7 +156,7 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     if d is not None and d.slope <= 0.0:
         return a, d
     if b < np.inf:
-        d_hi = _dual_at(f, g, b)
+        d_hi = _dual_at(f, g, b, upper)
         if d_hi is not None and d_hi.slope > 0.0:
             return b, d_hi
     unit = f.data_scale() / g.data_scale()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import poly1, poly2, poly3
+import nonalter.classify as classify
+import nonalter.quad_core as quad_core
 from nonalter import corpus, qp1qc
 from nonalter.canonical import AffineChange
 from nonalter.classify import (
@@ -26,7 +28,7 @@ from nonalter.classify import (
     slater_two_sided,
 )
 from nonalter.instances import random_triple
-from nonalter.problem_io import dumps_report, parse_problem_dict
+from nonalter.problem_io import dumps_report, parse_problem_dict, problem_to_dict
 from nonalter.quad_core import (
     DEFAULT_TOL,
     QuadForm,
@@ -125,6 +127,23 @@ class TestPencilSearch:
                 found += 1
                 assert nonneg_everywhere(p + lam * q)
         assert found >= 2
+
+    def test_certificate_rechecks_a_failing_end(self):
+        # lift(p) + lam*lift(q) = diag(-d, lam - 1, 3 - lam, 10 + 10 lam): the
+        # cutoff grows with the spectral radius, so at d = 2.6e-8 the root 1
+        # fails while the midpoint 2 and the root 3 pass.  The interval is
+        # [1, 3], and its lower end is no certificate.
+        p = QuadForm(np.diag([-1.0, 3.0, 10.0]), np.zeros(3), -2.6e-8)
+        q = QuadForm(np.diag([1.0, -1.0, 10.0]), np.zeros(3), 0.0)
+        lam = pencil_psd_search(p, q)
+        assert lam == pytest.approx(1.0, abs=1e-12)
+        assert not nonneg_everywhere(p + lam * q)
+        assert classify._pencil_certificate(p, q) is None
+        # Through the bisection, which hands on no decomposition, likewise.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad_core, "_SCAN_MAX", 0)
+            p, q = QuadForm(p.A, p.a, p.a0), QuadForm(q.A, q.a, q.a0)
+            assert classify._pencil_certificate(p, q) is None
 
     def test_min_eig_concavity(self, rng):
         for _ in range(40):
@@ -267,6 +286,25 @@ class TestAssumption5:
         f, g, h, _ = corpus.load("ex24")
         assert check_assumption5(g, h).verdict is Verdict.HOLDS
 
+    def test_classification_reuses_the_pattern(self, monkeypatch):
+        # The reduction hint carries the pattern the check found: one
+        # canonical pattern per order of g and h, none more.
+        calls = []
+        orientation = classify._assumption5_one_orientation
+        monkeypatch.setattr(classify, "_assumption5_one_orientation",
+                            lambda *args: calls.append(args) or orientation(*args))
+        for g, h in ((poly1(axx=-1, c=1), poly1(bx=-1, c=-1)),
+                     (poly1(bx=2, c=-2), poly1(axx=-1, c=1))):
+            calls.clear()
+            rep = classify_problem(g, h)
+            assert rep.overall_class is ArrangementClass.ASSUMPTION5_DEGENERATE
+            assert len(calls) == 2
+            hint = rep.reduction_hint
+            role = (g, h) if hint["pattern_role"] == "g" else (h, g)
+            want = orientation(*role, quad_core.PSD_RTOL)
+            assert {k: hint["pattern"][k] for k in ("c0", "c1")} == {k: want[k] for k in ("c0", "c1")}
+            assert np.array_equal(hint["pattern"]["change"].T, want["change"].T)
+
 
 class TestClassifyProblem:
     def test_elliptic_shell(self):
@@ -388,10 +426,32 @@ class TestWitnessCandidates:
 
     def test_classification_eigendecomposition_budget(self, eig_calls):
         # Each of g, h, -g, -h decomposes its matrix and its lift at most once
-        # per classification; the rest are pencils and restrictions.
+        # per classification; the rest are pencils, one stacked call per
+        # small pencil, and the single-constraint duals behind the candidates.
         f, g, h, _ = corpus.load("ex24")
         classify_problem(g, h)
-        assert eig_calls[0] <= 35
+        assert eig_calls[0] <= 15
+        eig_calls[0] = 0
+        for name in corpus.NAMES:
+            f, g, h, _ = corpus.load(name)
+            classify_problem(g, h)
+        assert eig_calls[0] <= 151
+
+    def test_reports_do_not_depend_on_the_scan(self, monkeypatch):
+        # The stacked scan and the bisection read the same interval, and the
+        # decompositions the scan hands on are those of the same matrices:
+        # every report is the same byte for byte with the scan off and on.
+        docs = [json.loads(corpus.corpus_path(name).read_text()) for name in corpus.NAMES]
+        rng = np.random.default_rng(1808)
+        docs += [problem_to_dict(*random_triple(rng, (2, 3, 6)[i % 3])) for i in range(40)]
+        for doc in docs:
+            reports = []
+            for scan_max in (0, quad_core._SCAN_MAX):
+                monkeypatch.setattr(quad_core, "_SCAN_MAX", scan_max)
+                _, g, h, _ = parse_problem_dict(doc)
+                reports.append(dumps_report(classify_problem(g, h, 1e-9)))
+            monkeypatch.undo()
+            assert reports[0] == reports[1]
 
 
 class TestOneSidedImpliesNoSeparation:

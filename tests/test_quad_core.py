@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonalter
+import nonalter.quad_core as quad_core
 from conftest import poly1, poly2, trust_region_pair
 from nonalter import corpus
 from nonalter.quad_core import (
@@ -382,14 +383,24 @@ def _rotated(rng, *diags):
     return [(U * np.asarray(d, dtype=float)) @ U.T for d in diags]
 
 
+#: Values of ``quad_core._SCAN_MAX`` that send every pencil through the
+#: bisection and through the stacked scan, whatever its size.
+_PATHS = {"bisection": 0, "scan": 10**6}
+
+
 class TestPsdIntervalBisection:
-    """psd_interval returns exactly what the verdicts at all its test points give."""
+    """psd_interval returns exactly what the verdicts at all its test points
+    give, through the bisection and through the stacked scan alike."""
 
     @staticmethod
     def _check(P, Q, tol=PSD_RTOL):
-        iv = psd_interval(P, Q, tol)
-        assert iv == _psd_interval_scan(P, Q, tol)
-        return iv
+        want = _psd_interval_scan(P, Q, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            for path, scan_max in _PATHS.items():
+                mp.setattr(quad_core, "_SCAN_MAX", scan_max)
+                assert psd_interval(P, Q, tol) == want, path
+        assert psd_interval(P, Q, tol) == want  # at the crossover in force
+        return want
 
     def test_random_pencils(self):
         rng = np.random.default_rng(8101)
@@ -433,15 +444,19 @@ class TestPsdIntervalBisection:
                 self._check(P, Q)
         assert longest >= 20
 
-    def test_multiple_bottom_eigenvalue(self, eig_calls):
+    def test_multiple_bottom_eigenvalue(self, eig_calls, monkeypatch):
         # The bottom eigenvalue -1 is double at the middle test point 0, with
         # slopes +1 and -1: the smallest one peaks there, so nothing passes,
-        # and the first probe and its slopes show it.
+        # and on the bisection path the first probe and its slopes show it.
+        # The scan reads every test point from its one stacked call.
         rng = np.random.default_rng(8104)
         P, Q = _rotated(rng, [-1.0, -1.0, 10.0, 10.0], [1.0, -1.0, 1.0, -1.0])
-        eig_calls[0] = 0
-        assert psd_interval(P, Q) is None
-        assert eig_calls[0] == 2
+        for path, calls in (("bisection", 2), ("scan", 1)):
+            monkeypatch.setattr(quad_core, "_SCAN_MAX", _PATHS[path])
+            eig_calls[0] = 0
+            assert psd_interval(P, Q) is None
+            assert eig_calls[0] == calls, path
+        monkeypatch.undo()
         assert _psd_interval_scan(P, Q) is None
         # Two copies of one pencil: every eigenvalue, every root and every
         # slope comes twice.
@@ -661,22 +676,26 @@ class TestDefiniteInterval:
 
     @staticmethod
     def _orientations(p, q):
-        # With the number of decompositions that confirm a read interval:
-        # +-P +- lam*Q and Q + lam*(+-P) have a known definite member.
-        return (((p, q), 2), ((-p, q), 2), ((p, -q), 2), ((-p, -q), 2),
-                ((q, p), 4), ((q, -p), 4), ((-q, p), None), ((-q, -p), None))
+        # With the number of ends that confirm a read interval, two
+        # decompositions each: +-P +- lam*Q and Q + lam*(+-P) have a known
+        # definite member.
+        return (((p, q), 1), ((-p, q), 1), ((p, -q), 1), ((-p, -q), 1),
+                ((q, p), 2), ((q, -p), 2), ((-q, p), None), ((-q, -p), None))
 
     def _check(self, P, Q, eig_calls, tol=PSD_RTOL):
         """Every orientation's interval is the scan's; returns the number of
-        orientations with a known definite member that took the bisection."""
+        orientations with a known definite member that read the verdicts of
+        the test points.  Up to _SCAN_MAX wide, an end's two decompositions
+        are one stacked call."""
         m = len(P)
         p, q = QuadForm(P, np.zeros(m), 0.0), QuadForm(Q, np.zeros(m), 0.0)
+        calls_per_end = 1 if m <= quad_core._SCAN_MAX else 2
         bisected = 0
-        for (a, b), budget in self._orientations(p, q):
+        for (a, b), ends in self._orientations(p, q):
             found = _pair_test_points(a, b, False, a.A, b.A)
             eig_calls[0] = 0
             iv = pencil_interval(a, b, tol)
-            bisected += budget is not None and eig_calls[0] > budget
+            bisected += ends is not None and eig_calls[0] > ends * calls_per_end
             assert iv == _psd_interval_scan(a.A, b.A, tol, found=found)
         return bisected
 
@@ -719,23 +738,57 @@ class TestDefiniteInterval:
                 bisected += self._check(_sym(rng, m), Q, eig_calls)
         assert bisected >= 20
 
-    def test_lower_end_decomposition(self, rng):
-        # The read decomposes P + lo*Q at a positive lower end with vectors,
-        # bit for bit the decomposition of that matrix.
-        for _ in range(10):
-            f, g, _ = trust_region_pair(rng, 6, False)
-            iv, lower = _pencil_interval(f, g, INF_PSD_RTOL)
-            if iv[0] > 0.0:
-                ref = EigenDecomp.of(f.A + iv[0] * g.A)
-                assert np.array_equal(lower.values, ref.values)
-                assert np.array_equal(lower.vectors, ref.vectors)
+    def test_lower_end_decomposition(self, rng, monkeypatch):
+        # Above _SCAN_MAX the read decomposes P + lam*Q at a positive end
+        # with vectors, bit for bit the decomposition of that matrix, and a
+        # negative end from eigenvalues alone; up to it, every finite end
+        # comes from a stacked call with vectors.
+        for n in (6, 12) * 10:
+            small = n <= quad_core._SCAN_MAX
+            f, g, _ = trust_region_pair(rng, n, False)
+            iv, lower, upper = _pencil_interval(f, g, INF_PSD_RTOL)
+            assert iv[1] == np.inf and upper is None
+            if iv[0] > 0.0 or small:
+                _assert_decomposes(lower, f.A + iv[0] * g.A)
             else:
                 assert lower is None
             # g.A + lam*f.A is definite at 0: its lower end is negative.
-            iv, lower = _pencil_interval(g, f, INF_PSD_RTOL)
-            assert iv[0] < 0.0 < iv[1] and lower is None
-        _, lower = _pencil_interval(-f, -g, INF_PSD_RTOL)  # -g is not definite
-        assert lower is None
+            iv, lower, upper = _pencil_interval(g, f, INF_PSD_RTOL)
+            assert iv[0] < 0.0 < iv[1]
+            _assert_decomposes(upper, g.A + iv[1] * f.A)
+            if small:
+                _assert_decomposes(lower, g.A + iv[0] * f.A)
+            else:
+                assert lower is None
+        monkeypatch.setattr(quad_core, "_SCAN_MAX", _PATHS["bisection"])
+        # -g is not definite: the bisection keeps no decomposition.
+        assert _pencil_interval(-f, -g, INF_PSD_RTOL)[1:] == (None, None)
+
+    def test_scan_keeps_both_ends(self):
+        # The scan hands on its decompositions at both finite ends, passing
+        # or not, bit for bit those of P + lo*Q and P + hi*Q.
+        rng = np.random.default_rng(8115)
+        for m in (2, 3, 6, 7):
+            assert m <= quad_core._SCAN_MAX
+            for _ in range(20):
+                e = rng.normal(size=m)
+                e[:2] = -abs(e[0]), abs(e[1])  # Q is indefinite: no definite read
+                P, (Q,) = _sym(rng, m), _rotated(rng, e)
+                P = P @ P.T / m - float(rng.normal()) * Q  # semidefinite at some lam
+                p, q = QuadForm(P, np.zeros(m), 0.0), QuadForm(Q, np.zeros(m), 0.0)
+                iv, lower, upper = _pencil_interval(p, q, PSD_RTOL)
+                for end, ed in zip(iv, (lower, upper)):
+                    if np.isfinite(end):
+                        _assert_decomposes(ed, p.A + end * q.A)
+                    else:
+                        assert ed is None
+
+
+def _assert_decomposes(ed, M):
+    """``ed`` is bit for bit the decomposition of M with vectors."""
+    ref = EigenDecomp.of(M)
+    assert np.array_equal(ed.values, ref.values)
+    assert np.array_equal(ed.vectors, ref.vectors)
 
 
 def _reference_roots(q, x, d, cut):
