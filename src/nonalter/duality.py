@@ -17,11 +17,19 @@ psi is maximized by the single-constraint machinery of :mod:`.qp1qc`
 other in exact single-constraint dual solves, hard case included (see
 :func:`solve_dual_2d`).  It hands back the Lagrangian minimizer at its
 optimum: in the class, the optimal point on the blocking constraint.
+
+Where psi is -inf on both axes, an exact phase I (:func:`_phase_one`)
+decides whether some multipliers make Q positive definite: it returns such
+a point, the start of the search, or a certificate that psi is -inf
+everywhere, a PSD matrix Y with trace 1 on which f's quadratic part is
+negative and neither constraint's is positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -57,20 +65,48 @@ class SlackReport:
     feasible: bool
 
 
+#: Field metadata: the JSON report leaves the field out at its default.
+_OMIT_DEFAULT = {"omit_default": True}
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Y = V diag(w) V' (``vectors`` V, ``weights`` w >= 0 summing to 1), so
+    Y is PSD with trace 1, on which f's quadratic part is negative and each
+    constraint's is not positive: <Y, f.A + lam1*g.A + lam2*h.A> <= <Y, f.A>
+    < 0 for every lam1, lam2 >= 0, so no multipliers make the Lagrangian's
+    quadratic part PSD and psi is -inf everywhere.  ``value`` is <Y, f.A> and
+    ``margin`` the cutoff it fell below, in f's units.  The constraint sums
+    are 0 on a pair whose quadratic parts are opposite (an interval band),
+    so each is accepted up to ``_PHASE1_RTOL`` * (1 + its largest |z'Bz|)
+    in lift-normalized units.
+    """
+
+    weights: np.ndarray
+    vectors: np.ndarray
+    value: float
+    margin: float
+
+
 @dataclass(frozen=True)
 class DualSolveResult:
     """Outcome of maximizing the dual over the nonnegative quadrant.
 
     ``status``: ``finite``, ``dual_infeasible_everywhere`` (psi is -inf on
-    both axes and at every probed multiplier pair) or ``numerical_failure``
-    (psi rises without bound, so the constraints have no common point;
-    ``value`` and ``best`` are then None).  ``value`` is psi at the
-    multipliers of ``best``.  ``evaluations`` counts the single-constraint
-    dual solves (``qp1qc._maximize_dual`` calls), plus the probes when the
-    grid runs.  ``trace`` holds psi at each search point and at a certified
-    point of the Newton step in both multipliers.  ``x`` minimizes the
-    Lagrangian at ``best``: the inner single-constraint optimizer, or -Q^-1 v
-    at a regular Newton point; None in the two-multiplier hard case.
+    both axes, and phase I found no multipliers that make the Lagrangian's
+    quadratic part positive definite; ``certificate`` proves it where the
+    largest smallest eigenvalue is negative beyond rounding) or
+    ``numerical_failure`` (psi rises without bound, so the constraints have
+    no common point; ``value`` and ``best`` are then None).  ``value`` is
+    psi at the multipliers of ``best``.  ``evaluations`` counts the
+    single-constraint dual solves (``qp1qc._maximize_dual`` calls) and
+    ``phase_one`` the eigendecompositions of phase I, which runs only where
+    psi is -inf on both axes; the JSON report leaves ``phase_one`` and
+    ``certificate`` out where phase I did not run or found no certificate.
+    ``trace`` holds psi at each search point and at a certified point of
+    the Newton step in both multipliers.  ``x`` minimizes the Lagrangian at
+    ``best``: the inner single-constraint optimizer, or -Q^-1 v at a regular
+    Newton point; None in the two-multiplier hard case.
     """
 
     status: str
@@ -79,6 +115,8 @@ class DualSolveResult:
     evaluations: int = 0
     trace: Optional[Tuple[dict, ...]] = None
     x: Optional[np.ndarray] = None
+    phase_one: int = field(default=0, metadata=_OMIT_DEFAULT)
+    certificate: Optional[DualCertificate] = field(default=None, metadata=_OMIT_DEFAULT)
 
 
 def lagrangian_dual_value(
@@ -116,12 +154,6 @@ def sdp_certificate(
     )
 
 
-#: Multiplier probes, in units set by the quadratic parts (see
-#: ``_probe_units``): a 64 x 64 grid of u = lam / (1 + lam) on
-#: [0, 1 - 1/1024], then rays along both axes and the diagonal.
-_PROBE_U = np.linspace(0.0, 1.0 - 1.0 / 1024.0, 64)
-_PROBE_LAMBDAS = _PROBE_U / (1.0 - _PROBE_U)
-_AXIS_LAMBDAS = np.geomspace(1e-3, 1e8, 34)
 #: :func:`_polish`: Newton steps, the relative smallest eigenvalue below
 #: which Q(lam) counts as singular, and the relative residual or decrement
 #: that ends it (a gradient, which a rising psi keeps, within its root).
@@ -131,39 +163,15 @@ _POLISH_RTOL = 1e-14
 #: Past _FAR * (1 + start), in lift-normalized units, the outer search
 #: tests once for a dual that rises without bound.
 _FAR = 2.0
-
-
-def _probe_blocks():
-    """Probe multipliers in blocks of at most 256 pairs.
-
-    The grid comes as 16 interleaved 16 x 16 subgrids, so the first block
-    already spans the whole grid; the axis and diagonal rays come last.
-    """
-    lam = _PROBE_LAMBDAS
-    for r1 in range(4):
-        for r2 in range(4):
-            yield np.repeat(lam[r1::4], 16), np.tile(lam[r2::4], 16)
-    zeros = np.zeros_like(_AXIS_LAMBDAS)
-    yield (np.column_stack([_AXIS_LAMBDAS, zeros, _AXIS_LAMBDAS]).ravel(),
-           np.column_stack([zeros, _AXIS_LAMBDAS, _AXIS_LAMBDAS]).ravel())
-
-
-def _probe_units(f: QuadForm, q: QuadForm) -> float:
-    """The multiplier of q that one probe unit stands for: max|f.A| / max|q.A|.
-
-    Positive scaling of f or q, or a translation of x, then leaves the
-    probed matrices Q(lam) the same up to a positive factor.  Where either
-    quadratic part vanishes it sets no scale, and the unit is 1.
-    """
-    a, b = float(np.abs(f.A).max()), float(np.abs(q.A).max())
-    return a / b if a > 0.0 and b > 0.0 else 1.0
-
-
-def _probe(f: QuadForm, g: QuadForm, h: QuadForm, lam1: np.ndarray, lam2: np.ndarray):
-    """psi at a stack of multiplier pairs."""
-    Q = f.A + lam1[:, None, None] * g.A + lam2[:, None, None] * h.A
-    v = f.a + lam1[:, None] * g.a + lam2[:, None] * h.a
-    return quad_inf(Q, v, f.a0 + lam1 * g.a0 + lam2 * h.a0).value
+#: :func:`_phase_one`: decompositions at most, the bottom eigenvectors each
+#: one adds to the model, the model's size, the trust box's first
+#: half-width in lift-normalized units, and the relative slack of the
+#: certificate's constraint sums (a sum that is 0 in exact arithmetic).
+_PHASE1_STEPS = 40
+_PHASE1_CUTS = 3
+_PHASE1_MODEL = 15
+_PHASE1_BOX = 1.0
+_PHASE1_RTOL = 1e-12
 
 
 class _Phi(NamedTuple):
@@ -196,8 +204,10 @@ def solve_dual_2d(
     psi_22 - psi_12^2/psi_11.  Both axes come first: each is optimal when
     the other constraint is nonpositive at its optimizer.  Otherwise
     ``qp1qc._concave_search`` runs on phi, and :func:`_polish` from each of
-    its points may end it.  The probe grid runs only when psi is -inf on
-    both axes, for a start or to report ``dual_infeasible_everywhere``.
+    its points may end it.  Only when psi is -inf on both axes,
+    :func:`_phase_one` runs, for a positive definite start or a
+    certificate that psi is -inf everywhere, reported with
+    ``dual_infeasible_everywhere``.
     """
     sf, sg, sh = (float(np.abs(lift(q)).max()) or 1.0 for q in (f, g, h))
     F, G, H = (QuadForm(q.A / s, q.a / s, q.a0 / s) for q, s in ((f, sf), (g, sg), (h, sh)))
@@ -237,7 +247,7 @@ def solve_dual_2d(
             curvature -= 4.0 * float(cp @ (inv * cq)) ** 2 / d.curvature
         return record(_Phi(mu, lam, d.value, evaluate(Q, x), curvature, x))
 
-    def result(pt, status="finite"):
+    def result(pt, status="finite", certificate=None):
         value = point = x = None
         if pt is not None:
             x = pt.x
@@ -246,9 +256,11 @@ def solve_dual_2d(
             point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
                               slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
         return DualSolveResult(status=status, value=value, best=point, evaluations=evals,
-                               trace=tuple(trace) if trace is not None else None, x=x)
+                               trace=tuple(trace) if trace is not None else None, x=x,
+                               phase_one=decompositions, certificate=certificate)
 
     # The axes: in the class the optimum has one multiplier at zero.
+    decompositions = 0
     start = phi(0.0)
     if start is not None and start.slope <= 0.0:
         return result(start)
@@ -260,17 +272,20 @@ def solve_dual_2d(
         if start is None:
             start = phi(mu)
     elif start is None and d is None:
-        # psi is -inf on both axes: probe until some block has a finite pair.
-        u1, u2 = _probe_units(f, g), _probe_units(f, h)
-        for pair in _probe_blocks():
-            l1, l2 = pair[0] * u1, pair[1] * u2
-            psi = _probe(f, g, h, l1, l2)
-            evals += psi.size
-            if (psi > -np.inf).any():
-                k = int(np.argmax(psi))
-                start = phi((l1[k] * sg if swap else l2[k] * sh) / sf)
-                break
-        else:
+        # psi is -inf on both axes: phase I finds a positive definite start
+        # or a certificate.  Where it finds neither, the maximum of the
+        # smallest eigenvalue is 0 to rounding, and phi at its maximizer
+        # is the one chance left.
+        one = _phase_one(F.A, P.A, Q.A)
+        decompositions = one.decompositions
+        if one.certificate is not None:
+            w, V, margin = one.certificate
+            value = float(w @ ((f.A @ V) * V).sum(axis=0))
+            return result(None, "dual_infeasible_everywhere", DualCertificate(
+                weights=w, vectors=V, value=value, margin=sf * margin))
+        mu = (one.best if one.start is None else one.start)[1]
+        start = phi(mu) if mu > 0.0 else None
+        if start is None and one.start is None:
             return result(None, "dual_infeasible_everywhere")
     if mu == np.inf or start is None or start.value == np.inf:
         return result(None, "numerical_failure")
@@ -378,3 +393,124 @@ def _polish(F: QuadForm, P: QuadForm, Q: QuadForm, lam: float, mu: float):
             return None
     return None
 
+
+class _PhaseOne(NamedTuple):
+    """What :func:`_phase_one` decided: a positive definite ``start``, or a
+    ``certificate`` (weights w, vectors Z with Y = Z diag(w) Z', and the
+    margin <Y, A> fell below), or neither, with the best point reached;
+    ``decompositions`` counts its work."""
+
+    start: Optional[np.ndarray]
+    certificate: Optional[Tuple[np.ndarray, np.ndarray, float]]
+    best: np.ndarray
+    decompositions: int
+
+
+@lru_cache(maxsize=None)
+def _triples(m: int) -> np.ndarray:
+    """Every 3-subset of range(m), one per row; read-only and shared (m stays
+    below _PHASE1_MODEL + _PHASE1_CUTS + 5, so the cache stays small)."""
+    idx = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3)
+    idx.setflags(write=False)
+    return idx
+
+
+def _vertices(S: np.ndarray, rhs: np.ndarray):
+    """The solutions of the nonsingular systems among S[k] x = rhs[k]
+    (3 x 3), and the mask of those systems."""
+    ok = np.abs(np.linalg.det(S)) > _PHASE1_RTOL * np.abs(S).max(axis=(1, 2), initial=0.0) ** 3
+    return np.linalg.solve(S[ok], rhs[ok][..., None])[..., 0], ok
+
+
+def _model_max(a: np.ndarray, G: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """max of min_i a_i + G_i.q over the box lo <= q <= hi, and its
+    maximizer: the best vertex of the linear program in (t, q)."""
+    K = a.size
+    R = np.zeros((K + 4, 3))
+    R[:K, 0], R[:K, 1:] = 1.0, -G
+    R[K:K + 2, 1:], R[K + 2:, 1:] = -np.eye(2), np.eye(2)
+    b = np.concatenate([a, -lo, hi])
+    idx = _triples(K + 4)
+    x, _ = _vertices(R[idx], b[idx])
+    slack = _PHASE1_RTOL * (1.0 + np.abs(b).max() + np.abs(G).max() * np.abs(hi).max())
+    x = x[(x @ R.T <= b + slack).all(axis=1)]
+    k = int(np.argmax(x[:, 0]))
+    return float(x[k, 0]), x[k, 1:]
+
+
+def _model_certificate(a: np.ndarray, G: np.ndarray):
+    """min of a.w over the weights w >= 0, sum w = 1, with G'w <= 0 up to
+    ``_PHASE1_RTOL`` (the dual of maximizing min_i a_i + G_i.q over q >= 0),
+    and its w; (inf, None) where no w meets G'w <= 0.  It is the best basic
+    solution of [1'; G'] w + [0; s] = [1; 0] with slacks s >= 0: three
+    basic columns, so at most three nonzero weights."""
+    K = a.size
+    cols = np.zeros((3, K + 2))
+    cols[0, :K], cols[1:, :K], cols[1:, K:] = 1.0, G.T, np.eye(2)
+    idx = _triples(K + 2)
+    x, ok = _vertices(cols[:, idx].transpose(1, 0, 2), np.tile([1.0, 0.0, 0.0], (len(idx), 1)))
+    idx = idx[ok]
+    cut = _PHASE1_RTOL * (1.0 + np.abs(G).max())
+    feasible = (x >= np.where(idx < K, 0.0, -cut)).all(axis=1)
+    if not feasible.any():
+        return np.inf, None
+    x, idx = x[feasible], idx[feasible]
+    value = (np.concatenate([a, [0.0, 0.0]])[idx] * x).sum(axis=1)
+    k = int(np.argmin(value))
+    w = np.zeros(K + 2)
+    w[idx[k]] = x[k]
+    return float(value[k]), w[:K]
+
+
+def _phase_one(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> _PhaseOne:
+    """Decide whether m(lam, mu) = lambda_min(A + lam*B + mu*C) is positive
+    somewhere on lam, mu >= 0: the phase I of Boyd and Vandenberghe,
+    *Convex Optimization*, section 11.4.
+
+    m is concave, and each unit eigenvector z of any A + lam*B + mu*C
+    bounds it from above by the plane z'Az + lam*z'Bz + mu*z'Cz, exact at
+    that point.  The bottom ``_PHASE1_CUTS`` eigenvectors of each point
+    join a model, the minimum of those planes, and the next point maximizes
+    the model in a box around the best point so far (a cutting-plane method
+    with a trust region; the box doubles after each gain).  Each point is
+    one decomposition.  The search stops at the first positive definite
+    point (above ``PSD_RTOL``'s cutoff), the ``start``.  It stops with a
+    ``certificate`` once the model's maximum over the whole quadrant lies
+    below minus that cutoff at A: by linear programming duality, weights w
+    on the model's vectors z_i then give Y = sum w_i z_i z_i' with Y PSD,
+    tr Y = 1, <Y, A> < 0 and <Y, B>, <Y, C> <= 0, so <Y, A + lam*B + mu*C>
+    < 0 at every lam, mu >= 0 and no such matrix is PSD (Pólik and
+    Terlaky, SIAM Review 49, 2007).  At a multiple bottom eigenvalue the
+    planes of the cluster's vectors meet there, and the model reads the
+    nonsmooth maximum off them.  Where the model shows no gain within the
+    cutoffs (the maximum of m is 0 to rounding), or after
+    ``_PHASE1_STEPS`` points, neither comes back.
+    """
+    n = A.shape[0]
+    k = min(n, _PHASE1_CUTS)
+    a, G, Z = np.empty(0), np.empty((0, 2)), np.empty((n, 0))
+    q, best, top, box, margin = np.zeros(2), np.zeros(2), -np.inf, _PHASE1_BOX, None
+    for step in range(1, _PHASE1_STEPS + 1):
+        ed = EigenDecomp.of(A + q[0] * B + q[1] * C)
+        if ed.values[0] > ed.cut(PSD_RTOL):
+            return _PhaseOne(q, None, q, step)
+        margin = ed.cut(PSD_RTOL) if margin is None else margin
+        V = ed.vectors[:, :k]
+        Z = np.column_stack([Z, V])
+        a = np.concatenate([a, ((A @ V) * V).sum(axis=0)])
+        G = np.vstack([G, np.column_stack([((B @ V) * V).sum(axis=0), ((C @ V) * V).sum(axis=0)])])
+        value, w = _model_certificate(a, G)
+        if value < -margin:
+            keep = w > 0.0
+            return _PhaseOne(None, (w[keep] / w[keep].sum(), Z[:, keep], margin), best, step)
+        if ed.values[0] > top:
+            best, top = q, float(ed.values[0])
+            box = 2.0 * box if step > 1 else box
+        t, q = _model_max(a, G, np.maximum(best - box, 0.0), best + box)
+        if t <= top + margin:
+            break
+        if a.size > _PHASE1_MODEL:
+            # Keep the planes lowest at the model's maximizer.
+            keep = np.sort(np.argsort(a + G @ q, kind="stable")[:_PHASE1_MODEL])
+            a, G, Z = a[keep], G[keep], Z[:, keep]
+    return _PhaseOne(None, None, best, step)

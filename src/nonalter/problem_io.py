@@ -130,7 +130,8 @@ def to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+                if not (f.metadata.get("omit_default") and getattr(obj, f.name) == f.default)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -14,7 +14,9 @@ things: in it a finite dual is nu* even when no point is found, and the
 report names the side of the sublevel set; outside it the pathway names
 weak duality, and where no point is found a brute-force estimate (n <= 3),
 flagged as non-certified, or ``undetermined`` remains.  Where the dual is
--inf everywhere the in-class fallback probes for unboundedness instead.
+-inf everywhere, in the class, the report is ``dual_infeasible`` with the
+dual's phase-I certificate as its evidence (strong duality makes nu* =
+-inf there); whether that may be ``certified`` is left to a verifier.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .classify import (
     classify_problem,
 )
 from .duality import DualPoint, DualSolveResult, slack_matrix, solve_dual_2d
-from .oracle import GridSpec, grid_min, probe_unbounded
+# probe_unbounded has no caller here; perfbench/tracing.py wraps it by this name.
+from .oracle import GridSpec, grid_min, probe_unbounded  # noqa: F401
 from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
@@ -359,12 +362,9 @@ def solve_nonalter(
         if dual.status == "numerical_failure":
             return SolveReport(classification=report, status="numerical_failure",
                                nu_star=dual.value, certified=False, dual=dual, pathway=pathway)
-        w = probe_unbounded(f, g, h, GridSpec.cube(f.n, resolution=201)) if f.n <= 3 else None
         return SolveReport(
             classification=report, status="dual_infeasible", nu_star=None, certified=False,
             dual=dual, pathway=pathway + ("dual infeasible everywhere",),
-            oracle_estimate=None if w is None else {"unbounded_evidence_point": w,
-                                                    "value": evaluate(f, w)},
         )
     status, nu, estimate = "undetermined", None, None
     if f.n <= 3:

@@ -216,6 +216,25 @@ class TestJsonReports:
         )
         assert replay.slack_min_eig == pytest.approx(best["slack_min_eig"], abs=1e-10)
 
+    def test_dual_infeasible_band_reports_its_certificate(self, tmp_path, capsys):
+        # f = -|x|^2 on the band 1 <= x1^2 - x2^2 <= 2: the JSON report carries
+        # the dual's certificate and phase I's count, which a finite dual's
+        # report (ex24 above) leaves out.
+        doc = {"n": 2, "f": {"A": [[-1, 0], [0, -1]], "a": [0, 0], "a0": 0},
+               "g": {"A": [[1, 0], [0, -1]], "a": [0, 0], "a0": -2},
+               "h": {"A": [[-1, 0], [0, 1]], "a": [0, 0], "a0": 1}}
+        code = run(["solve", write_problem(tmp_path, doc), "--format", "json"])
+        assert code == 4
+        dual = json.loads(capsys.readouterr().out)["report"]["dual"]
+        assert dual["status"] == "dual_infeasible_everywhere" and dual["phase_one"] >= 1
+        w, V = np.array(dual["certificate"]["weights"]), np.array(dual["certificate"]["vectors"])
+        Y = (V * w) @ V.T
+        assert np.sum(Y * -np.eye(2)) == pytest.approx(dual["certificate"]["value"], abs=1e-12)
+        assert abs(np.sum(Y * np.diag([1.0, -1.0]))) <= 1e-12
+        run(["solve", str(corpus.corpus_path("ex24")), "--format", "json"])
+        finite = json.loads(capsys.readouterr().out)["report"]["dual"]
+        assert "certificate" not in finite and "phase_one" not in finite
+
     def test_classification_payload(self, capsys):
         code = run(["classify", str(corpus.corpus_path("hqpd_s5a")), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)

@@ -431,6 +431,15 @@ class TestEveryPath:
         assert rep.status == "dual_infeasible" and not rep.certified
         assert rep.nu_star is None and rep.x_star is None
         assert rep.dual.status == "dual_infeasible_everywhere"
+        # The evidence is the dual's certificate, not a grid point: Y is PSD
+        # with trace 1, f.A is negative on it and g.A = -h.A vanishes on it.
+        assert rep.oracle_estimate is None
+        cert = rep.dual.certificate
+        Y = (cert.vectors * cert.weights) @ cert.vectors.T
+        assert np.linalg.eigvalsh(Y)[0] >= -1e-12 and np.trace(Y) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(Y * f.A) == pytest.approx(cert.value, abs=1e-12) and cert.value < -cert.margin
+        assert all(abs(np.sum(Y * q.A)) <= 1e-11 * np.abs(q.A).max() for q in (g, h))
+        assert 0 < rep.dual.phase_one <= 8
         level = 0.5 * (g + h).a0
         d, U = np.linalg.eigh(g.A)
         for R in (1e2, 1e4):
