@@ -57,20 +57,30 @@ class SearchSpec:
 
 class Candidates(NamedTuple):
     """Witness candidate points of (g, h), two single-constraint solves
-    behind them, and the candidates moved onto the zero set of g and of h."""
+    behind them, and what the checkers read of them per quadratic: the
+    values at the candidates and the candidates moved onto the zero set."""
 
     points: np.ndarray
     min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
     min_h: qp1qc.Qp1qcResult  # min h subject to g <= 0
-    moved: dict  # id(q) -> (q, the points on {q = 0}), filled by on_zero_set
+    per_quad: dict  # (kind, id(q)) -> (q, array), filled by values and on_zero_set
+
+    def values(self, q: QuadForm) -> np.ndarray:
+        """q at every candidate, evaluated at most once per quadratic."""
+        return self._cached("values", q, evaluate_many)
 
     def on_zero_set(self, q: QuadForm) -> np.ndarray:
         """The candidates moved onto {q = 0} that land there, moved at most
-        once per quadratic (:func:`_move_to_zero_set`).  An entry keeps its
-        quadratic, and with it the id it is filed under."""
-        entry = self.moved.get(id(q))
+        once per quadratic (:func:`_move_to_zero_set`)."""
+        return self._cached("zero_set", q, _move_to_zero_set)
+
+    def _cached(self, kind: str, q: QuadForm, compute) -> np.ndarray:
+        # An entry keeps its quadratic, and with it the id it is filed under.
+        entry = self.per_quad.get((kind, id(q)))
         if entry is None:
-            entry = self.moved[id(q)] = (q, _move_to_zero_set(q, self.points))
+            arr = compute(q, self.points)
+            arr.setflags(write=False)
+            entry = self.per_quad[kind, id(q)] = (q, arr)
         return entry[1]
 
 
@@ -120,7 +130,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     keep = ~np.isnan(T)
     points = np.vstack([np.reshape(optima, (-1, n)),
                         (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
-    return Candidates(points, min_g=mins[1], min_h=mins[0], moved={})
+    return Candidates(points, min_g=mins[1], min_h=mins[0], per_quad={})
 
 
 def _move_to_zero_set(q: QuadForm, pts: np.ndarray) -> np.ndarray:
@@ -158,14 +168,14 @@ def _zero_set_witness(
     return pts[int(np.argmax(rel))].copy()
 
 
-def _feasible_witness(conds, pts: np.ndarray) -> Optional[np.ndarray]:
+def _feasible_witness(conds, cands: Candidates) -> Optional[np.ndarray]:
     """First candidate satisfying every (quadform, upper_bound) condition."""
-    mask = np.ones(len(pts), dtype=bool)
+    mask = np.ones(len(cands.points), dtype=bool)
     for q, ub in conds:
-        mask &= evaluate_many(q, pts) <= ub
+        mask &= cands.values(q) <= ub
         if not mask.any():
             return None
-    return pts[int(np.flatnonzero(mask)[0])].copy()
+    return cands.points[int(np.flatnonzero(mask)[0])].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +218,9 @@ def _pencil_certificate(p: QuadForm, q: QuadForm) -> Optional[float]:
     :func:`nonneg_everywhere` as well, else None.
 
     That check reads lift(p)'s decomposition at lambda = 0, and at an end of
-    the interval the decomposition the interval search made there
-    (:func:`_pencil_interval`), the same matrix bit for bit; it does not
-    assume the end passed: a root next to a passing midpoint can fail.
+    the interval the eigenvalues the interval search found for that matrix
+    (:func:`_pencil_interval`); it does not assume the end passed: a root
+    next to a passing midpoint can fail.
     """
     iv, lower, upper = _pencil_interval(p, q, PSD_RTOL, lifted=True)
     if iv is None:
@@ -583,8 +593,7 @@ def check_assumption3(
     gs, hs = g.data_scale(), h.data_scale()
     if cands is None:
         cands = _ray_candidates(g, h, spec, tol)
-    pts = cands.points
-    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], pts)
+    feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], cands)
     if feas is None:
         r = cands.min_g
         if r.status == "infeasible" or (r.value is not None and r.value > tol * (1 + gs)):
@@ -600,8 +609,8 @@ def check_assumption3(
 
     # D != {g<=0}: a point with g <= 0 < h, or a certificate {g<=0} in {h<=0}.
     for first, second, label in ((g, h, "g"), (h, g, "h")):
-        mask = (evaluate_many(first, pts) <= tol * (1 + first.data_scale())) & (
-            evaluate_many(second, pts) > tol * (1 + second.data_scale())
+        mask = (cands.values(first) <= tol * (1 + first.data_scale())) & (
+            cands.values(second) > tol * (1 + second.data_scale())
         )
         if mask.any():
             continue
@@ -641,8 +650,7 @@ def check_assumption1(
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
     if cands is None:
         cands = _ray_candidates(g, h, spec, tol)
-    pts = cands.points
-    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], pts)
+    interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], cands)
     if interior is not None:
         return AssumptionVerdict(
             Verdict.HOLDS, note="strict interior point", witness=interior

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 other invalid input (for example a constant g for
 ``reduce``), 2 malformed input, 3 infeasible, 4 unbounded or
-dual-infeasible, 5 undetermined, 141 standard output closed before the
-report was written.
+dual-infeasible, 5 undetermined or numerical failure (a LAPACK routine
+that did not converge also exits 5, with ``error: numerical failure``),
+141 standard output closed before the report was written.
 """
 
 from __future__ import annotations
@@ -289,6 +290,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ProblemFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but an internal failure, not bad input.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_UNDETERMINED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

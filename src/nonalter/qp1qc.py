@@ -97,8 +97,8 @@ def _dual_at(f: QuadForm, g: QuadForm, lam: float,
              eig: Optional[EigenDecomp] = None) -> Optional[_DualPoint]:
     """The dual and its derivatives at lam from one closed form; None where
     psi(lam) = -inf.  At lam = 0 it reads f's own decomposition, elsewhere
-    ``eig`` when the caller holds that of f.A + lam*g.A."""
-    Q = f.eig if lam == 0.0 else f.A + lam * g.A if eig is None else eig
+    ``eig`` when the caller holds that of f.A + lam*g.A with vectors."""
+    Q = f.eig if lam == 0.0 else f.A + lam * g.A if eig is None or eig.vectors is None else eig
     qi = quad_inf(Q, f.a + lam * g.a, f.a0 + lam * g.a0)
     if qi.value == -np.inf:
         return None

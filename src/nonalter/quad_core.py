@@ -58,12 +58,15 @@ class QuadForm:
     """One quadratic function q(x) = x'Ax + 2a'x + a0 on R^n.
 
     ``A`` is symmetrized exactly on construction; all data is immutable.
-    Each quadratic decomposes ``A`` and its lift at most once (``eig``,
-    ``lift_eig``), and ``-q`` shares them with ``q``, negated.  It also
-    keeps the pencil root solves of the pairs it came first in (see
+    Each quadratic computes its data scale (:meth:`data_scale`) and its lift
+    (:func:`lift`) at most once, and decomposes ``A`` and the lift at most
+    once (``eig``, ``lift_eig``); ``-q`` shares the decompositions with
+    ``q``, negated.  It also keeps the pencil root solves of the pairs it
+    came first in, with the stacked reads they served (see
     :func:`pencil_interval`), in one table with ``-q``, the Cholesky factor
     of A when A is definite (``chol``), and its unconstrained minimum at the
-    default cutoff (:func:`unconstrained_min`).
+    default cutoff (:func:`unconstrained_min`).  Every cached array is
+    read-only.
     """
 
     A: np.ndarray
@@ -127,6 +130,17 @@ class QuadForm:
         return self._from_negation("lift_eig") or sym_eigen(lift(self))
 
     @cached_property
+    def _lift(self) -> np.ndarray:
+        n = self.n
+        M = np.empty((n + 1, n + 1))
+        M[0, 0] = self.a0
+        M[0, 1:] = self.a
+        M[1:, 0] = self.a
+        M[1:, 1:] = self.A
+        M.setflags(write=False)
+        return M
+
+    @cached_property
     def chol(self) -> Optional[np.ndarray]:
         """The read-only Cholesky factor L of A (LL' = A) from
         :func:`_definite_factor`, computed at most once; None when A has none."""
@@ -142,8 +156,8 @@ class QuadForm:
 
     @cached_property
     def _pencils(self) -> dict:
-        """Pencil root solves keyed by (lifted, the other quadratic's table),
-        one table for q and -q."""
+        """Pencil root solves and their stacked reads keyed by (lifted, the
+        other quadratic's table), one table for q and -q."""
         neg = self.__dict__.get("_neg")
         return {} if neg is None else neg.__dict__.setdefault("_pencils", {})
 
@@ -160,7 +174,12 @@ class QuadForm:
         return float(np.abs(self.A).max(initial=0.0)) <= rtol * scale
 
     def data_scale(self) -> float:
-        """Magnitude of the coefficient data, used for relative tolerances."""
+        """Magnitude of the coefficient data, used for relative tolerances;
+        computed at most once."""
+        return self._scale
+
+    @cached_property
+    def _scale(self) -> float:
         return max(
             float(np.abs(self.A).max(initial=0.0)),
             float(np.abs(self.a).max(initial=0.0)),
@@ -236,15 +255,9 @@ def line_roots(q: QuadForm, X: np.ndarray, D: np.ndarray, rtol: float) -> np.nda
 
 
 def lift(q: QuadForm) -> np.ndarray:
-    """The symmetric (n+1)x(n+1) homogenization of ``q``."""
-    n = q.n
-    M = np.empty((n + 1, n + 1))
-    M[0, 0] = q.a0
-    M[0, 1:] = q.a
-    M[1:, 0] = q.a
-    M[1:, 1:] = q.A
-    M.setflags(write=False)
-    return M
+    """The symmetric (n+1)x(n+1) homogenization of ``q``, read-only, built
+    at most once per quadratic."""
+    return q._lift
 
 
 def from_lift(M: np.ndarray) -> QuadForm:
@@ -300,8 +313,13 @@ class EigenDecomp:
         return self.vectors[:, self.zero(rtol)]
 
     def at(self, k: int) -> "EigenDecomp":
-        """The decomposition of matrix k of a stack, as views into this one."""
-        return EigenDecomp(self.values[k], self.vectors[k])
+        """The decomposition of matrix k of a stack, as read-only copies that
+        keep no reference to the stack."""
+        values, vectors = (None if a is None else a[k].copy() for a in (self.values, self.vectors))
+        for a in (values, vectors):
+            if a is not None:
+                a.setflags(write=False)
+        return EigenDecomp(values, vectors)
 
     def negated(self) -> "EigenDecomp":
         """The decomposition of -M: negated spectrum, ascending, same vectors and
@@ -514,16 +532,18 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
 
 def _pair_solve(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
     """The root solve of P + lam*Q, the quadratic parts of p and q or their
-    lifts, as (solve, sign, swap, q_sign): one solve per pair up to the sign
-    and the order of p and q (solve None when no shift leaves the pencil
-    well conditioned).  ``sign`` and ``swap`` map its roots to this pencil
-    (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with which
-    the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
+    lifts, as (solve, sign, swap, q_sign, reads): one solve per pair up to
+    the sign and the order of p and q (solve None when no shift leaves the
+    pencil well conditioned).  ``sign`` and ``swap`` map its roots to this
+    pencil (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with
+    which the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
+    ``reads`` holds the stacked reads of the pair's pencils
+    (:func:`_interval`), keyed by (sign, swap, q_sign, tol).
 
     The solve sits in the table of the pair's first quadratic (shared with
     its negative) under the other's table, as (id of the first, the other,
-    solve): the table lives as long as the first, which keeps that id, and
-    the entry keeps the other and with it its table's id.
+    solve, reads): the table lives as long as the first, which keeps that
+    id, and the entry keeps the other and with it its table's id.
     """
     for first, second, swap in ((p, q, False), (q, p, True)):
         entry = first._pencils.get((lifted, id(second._pencils)))
@@ -532,10 +552,10 @@ def _pair_solve(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.nda
     else:
         first, second, swap = p, q, False
         solve = _solve_pencil(P, Q, None if lifted else q)
-        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, solve)
-    owner, other, solve = entry
+        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, solve, {})
+    owner, other, solve, reads = entry
     q_sign = 1 if second is other else -1
-    return solve, (1 if id(first) == owner else -1) * q_sign, swap, q_sign
+    return solve, (1 if id(first) == owner else -1) * q_sign, swap, q_sign, reads
 
 
 def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
@@ -547,11 +567,15 @@ def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
 
 
 def _pencil_interval(p: QuadForm, q: QuadForm, tol: float, lifted: bool = False):
-    """:func:`pencil_interval`, and the decompositions with vectors of
-    P + lo*Q and P + hi*Q at its ends lo and hi where the search made one
-    (:func:`_interval`), for a caller that goes on at an end."""
+    """:func:`pencil_interval`, and the decompositions of P + lo*Q and
+    P + hi*Q at its ends lo and hi where the search made one
+    (:func:`_interval`), for a caller that goes on at an end.  A pencil
+    whose stacked read the pair already holds, its own or the mirror of
+    -P + lam*Q's, is read from it with no decomposition."""
     P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    return _interval(P, Q, tol, *_pair_solve(p, q, lifted, P, Q))
+    solve, sign, swap, q_sign, reads = _pair_solve(p, q, lifted, P, Q)
+    read = reads.get((sign, swap, q_sign, tol))
+    return read if read is not None else _interval(P, Q, tol, solve, sign, swap, q_sign, reads)
 
 
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
@@ -605,21 +629,38 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     On raw matrices each call solves for the roots.  Between quadratics,
     :func:`pencil_interval` reads them from the root solve the pair owns:
     one per pair, shared across the negation of either and their swap.
+    There the stacked read of P + lam*Q is kept with the read of -P + lam*Q
+    that the same decomposition gives, whose matrices at the negated test
+    points are the stack's negated: once either is read, neither costs a
+    decomposition again.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     return _interval(P, Q, tol, _solve_pencil(P, Q))[0]
 
 
 def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilSolve],
-              sign: int = 1, swap: bool = False, q_sign: int = 1):
+              sign: int = 1, swap: bool = False, q_sign: int = 1, reads: Optional[dict] = None):
     """:func:`psd_interval` of P + lam*Q from ``solve``, the root solve of a
     pencil P0 + lam*Q0 that P + lam*Q is up to ``sign``, ``swap`` and
     ``q_sign`` (:func:`_pair_solve`), as (interval, lower, upper).
 
-    ``lower`` and ``upper`` are the decompositions with vectors of P + lo*Q
-    and P + hi*Q at the interval's ends, whether or not the end passed,
-    where the search made one: every finite end up to ``_SCAN_MAX`` wide,
-    a positive end of a definite read above it; None otherwise."""
+    ``lower`` and ``upper`` are the decompositions of P + lo*Q and P + hi*Q
+    at the interval's ends, whether or not the end passed, where the search
+    made one: every finite end up to ``_SCAN_MAX`` wide, a positive end of
+    a definite read above it; None otherwise.  They hold vectors, except
+    where a mirrored read (below) gives the eigenvalues alone.
+
+    Given ``reads`` (:func:`_pair_solve`), the stacked scan stores its read
+    and the mirrored read of -P + lam*Q, each as (interval, lower, upper)
+    with read-only ends.  The test points of -P + lam*Q are -pts[::-1], and
+    each of its matrices is the negative of one in the stack, exactly up to
+    the signs of zero entries, so its eigenvalues are the stack's negated
+    and reversed: a test point passes there where the largest eigenvalue
+    is at most the cutoff.  LAPACK's vectors of -M are those of M reversed
+    only where no eigenvalues are equal and no signed zero steers it, so
+    the mirror keeps no vectors, and a caller that needs them decomposes
+    the end's own matrix.  The definite read and the bisection store
+    nothing."""
     if solve is None:
         return None, None, None
     roots, pts = solve.test_points(sign, swap)
@@ -660,15 +701,16 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
             return (float(edges[j]), float(edges[j + 1])), *ends
 
     if P.shape[0] <= _SCAN_MAX:
-        # Every verdict from one stacked decomposition; root j is test point
-        # 2j + 1, so a finite end, edge e, is test point 2e - 1.
+        # Every verdict from one stacked decomposition, stored with its
+        # mirror when ``reads`` is given.
         stack = EigenDecomp.of(P + pts[:, None, None] * Q)
-        passing = np.flatnonzero(stack.values[:, 0] >= -stack.cut(tol))
-        if not passing.size:
-            return None, None, None
-        ends = ((passing[0] + 1) // 2, passing[-1] // 2 + 1)
-        eds = [stack.at(2 * e - 1) if 0 < e <= roots.size else None for e in ends]
-        return (float(edges[ends[0]]), float(edges[ends[1]])), *eds
+        read = _read_stack(stack, edges, tol)
+        if reads is not None:
+            reads[sign, swap, q_sign, tol] = read
+            # In -P + lam*Q the solve's Q changes sign where it enters as P.
+            reads[-sign, swap, -q_sign if swap else q_sign, tol] = _read_stack(
+                EigenDecomp(-stack.values[::-1, ::-1], None), -edges[::-1], tol)
+        return read
 
     def any_passing(lo: int, hi: int) -> Optional[Tuple[int, int, int]]:
         # A passing test point in [lo, hi] and a range within [lo, hi]
@@ -723,6 +765,20 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
     first, last = first_passing(lo, k - 1), last_passing(k + 1, hi)
     first, last = k if first is None else first, k if last is None else last
     return (float(edges[(first + 1) // 2]), float(edges[last // 2 + 1])), None, None
+
+
+def _read_stack(stack: EigenDecomp, edges: np.ndarray, tol: float):
+    """(interval, lower, upper) from the decompositions of every test point
+    of a pencil whose roots, between -inf and inf, are ``edges``
+    (:func:`_interval`)."""
+    passing = np.flatnonzero(stack.values[:, 0] >= -stack.cut(tol))
+    if not passing.size:
+        return None, None, None
+    # Root j is test point 2j + 1, so a finite end, edge e, is test point
+    # 2e - 1; the first and last edges are infinite.
+    ends = ((passing[0] + 1) // 2, passing[-1] // 2 + 1)
+    eds = [stack.at(2 * e - 1) if 0 < e < edges.size - 1 else None for e in ends]
+    return (float(edges[ends[0]]), float(edges[ends[1]])), *eds
 
 
 def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:

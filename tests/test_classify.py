@@ -427,15 +427,16 @@ class TestWitnessCandidates:
     def test_classification_eigendecomposition_budget(self, eig_calls):
         # Each of g, h, -g, -h decomposes its matrix and its lift at most once
         # per classification; the rest are pencils, one stacked call per
-        # small pencil, and the single-constraint duals behind the candidates.
+        # small pencil that serves its sign mirror too, and the
+        # single-constraint duals behind the candidates.
         f, g, h, _ = corpus.load("ex24")
         classify_problem(g, h)
-        assert eig_calls[0] <= 15
+        assert eig_calls[0] <= 11
         eig_calls[0] = 0
         for name in corpus.NAMES:
             f, g, h, _ = corpus.load(name)
             classify_problem(g, h)
-        assert eig_calls[0] <= 151
+        assert eig_calls[0] <= 122
 
     def test_reports_do_not_depend_on_the_scan(self, monkeypatch):
         # The stacked scan and the bisection read the same interval, and the
@@ -482,6 +483,25 @@ class TestWorkPerClassification:
             assert work_counts["solves"] == 2, name
             assert work_counts["minima"] <= 4, name
 
+    def test_candidate_values_once(self, monkeypatch):
+        # Assumptions 3 and 1 read g and h at the candidates from one
+        # evaluation of each.
+        made, evaluated = [], []
+        ray_candidates, evaluate_many = classify._ray_candidates, classify.evaluate_many
+        monkeypatch.setattr(classify, "_ray_candidates",
+                            lambda *args: made.append(ray_candidates(*args)) or made[-1])
+        monkeypatch.setattr(classify, "evaluate_many",
+                            lambda q, pts: evaluated.append((q, pts)) or evaluate_many(q, pts))
+        for name in corpus.NAMES:
+            _, g, h, _ = corpus.load(name)
+            made.clear()
+            evaluated.clear()
+            classify_problem(g, h, 1e-9)
+            (cands,) = made
+            on_candidates = [q for q, pts in evaluated if pts is cands.points]
+            assert len(on_candidates) == len(set(map(id, on_candidates))) <= 2, name
+            assert all(q is g or q is h for q in on_candidates), name
+
     def test_parsed_copies_share_nothing(self, work_counts):
         # The solves live on the quadratics of one request: a second parse of
         # the same document starts from nothing and gives the same report.
@@ -494,7 +514,7 @@ class TestWorkPerClassification:
             assert work_counts == {"solves": 2, "minima": 4}
             quads = (g, h, -g, -h)
             for q in quads:
-                for owner, other, _ in q._pencils.values():
+                for owner, other, *_ in q._pencils.values():
                     assert owner in map(id, quads) and any(other is r for r in quads)
             copies.append(quads)
         assert reports[0] == reports[1]

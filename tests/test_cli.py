@@ -122,6 +122,20 @@ class TestParseProblem:
         assert run(["reduce", write_problem(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["classify", "solve", "reduce"])
+    def test_numerical_failure_exit_code(self, command, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, but a LAPACK routine that does
+        # not converge is an internal failure, not invalid input: exit 5.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run([command, str(corpus.corpus_path("ex24"))]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure: ")
+        assert "did not converge" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["reduce", "--tol", "1e-3"], ["reduce", "--seed", "1"], ["reduce", "--bounds", "-1", "1"],
         ["reduce", "--grid-res", "11"], ["classify", "--grid-res", "11"],

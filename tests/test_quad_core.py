@@ -280,7 +280,7 @@ def _pencil_test_points(P, Q):
 def _pair_test_points(p, q, lifted, P, Q):
     """The roots and test points of P + lam*Q from the root solve the pair
     (p, q) shares."""
-    solve, sign, swap, _ = _pair_solve(p, q, lifted, P, Q)
+    solve, sign, swap, *_ = _pair_solve(p, q, lifted, P, Q)
     return None if solve is None else solve.test_points(sign, swap)
 
 
@@ -784,6 +784,157 @@ class TestDefiniteInterval:
                         assert ed is None
 
 
+def _direct_read(p, q, tol, lifted=False):
+    """_pencil_interval of (p, q) read afresh from the pair's root solve:
+    no stored read is looked up, and none is stored."""
+    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
+    solve, sign, swap, q_sign, _ = _pair_solve(p, q, lifted, P, Q)
+    return quad_core._interval(P, Q, tol, solve, sign, swap, q_sign)
+
+
+def _stored(p, q, tol, lifted=False):
+    """Whether the pair holds a stacked read of (p, q) at tol."""
+    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
+    _, sign, swap, q_sign, reads = _pair_solve(p, q, lifted, P, Q)
+    return (sign, swap, q_sign, tol) in reads
+
+
+def _mirror_pairs(rng, n):
+    """Fresh (p, q) on R^n: q.A indefinite, with p.A arbitrary and with
+    p.A + mu*q.A semidefinite at some mu; q.A definite, with lift(q)
+    definite too; p and q with a common kernel in A and in the lift."""
+    def quad(A, scale=1.0, a0=None):
+        return QuadForm(A, scale * rng.normal(size=n), float(rng.normal()) if a0 is None else a0)
+
+    yield quad(_sym(rng, n)), quad(_sym(rng, n))
+    Q, L = _sym(rng, n), rng.normal(size=(n, n))
+    yield quad(L @ L.T / n - float(rng.normal()) * Q), quad(Q)
+    M = rng.normal(size=(n, n))
+    yield quad(_sym(rng, n)), quad(M @ M.T / n + 0.1 * np.eye(n), 0.1, 1.0 + n)
+    W, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    W = W[:, : n - 1]
+    yield (QuadForm(W @ _sym(rng, n - 1) @ W.T, W @ rng.normal(size=n - 1), float(rng.normal())),
+           QuadForm(W @ _sym(rng, n - 1) @ W.T, W @ rng.normal(size=n - 1), float(rng.normal())))
+
+
+def _assert_same_read(got, want, mirrored=False):
+    """The same interval and, bit for bit, the same end decompositions; a
+    mirrored read hands on the eigenvalues alone."""
+    assert got[0] == want[0]
+    for ed, ref in zip(got[1:], want[1:]):
+        assert (ed is None) == (ref is None)
+        if ed is not None:
+            assert np.array_equal(ed.values, ref.values)
+            if mirrored:
+                assert ed.vectors is None and not ed.values.flags.writeable
+            else:
+                assert np.array_equal(ed.vectors, ref.vectors)
+
+
+class TestMirroredRead:
+    """A stacked read of P + lam*Q also reads -P + lam*Q, bit for bit what a
+    read of -P + lam*Q from the pair's root solve gives, with no
+    decomposition; the definite read and the bisection store nothing.
+
+    On degenerate pencils, with equal eigenvalues or entries that cancel
+    to zero, LAPACK's decomposition of -M is not always M's negated: its
+    vectors can differ and, on matrices that are zero to rounding, its
+    eigenvalues at rounding level.  So the mirror hands on no vectors."""
+
+    @staticmethod
+    def _read_in_sign_pairs(p, q, tol, lifted, eig_calls):
+        # Each orientation, then its mirror; the number of mirrors served.
+        served = 0
+        for a, b in ((p, q), (p, -q), (q, p), (q, -p)):
+            _assert_same_read(_pencil_interval(a, b, tol, lifted), _direct_read(a, b, tol, lifted))
+            stored = _stored(-a, b, tol, lifted)
+            eig_calls[0] = 0
+            mirrored = _pencil_interval(-a, b, tol, lifted)
+            if stored:
+                assert eig_calls[0] == 0
+                served += 1
+            _assert_same_read(mirrored, _direct_read(-a, b, tol, lifted), stored)
+        assert len(p._pencils) == 1 and not q._pencils  # one entry for the pair
+        return served
+
+    def test_mirror_is_the_direct_read(self, eig_calls):
+        rng = np.random.default_rng(8120)
+        served = found = 0
+        for n in range(1, 8):
+            for _ in range(3):
+                for p, q in _mirror_pairs(rng, n):
+                    for tol in (INF_PSD_RTOL, PSD_RTOL):
+                        for lifted in (False, True):
+                            p, q = QuadForm(p.A, p.a, p.a0), QuadForm(q.A, q.a, q.a0)
+                            served += self._read_in_sign_pairs(p, q, tol, lifted, eig_calls)
+                            found += pencil_interval(p, q, tol, lifted) is not None
+        assert served >= 500 and found >= 100, (served, found)
+
+    def test_after_a_definite_read(self, eig_calls):
+        # q.A is definite: P + lam*Q takes the definite read, which stores
+        # nothing, so -P + lam*Q is read on its own.
+        rng = np.random.default_rng(8121)
+        definite = 0
+        for n in range(1, 8):
+            for tol in (INF_PSD_RTOL, PSD_RTOL):
+                M = rng.normal(size=(n, n))
+                p = QuadForm(_sym(rng, n), rng.normal(size=n), 0.0)
+                q = QuadForm(M @ M.T / n + 0.1 * np.eye(n), rng.normal(size=n), 0.0)
+                want = _direct_read(p, q, tol)  # the pair's root solve, no read stored
+                eig_calls[0] = 0
+                read = _pencil_interval(p, q, tol)
+                _assert_same_read(read, want)
+                if eig_calls[0] > 1:
+                    continue  # a check did not hold: the scan read it
+                definite += 1
+                assert not _stored(-p, q, tol)
+                eig_calls[0] = 0
+                mirrored = _pencil_interval(-p, q, tol)
+                assert eig_calls[0] >= 1
+                _assert_same_read(mirrored, _direct_read(-p, q, tol))
+        assert definite >= 10
+
+    def test_degenerate_pencils(self):
+        # Small integer diagonals and a two-dimensional common kernel: the
+        # interval is still the direct read's, and the eigenvalues are equal
+        # up to rounding of the spectral scale.
+        rng = np.random.default_rng(8123)
+        served = 0
+        for n in range(2, 8):
+            for _ in range(6):
+                ints = lambda *shape: rng.integers(-3, 4, size=shape).astype(float)
+                W = np.linalg.qr(rng.normal(size=(n, n)))[0][:, : n - 2]
+                pairs = [(QuadForm(np.diag(ints(n)), ints(n), float(ints(1)[0])),
+                          QuadForm(np.diag(ints(n)), ints(n), float(ints(1)[0]))),
+                         (QuadForm(W @ _sym(rng, n - 2) @ W.T, W @ rng.normal(size=n - 2), 1.0),
+                          QuadForm(W @ _sym(rng, n - 2) @ W.T, W @ rng.normal(size=n - 2), -1.0))]
+                for p, q in pairs:
+                    for tol, lifted in ((INF_PSD_RTOL, False), (PSD_RTOL, True)):
+                        p, q = QuadForm(p.A, p.a, p.a0), QuadForm(q.A, q.a, q.a0)
+                        for a, b in ((p, q), (q, -p)):
+                            _pencil_interval(a, b, tol, lifted)
+                            if not _stored(-a, b, tol, lifted):
+                                continue
+                            served += 1
+                            got, want = _pencil_interval(-a, b, tol, lifted), _direct_read(-a, b, tol, lifted)
+                            assert got[0] == want[0]
+                            for ed, ref in zip(got[1:], want[1:]):
+                                assert (ed is None) == (ref is None)
+                                if ed is not None:
+                                    scale = 1.0 + np.abs(ref.values).max()
+                                    assert np.abs(ed.values - ref.values).max() <= 1e-15 * scale
+        assert served >= 100, served
+
+    def test_bisection_stores_nothing(self, eig_calls, monkeypatch):
+        monkeypatch.setattr(quad_core, "_SCAN_MAX", _PATHS["bisection"])
+        rng = np.random.default_rng(8122)
+        for n in range(1, 8):
+            for p, q in _mirror_pairs(rng, n):
+                for lifted in (False, True):
+                    p, q = QuadForm(p.A, p.a, p.a0), QuadForm(q.A, q.a, q.a0)
+                    assert self._read_in_sign_pairs(p, q, PSD_RTOL, lifted, eig_calls) == 0
+
+
 def _assert_decomposes(ed, M):
     """``ed`` is bit for bit the decomposition of M with vectors."""
     ref = EigenDecomp.of(M)
@@ -888,6 +1039,9 @@ class TestSpectralPrimitive:
                 for ed in (q.eig, q.lift_eig, (-q).eig, (-q).lift_eig):
                     assert not ed.values.flags.writeable and not ed.vectors.flags.writeable
                 assert q.eig is q.eig and -q is -q and -(-q) is q
+                # The lift and the data scale are built once, read-only.
+                assert lift(q) is lift(q) and not lift(q).flags.writeable
+                assert q.data_scale() == max(np.abs(lift(q)).max(), 1e-300)
 
     def test_negation_shares_the_decompositions(self, eig_calls):
         # Whichever of q and -q asks first decomposes; the other negates.
