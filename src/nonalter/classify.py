@@ -708,8 +708,9 @@ class ArrangementClass(Enum):
 class ArrangementReport:
     """Assumption verdicts, the solver pathway class, and membership.
 
-    ``overall_class`` is the case of the dispatch ledger that fires first in
-    the order 3, 4, 5, affine pair, 2, 1.  ``in_nonalter`` records class
+    ``overall_class`` is undetermined when the verdicts contradict each
+    other, else the case of the dispatch ledger that fires first in the
+    order 3, 4, 5, affine pair, 2, 1.  ``in_nonalter`` records class
     membership itself, which is decided by assumptions 1 and 2 alone; an
     instance can be a member while still being solved through a reduction
     (for example when one constraint is redundant).
@@ -745,6 +746,42 @@ def _affine_pair_case(g: QuadForm, h: QuadForm, tol: float):
     return {"t": t, "b": b, "b0": g.a0, "c0": h.a0}
 
 
+def _contradiction(g: QuadForm, h: QuadForm, a1: AssumptionVerdict, a3: AssumptionVerdict,
+                   a4: AssumptionVerdict, tol: float) -> Optional[str]:
+    """A note naming two verdicts that contradict each other, or None.
+
+    Each function q that assumption 4 reports never negative is checked
+    against the witnesses of assumptions 1 and 3, and, for -g and -h,
+    against assumption 3 holding: -g >= 0 everywhere makes {g <= 0} the
+    whole space, so D = {h <= 0} and h alone would be active.  A witness w
+    refutes q >= 0 when q is clearly negative, below -tol in units of 1 +
+    its data scale, at w or at the minimum of q on the line from w along
+    -grad q(w): where q >= 0 and q(w) = 0, w is a minimizer of q, with a
+    zero gradient."""
+    if not a4.fails:
+        return None
+    signed = {"g": g, "-g": -g, "h": h, "-h": -h}
+    for name in (a4.certificate or {}).get("missing", ()):
+        q = signed[name]
+        for k, a in ((1, a1), (3, a3)):
+            if a.witness is not None and _refutes_nonnegative(q, a.witness, tol * (1.0 + q.data_scale())):
+                return (f"assumption 4 reports {name} never negative, but {name} is negative "
+                        f"at or near the witness of assumption {k}: contradictory verdicts")
+        if name[0] == "-" and a3.holds:
+            return (f"assumption 4 reports {name} never negative, but assumption 3 holds "
+                    "with both constraints active: contradictory verdicts")
+    return None
+
+
+def _refutes_nonnegative(q: QuadForm, w: np.ndarray, cut: float) -> bool:
+    """True when q is below -cut at w or at the minimum of q on the line from
+    w along -grad q(w) (:func:`_contradiction`)."""
+    d = -(q.A @ w + q.a)
+    curv = float(d @ q.A @ d)
+    pts = (w, w + (float(d @ d) / curv) * d) if curv > 0.0 else (w,)
+    return min(evaluate(q, p) for p in pts) < -cut
+
+
 def classify_problem(
     g: QuadForm,
     h: QuadForm,
@@ -755,7 +792,8 @@ def classify_problem(
 
     Checkers run in the order 3, 4, 5, 2, 1 so that each early exit carries a
     constructive reduction; all five verdicts are always computed so that the
-    report is complete.
+    report is complete.  Verdicts that contradict each other
+    (:func:`_contradiction`) make the class undetermined before any dispatch.
     """
     notes = []
     cands = _ray_candidates(g, h, spec, tol)
@@ -776,8 +814,12 @@ def classify_problem(
 
     overall = None
     hint = None
+    conflict = _contradiction(g, h, a1, a3, a4, tol)
 
-    if a3.fails:
+    if conflict is not None:
+        overall = ArrangementClass.UNDETERMINED
+        notes.append(conflict)
+    elif a3.fails:
         case = (a3.certificate or {}).get("case")
         if case == "infeasible":
             overall = ArrangementClass.INFEASIBLE
@@ -790,25 +832,17 @@ def classify_problem(
         overall = ArrangementClass.UNDETERMINED
         notes.append("assumption 3 undetermined")
     elif a4.fails:
-        # Only the ">= 0 everywhere" failures survive to this point; they
-        # pin the corresponding feasible set to an affine subspace.
-        missing = (a4.certificate or {}).get("missing", ())
-        hard = [name for name in missing if name in ("g", "h")]
-        if hard:
-            overall = ArrangementClass.REDUCES_TO_QP1QC
-            hint = {"kind": "subspace", "flat": tuple(hard)}
-            notes.append(
-                "assumption 4 fails: "
-                + " and ".join(hard)
-                + " never negative, feasible set restricted to an affine subspace"
-            )
-        else:
-            # -g or -h has no Slater point, so that constraint is redundant;
-            # assumption 3 normally certifies this first.
-            which = "h" if "-g" in missing else "g"
-            overall = ArrangementClass.REDUCES_TO_QP1QC
-            hint = {"kind": "single_constraint", "which": which}
-            notes.append("assumption 4 fails by one-sided redundancy")
+        # Assumption 3 holds here, so a never negative -g or -h was a
+        # contradiction: only g and h are left, and a never negative one
+        # pins the feasible set to an affine subspace.
+        flat = tuple((a4.certificate or {}).get("missing", ()))
+        overall = ArrangementClass.REDUCES_TO_QP1QC
+        hint = {"kind": "subspace", "flat": flat}
+        notes.append(
+            "assumption 4 fails: "
+            + " and ".join(flat)
+            + " never negative, feasible set restricted to an affine subspace"
+        )
     elif a5.fails:
         sign = (a5.certificate or {}).get("sign", 1)
         role = "g" if a5 is a5_gh else "h"

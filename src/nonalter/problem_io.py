@@ -63,7 +63,8 @@ def quadform_from_dict(data: dict, name: str, n: int) -> QuadForm:
         asym <= ASYMMETRY_RTOL * (1.0 + float(np.abs(A).max(initial=0.0))),
         f"{name}.A is asymmetric beyond tolerance (max deviation {asym:.3g})",
     )
-    return QuadForm(A, a, a0)
+    # A and a are fresh float arrays, checked above: no second copy or pass.
+    return QuadForm._from_checked(A, a, a0)
 
 
 def parse_problem_dict(doc: dict) -> Tuple[QuadForm, QuadForm, QuadForm, dict]:

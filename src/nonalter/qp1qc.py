@@ -4,9 +4,12 @@
 dual ``lam -> inf_x [f + lam*g](x)``, maximized over lam >= 0 on the exact
 interval where f.A + lam*g.A is PSD by Newton's method on the dual's
 derivative, followed by primal recovery ``x(lam*) = -Q(lam*)^+ v(lam*)``.
-The Newton iterates are predicted in O(n) each, in an eigenbasis of the
-pencil taken from one exact point, and the exact closed form corrects
-where they end.
+The Newton iterates are predicted in O(n) each, in a congruence that
+diagonalizes the whole pencil, and the exact closed form corrects where
+they end.  When g.A is definite the congruence is T = L^-T U from the
+pencil's root solve (LL' = g.A, U the eigenvectors of L^-1 f.A L^-T), so
+the solve's one decomposition drives every Newton step; otherwise it is
+built from the first exact point inside the interval.
 When the stationary system at the optimal multiplier is singular and
 complementarity fails, a kernel direction is added and scaled to reach the
 constraint boundary (the hard case).  Degenerate constraints (constants,
@@ -28,6 +31,7 @@ from .quad_core import (
     RANK_RTOL,
     EigenDecomp,
     QuadForm,
+    _definite_congruence,
     _min_clearly_below,
     _pencil_interval,
     evaluate,
@@ -109,11 +113,18 @@ def _dual_at(f: QuadForm, g: QuadForm, lam: float,
     # domain it is the one-sided g(lim x(mu)) as mu comes in from the inside;
     # the limit adds to x the kernel part Zc with Z'BZ c = -Z'w, where Z'BZ
     # vanishes on a common kernel of f.A and g.A (zero in units of 1 + |B|).
+    # A 1 x 1 block is inverted in closed form, bit for bit pseudo_inverse's.
     x_in = qi.x
     if qi.zero.any():
         Z = V[:, qi.zero]
         unit = 1.0 + float(np.abs(g.A).max())
-        x_in = x_in - Z @ (pseudo_inverse(Z.T @ g.A @ Z / unit) @ (Z.T @ w)) / unit
+        S = Z.T @ g.A @ Z / unit
+        if S.shape == (1, 1):
+            s = S[0, 0]
+            S = np.array([[1.0 / s if abs(s) > RANK_RTOL * (1.0 + abs(s)) else 0.0]])
+        else:
+            S = pseudo_inverse(S)
+        x_in = x_in - Z @ (S @ (Z.T @ w)) / unit
     return _DualPoint(
         value=float(qi.value),
         x=qi.x,
@@ -143,8 +154,11 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     nonincreasing, so the maximizer is the lower end when psi' <= 0 there,
     the upper end when psi' > 0 there (the hard case), and otherwise the root
     of psi', found by Newton's method safeguarded by bisection: on the
-    :func:`_predictor` from the first exact point inside, then on exact
-    points.  The returned dual is always an exact point.
+    :func:`_predictor`, then on exact points.  The predictor's congruence
+    comes from the pair's root solve when g.A is definite
+    (:func:`_definite_congruence`), with no exact point inside; otherwise
+    from the first exact point inside.  The returned dual is always an
+    exact point.
     """
     # lower, upper: the decompositions at iv's ends, where the interval made
     # them; at a = 0 the dual reads f's own.
@@ -160,31 +174,46 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
         if d_hi is not None and d_hi.slope > 0.0:
             return b, d_hi
     unit = f.data_scale() / g.data_scale()
+    eig = None  # the decomposition of the last exact point inside
+
+    def exact(t: float) -> Optional[_DualPoint]:
+        nonlocal eig
+        eig = EigenDecomp.of(f.A + t * g.A)
+        return _dual_at(f, g, t, eig)
+
+    root = _definite_congruence(f, g)
     lam = a
     if d is None:
         lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
-        d = _dual_at(f, g, lam)
-    predict = None if d is None else _predictor(f, g, lam, d)
-    if predict is not None:
+        if root is None:
+            d = exact(lam)
+    if root is not None:
+        congruence = root[0], 0.0, root[1], 1.0
+    else:
+        congruence = None if d is None else _exact_congruence(g, lam, d)
+    if congruence is not None:
         # Newton's iterates come from the predictor, and the exact closed
         # form corrects where they end: it is the maximizer when the exact
         # Newton step from there is below _CORRECT_RTOL, else the search
         # goes on from there on exact points.  A predicted rise without
         # bound is checked halfway to the cap.
-        guess, p = _concave_search(predict, lam, d, a, b, unit)
+        predict = _predictor(f, g, *congruence)
+        guess, p = _concave_search(predict, lam, predict(lam) if d is None else d, a, b, unit)
         far = guess == np.inf
         guess = 0.5 * _SEARCH_CAP * unit if far else guess
-        d_guess = None if p is None or guess == lam else _dual_at(f, g, guess)
+        d_guess = None if p is None or (guess == lam and d is not None) else exact(guess)
         if d_guess is not None:
             lam, d = guess, d_guess
             if not far and abs(d.slope) <= _CORRECT_RTOL * lam * -d.curvature:
                 return lam, d
-    lam, d = _concave_search(lambda t: _dual_at(f, g, t), lam, d, a, b, unit)
+        if d is None:
+            d = exact(lam)
+    lam, d = _concave_search(exact, lam, d, a, b, unit)
     if d is None:
         # Inside the PSD interval Q(lam) is singular only on the common
         # kernel K of f.A and g.A, so psi is finite at most where
-        # K'(a + lam*b) = 0.
-        K = EigenDecomp.of(f.A + lam * g.A).kernel(_NEAR_KERNEL_RTOL)
+        # K'(a + lam*b) = 0.  The last exact point decomposed Q(lam).
+        K = eig.kernel(_NEAR_KERNEL_RTOL)
         kb = K.T @ g.a
         if not kb.any():
             return None, None
@@ -200,29 +229,38 @@ class _Slope(NamedTuple):
     curvature: float
 
 
-def _predictor(f: QuadForm, g: QuadForm, lam0: float, d0: _DualPoint):
-    """psi' and psi'' in O(n) per point, from the decomposition at lam0; None
-    unless Q(lam0) = V Lam V' is positive definite.
+def _exact_congruence(g: QuadForm, lam0: float, d0: _DualPoint):
+    """The congruence of :func:`_predictor` from the exact point d0 at lam0;
+    None unless Q(lam0) = V Lam V' is positive definite.
 
-    Write g = x'Bx + 2b'x + b0, v(lam) = f.a + lam*b and s(lam) = f.a0 +
-    lam*b0.  With Lam^-1/2 V'BV Lam^-1/2 = U Theta U' and T = V Lam^-1/2 U,
-    the pencil is diagonal, T'Q(lam)T = diag(e) with e = 1 + (lam - lam0)
-    theta (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  For
-    c = T'v(lam) and y = c/e the stationary point is x = -Ty, so
-    psi' = g(x) = y'Theta y - 2(T'b)'y + b0 and psi'' = -2 sum (T'b -
-    Theta y)^2/e; None where some e is not positive.  The search reads no
-    value of psi (s - c'y), so none is computed.
-    """
+    With Lam^-1/2 V'BV Lam^-1/2 = U Theta U' (B = g.A) and T = V Lam^-1/2 U,
+    T'Q(lam)T = diag(1 + (lam - lam0) theta)."""
     ed = d0.eig
     if ed.values[0] <= ed.cut(INF_PSD_RTOL):
         return None
     W = ed.vectors / np.sqrt(ed.values)
     pencil = EigenDecomp.of(W.T @ g.A @ W)
-    T = W @ pencil.vectors
-    theta, ca, cb = pencil.values, T.T @ f.a, T.T @ g.a
+    return W @ pencil.vectors, lam0, 1.0, pencil.values
+
+
+def _predictor(f: QuadForm, g: QuadForm, T: np.ndarray, lam0: float, e0, theta):
+    """psi' and psi'' in O(n) per point from a congruence T that diagonalizes
+    the pencil, T'Q(lam)T = diag(e) with e = e0 + (lam - lam0) theta for
+    every lam (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), so
+    that T'BT = diag(theta) for B = g.A.  It comes from the pair's root
+    solve, T = L^-T U with e = sigma + lam (:func:`_definite_congruence`),
+    or from an exact point (:func:`_exact_congruence`).
+
+    Write g = x'Bx + 2b'x + b0, v(lam) = f.a + lam*b and s(lam) = f.a0 +
+    lam*b0.  For c = T'v(lam) and y = c/e the stationary point is x = -Ty,
+    so psi' = g(x) = y'Theta y - 2(T'b)'y + b0 and psi'' = -2 sum (T'b -
+    Theta y)^2/e; None where some e is not positive.  The search reads no
+    value of psi (s - c'y), so none is computed.
+    """
+    ca, cb = T.T @ f.a, T.T @ g.a
 
     def at(lam: float) -> Optional[_Slope]:
-        e = 1.0 + (lam - lam0) * theta
+        e = e0 + (lam - lam0) * theta
         if not (e > 0.0).all():
             return None
         y = (ca + lam * cb) / e

@@ -79,12 +79,25 @@ class QuadForm:
         a0 = float(self.a0)
         if not np.isfinite(a0):
             raise ValueError("constant term must be finite")
+        self._store(A, a, a0)
+
+    def _store(self, A: np.ndarray, a: np.ndarray, a0: float) -> None:
         A = (A + A.T) / 2.0
         A.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a0", a0)
+
+    @classmethod
+    def _from_checked(cls, A: np.ndarray, a: np.ndarray, a0: float) -> "QuadForm":
+        """The quadratic of float arrays the caller owns and has checked:
+        A square, a of matching length, every entry and a0 finite.  Skips
+        the copy and the checks of construction; A is symmetrized as there,
+        and a is made read-only in place."""
+        q = cls.__new__(cls)
+        q._store(A, a, a0)
+        return q
 
     @property
     def n(self) -> int:
@@ -144,10 +157,7 @@ class QuadForm:
     def chol(self) -> Optional[np.ndarray]:
         """The read-only Cholesky factor L of A (LL' = A) from
         :func:`_definite_factor`, computed at most once; None when A has none."""
-        L = _definite_factor(self.A)
-        if L is not None:
-            L.setflags(write=False)
-        return L
+        return _definite_factor(self.A)
 
     def _from_negation(self, name: str) -> Optional["EigenDecomp"]:
         # -q's decomposition, once it exists, serves q negated.
@@ -426,19 +436,32 @@ class _PencilSolve(NamedTuple):
     """One root solve of the pencil P + lam*Q, reduced off the common kernel
     of P and Q to Pr + lam*Qr: the eigenvalues theta of (Pr + mu*Qr)^-1 Qr
     at the shift mu (all zero when Qr is), the largest entries of Pr
-    and Qr, and whether the solve came from a Cholesky factor of Q.  A
-    positive definite Q has no common kernel with P: then ``definite`` is
-    set, Pr, Qr = P, Q, mu = 0 and theta = 1/sigma for the eigenvalues sigma
-    of L^-1 P L^-T (an infinite theta is the root 0).  It serves every
-    orientation +-P + lam*(+-Q) and +-Q + lam*(+-P); a definite solve knows
-    a positive definite member of all but -Q + lam*(+-P)
-    (:meth:`definite_segment`)."""
+    and Qr, and, when the solve came from a Cholesky factor LL' = Q, that
+    factor and the decomposition U diag(sigma) U' of L^-1 P L^-T.  A
+    positive definite Q has no common kernel with P: then the solve is
+    ``definite``, Pr, Qr = P, Q, mu = 0 and theta = 1/sigma (an infinite
+    theta is the root 0), and T = L^-T U diagonalizes the whole pencil
+    (:meth:`congruence`).  It serves every orientation +-P + lam*(+-Q) and
+    +-Q + lam*(+-P); a definite solve knows a positive definite member of
+    all but -Q + lam*(+-P) (:meth:`definite_segment`)."""
 
     theta: np.ndarray
     mu: float
     p_max: float
     q_max: float
-    definite: bool = False
+    factor: Optional[np.ndarray] = None
+    eig: Optional[EigenDecomp] = None
+
+    @property
+    def definite(self) -> bool:
+        return self.factor is not None
+
+    def congruence(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(T, sigma) of a definite solve, with T'(P + lam*Q)T = diag(sigma +
+        lam) for every lam: T'QT = U'U = I and T'PT = diag(sigma) (Moré and
+        Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  T is built on each
+        call, so a solve whose roots alone are read never builds it."""
+        return np.linalg.solve(self.factor.T, self.eig.vectors), self.eig.values
 
     def test_points(self, sign: int = 1, swap: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """The roots and test points (:func:`_pencil_test_points`) of
@@ -489,15 +512,18 @@ class _PencilSolve(NamedTuple):
 
 
 def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
-    """A Cholesky factor L of Q (LL' = Q) whose smallest pivot L_ii^2 is
-    above ``RANK_RTOL`` times the largest, the rcond bar of the shifts;
-    None when Q has no such factor."""
+    """A read-only Cholesky factor L of Q (LL' = Q) whose smallest pivot
+    L_ii^2 is above ``RANK_RTOL`` times the largest, the rcond bar of the
+    shifts; None when Q has no such factor."""
     try:
         L = np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         return None
     pivots = np.square(L.diagonal())
-    return L if pivots.min() > RANK_RTOL * pivots.max() else None
+    if not pivots.min() > RANK_RTOL * pivots.max():
+        return None
+    L.setflags(write=False)
+    return L
 
 
 def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) -> Optional[_PencilSolve]:
@@ -507,15 +533,19 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
     when Q is the quadratic part of ``q``) the roots are lam = -sigma for the
     eigenvalues sigma of L^-1 P L^-T (Moré, Optim. Methods Softw. 2, 1993),
     stored as theta = 1/sigma at mu = 0; a definite Q leaves no common
-    kernel to remove.  Otherwise the solve is at the best-conditioned shift
-    (one stacked SVD of the shifted matrices); None when no shift leaves
-    the reduced pencil well conditioned."""
+    kernel to remove.  That one decomposition keeps its eigenvectors, read
+    only, for the pencil's congruence (:meth:`_PencilSolve.congruence`).
+    Otherwise the solve is at the best-conditioned shift (one stacked SVD of
+    the shifted matrices); None when no shift leaves the reduced pencil well
+    conditioned."""
     L = _definite_factor(Q) if q is None else q.chol
     if L is not None:
-        sigma = EigenDecomp.values_of(np.linalg.solve(L, np.linalg.solve(L, P).T)).values
+        eig = EigenDecomp.of(np.linalg.solve(L, np.linalg.solve(L, P).T))
+        eig.values.setflags(write=False)
+        eig.vectors.setflags(write=False)
         with np.errstate(divide="ignore", over="ignore"):
-            theta = 1.0 / sigma
-        return _PencilSolve(theta, 0.0, float(np.abs(P).max()), float(np.abs(Q).max()), True)
+            theta = 1.0 / eig.values
+        return _PencilSolve(theta, 0.0, float(np.abs(P).max()), float(np.abs(Q).max()), L, eig)
     _, sv, vt = np.linalg.svd(np.vstack([P, Q]), full_matrices=False)
     V = vt[sv > RANK_RTOL * sv.max(initial=0.0)].T
     Pr, Qr = V.T @ P @ V, V.T @ Q @ V
@@ -556,6 +586,17 @@ def _pair_solve(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.nda
     owner, other, solve, reads = entry
     q_sign = 1 if second is other else -1
     return solve, (1 if id(first) == owner else -1) * q_sign, swap, q_sign, reads
+
+
+def _definite_congruence(p: QuadForm, q: QuadForm) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(T, sigma) with T'(p.A + lam*q.A)T = diag(sigma + lam) for every lam,
+    from the pair's root solve (:meth:`_PencilSolve.congruence`) when that
+    solve is definite and is of this pencil itself, q.A = LL'; None for any
+    other solve or orientation."""
+    solve, sign, swap, q_sign, _ = _pair_solve(p, q, False, p.A, q.A)
+    if solve is None or not solve.definite or (sign, swap, q_sign) != (1, False, 1):
+        return None
+    return solve.congruence()
 
 
 def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,

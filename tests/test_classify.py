@@ -28,6 +28,7 @@ from nonalter.classify import (
     slater_two_sided,
 )
 from nonalter.instances import random_triple
+from nonalter.solve import solve_nonalter
 from nonalter.problem_io import dumps_report, parse_problem_dict, problem_to_dict
 from nonalter.quad_core import (
     DEFAULT_TOL,
@@ -344,6 +345,71 @@ class TestClassifyProblem:
                     assert abs(evaluate(p, x)) <= min(1e-6, 1e-7 * (1.0 + p.data_scale()))
                     assert sign * evaluate(q, x) > DEFAULT_TOL * (1.0 + q.data_scale())
         assert refuted >= 40
+
+
+def _translated_corpus(shift: float):
+    """(name, f, g, h) for each corpus instance moved by x = y + t, in corpus
+    order, with |t| = shift along default_rng(7).normal(size=n) normalized:
+    q becomes q(y + t) = y'Ay + 2(At + a)'y + q(t)."""
+    rng = np.random.default_rng(7)
+    for name in corpus.NAMES:
+        f, g, h, _ = corpus.load(name)
+        t = rng.normal(size=f.n)
+        t *= shift / np.linalg.norm(t)
+        yield (name, *(QuadForm(q.A, q.A @ t + q.a, evaluate(q, t)) for q in (f, g, h)))
+
+
+class TestContradictoryVerdicts:
+    """A report whose own verdicts contradict assumption 4's "never negative"
+    claims is undetermined, not dispatched."""
+
+    def test_translated_corpus_is_never_certified_infeasible(self):
+        # At a shift of 10^3 the lifts read a0 ~ 10^6, and the Slater test
+        # calls g (or h) never negative, although the report's own witness
+        # of assumption 1 shows it negative at or next to that point.  These
+        # three were once certified infeasible; each of them is feasible.
+        contradicted = 0
+        for name, f, g, h in _translated_corpus(1e3):
+            rep = solve_nonalter(f, g, h)
+            notes = rep.classification.notes
+            if any("contradictory verdicts" in note for note in notes):
+                contradicted += 1
+                assert rep.classification.overall_class is ArrangementClass.UNDETERMINED
+                assert not rep.certified
+            if name in ("ex25a", "cdt_s2", "hqpd_s5a"):
+                assert not rep.certified and rep.status != "infeasible", (name, rep.status)
+        assert contradicted >= 3
+
+    def test_redundant_negation_contradicts_assumption3(self):
+        # -g >= 0 everywhere would make D = {h <= 0}, but assumption 3 holds.
+        g, h = poly2(axx=1, ayy=1, c=-1), poly2(axx=1, c=-0.25)
+        rep = classify_problem(g, h)
+        assert rep.a3.holds and rep.a4.holds
+        a4 = classify.AssumptionVerdict(Verdict.FAILS, certificate={"missing": ("-g",)})
+        note = classify._contradiction(g, h, rep.a1, rep.a3, a4, DEFAULT_TOL)
+        assert "assumption 3 holds" in note and "-g" in note
+
+    def test_witness_refutes_only_a_negative_value(self):
+        # On its zero set the unit disk's g has a nonzero gradient: its
+        # minimum along it, at the centre, is -1.  x^2 is zero with a zero
+        # gradient on its zero set and positive elsewhere: nothing refutes it.
+        disk, square = poly2(axx=1, ayy=1, c=-1), poly2(axx=1)
+        assert classify._refutes_nonnegative(disk, np.array([1.0, 0.0]), DEFAULT_TOL)
+        assert classify._refutes_nonnegative(disk, np.array([0.1, 0.0]), DEFAULT_TOL)
+        for w in ([0.0, 5.0], [1.0, 0.0], [-3.0, 2.0]):
+            assert not classify._refutes_nonnegative(square, np.array(w), DEFAULT_TOL)
+        a4 = classify.AssumptionVerdict(Verdict.FAILS, certificate={"missing": ("g",)})
+        a1 = classify.AssumptionVerdict(Verdict.HOLDS, witness=np.array([1.0, 0.0]))
+        a3 = classify.AssumptionVerdict(Verdict.FAILS)
+        assert classify._contradiction(square, disk, a1, a3, a4, DEFAULT_TOL) is None
+        note = classify._contradiction(disk, square, a1, a3, a4, DEFAULT_TOL)
+        assert "witness of assumption 1" in note
+
+    def test_unshifted_corpus_has_no_contradiction(self):
+        for name in corpus.NAMES:
+            _, g, h, _ = corpus.load(name)
+            rep = classify_problem(g, h)
+            assert not any("contradictory" in note for note in rep.notes), name
 
 
 def _verdicts(rep):

@@ -15,6 +15,7 @@ from nonalter.problem_io import (
     parse_problem_dict,
     problem_to_dict,
 )
+from nonalter.quad_core import QuadForm
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -72,6 +73,23 @@ class TestParseProblem:
         assert np.array_equal(f2.A, f.A) and np.array_equal(f2.a, f.a)
         assert f2.a0 == f.a0
         assert np.array_equal(g2.A, g.A) and np.array_equal(h2.A, h.A)
+
+    def test_parsed_quadratic_equals_constructed(self):
+        # Parsing validates once and builds the quadratic from its own
+        # arrays: the same symmetrized, read-only data as the public
+        # constructor.
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(4, 4))
+        A = (A + A.T) / 2.0
+        A[0, 1] += 1e-12  # round-off asymmetry, symmetrized on load
+        doc = {"n": 4}
+        for role in "fgh":
+            doc[role] = {"A": A.tolist(), "a": rng.normal(size=4).tolist(), "a0": 0.5}
+        f, _, _, _ = parse_problem_dict(doc)
+        want = QuadForm(doc["f"]["A"], doc["f"]["a"], doc["f"]["a0"])
+        assert np.array_equal(f.A, want.A) and np.array_equal(f.a, want.a) and f.a0 == want.a0
+        assert np.array_equal(f.A, f.A.T) and type(f.a0) is float
+        assert not f.A.flags.writeable and not f.a.flags.writeable
 
     @pytest.mark.parametrize("field", ["n", "f.a0", "g.a0", "h.a0", "f.A", "g.a", "last", "nested"])
     def test_boolean_rejected(self, tmp_path, capsys, field):

@@ -185,8 +185,9 @@ class TestWork:
 
     @pytest.mark.parametrize("n", [2, 10, 50])
     def test_exact_evaluations(self, rng, monkeypatch, n):
-        # The Newton iterates come from the predictor; the exact closed form
-        # evaluates the start, the interval ends and the correction.
+        # The Newton iterates come from the predictor on the root solve's
+        # congruence; the exact closed form evaluates the lower end and the
+        # correction, and nothing inside before it.
         calls = [0]
         dual_at = qp1qc._dual_at
 
@@ -199,7 +200,27 @@ class TestWork:
             f, g, _ = trust_region_pair(rng, n, False)
             calls[0] = 0
             assert solve_qp1qc(f, g).status == "attained"
-            assert calls[0] <= 4
+            assert calls[0] <= 2
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_definite_constraint_is_not_decomposed_again(self, rng, monkeypatch, eig_calls, n, hard):
+        # With g.A definite the predictor reads T = L^-T U from the root
+        # solve: no W'BW is decomposed.  What is left is the root solve, the
+        # check of the lower end, the exact correction and, where f.A is
+        # definite, f's own decomposition.
+        def exact_congruence(*args):
+            raise AssertionError("W'BW decomposed although g.A is definite")
+
+        monkeypatch.setattr(qp1qc, "_exact_congruence", exact_congruence)
+        for _ in range(3):
+            f, g, lam_hard = trust_region_pair(rng, n, hard)
+            eig_calls[0] = 0
+            r = solve_qp1qc(f, g)
+            assert r.status == "attained"
+            assert eig_calls[0] <= 5
+            if hard:
+                assert r.lam == pytest.approx(lam_hard, rel=1e-12)
 
     def test_newton_does_not_cycle(self, monkeypatch):
         # Pairs 14 and 33 of this stream once sent Newton back and forth

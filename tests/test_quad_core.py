@@ -634,6 +634,23 @@ class TestDefinitePencil:
                                 1.0 / unit if swap else unit)
             assert psd_interval(P, Q) == _psd_interval_scan(P, Q)
 
+    def test_congruence_diagonalizes_the_pencil(self, monkeypatch):
+        # T = L^-T U from the root solve's one decomposition: T'QT = I and
+        # T'PT = diag(sigma), so T'(P + lam*Q)T = diag(sigma + lam); the
+        # roots -sigma are the shift path's.
+        rng = np.random.default_rng(8112)
+        for m in range(2, 52):
+            M = rng.normal(size=(m, m))
+            P, Q = _sym(rng, m), M @ M.T / m + 0.1 * np.eye(m)
+            solve = _solve_pencil(P, Q)
+            T, sigma = solve.congruence()
+            assert not sigma.flags.writeable and not solve.eig.vectors.flags.writeable
+            for got, want, scale in ((T.T @ Q @ T, np.eye(m), 1.0),
+                                     (T.T @ P @ T, np.diag(sigma), np.abs(sigma).max())):
+                assert np.abs(got - want).max() <= 1e-9 * scale
+            want = self._shift_path(monkeypatch, P, Q)
+            _same_roots(-sigma, want.test_points()[0], np.abs(P).max() / np.abs(Q).max())
+
     def test_nearly_singular_factor_takes_the_shift_path(self, monkeypatch):
         # Pivots 1e-12 apart, and a rank-deficient Q whose factor rounding
         # lets through, pass Cholesky but not the rcond bar of the shifts.
