@@ -28,6 +28,7 @@ import numpy as np
 from .quad_core import (
     RANK_RTOL,
     QuadForm,
+    eig_of,
     evaluate,
     restrict_affine,
 )
@@ -176,7 +177,8 @@ def canonical_reduce(g: QuadForm, rtol: float = RANK_RTOL):
     if g.is_constant():
         raise ValueError("cannot reduce a constant quadratic")
     n = g.n
-    lam, V = g.eig.values, g.eig.vectors
+    ed = eig_of(g)
+    lam, V = ed.values, ed.vectors
     gscale = max(
         float(np.abs(lam).max(initial=0.0)),
         float(np.linalg.norm(g.a)),

@@ -34,11 +34,14 @@ from .quad_core import (
     QuadForm,
     _pencil_interval,
     _status_of,
+    current_workspace,
+    eig_of,
     evaluate,
     evaluate_many,
     gradient_many,
     lift,
     find_negative_point,
+    in_workspace,
     line_roots,
     nonneg_everywhere,
     pencil_interval,
@@ -56,32 +59,30 @@ class SearchSpec:
 
 
 class Candidates(NamedTuple):
-    """Witness candidate points of (g, h), two single-constraint solves
-    behind them, and what the checkers read of them per quadratic: the
-    values at the candidates and the candidates moved onto the zero set."""
+    """Witness candidate points of (g, h) and two single-constraint solves
+    behind them.  What the checkers read of them per quadratic, the values
+    at the candidates and the candidates moved onto the zero set, is kept in
+    the request's workspace."""
 
     points: np.ndarray
     min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
     min_h: qp1qc.Qp1qcResult  # min h subject to g <= 0
-    per_quad: dict  # (kind, id(q)) -> (q, array), filled by values and on_zero_set
 
     def values(self, q: QuadForm) -> np.ndarray:
-        """q at every candidate, evaluated at most once per quadratic."""
-        return self._cached("values", q, evaluate_many)
+        """q at every candidate, read-only, evaluated at most once per
+        quadratic and request."""
+        return current_workspace().read("values", _values_at, q, self.points)
 
     def on_zero_set(self, q: QuadForm) -> np.ndarray:
-        """The candidates moved onto {q = 0} that land there, moved at most
-        once per quadratic (:func:`_move_to_zero_set`)."""
-        return self._cached("zero_set", q, _move_to_zero_set)
+        """The candidates moved onto {q = 0} that land there, read-only,
+        moved at most once per quadratic and request (:func:`_move_to_zero_set`)."""
+        return current_workspace().read("zero_set", _move_to_zero_set, q, self.points)
 
-    def _cached(self, kind: str, q: QuadForm, compute) -> np.ndarray:
-        # An entry keeps its quadratic, and with it the id it is filed under.
-        entry = self.per_quad.get((kind, id(q)))
-        if entry is None:
-            arr = compute(q, self.points)
-            arr.setflags(write=False)
-            entry = self.per_quad[kind, id(q)] = (q, arr)
-        return entry[1]
+
+def _values_at(q: QuadForm, pts: np.ndarray) -> np.ndarray:
+    vals = evaluate_many(q, pts)
+    vals.setflags(write=False)
+    return vals
 
 
 def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
@@ -101,9 +102,9 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     n = g.n
     anchors, dirs = [np.zeros(n)], []
     for q in (g, h):
-        anchors.append(quad_inf(q.eig, q.a, q.a0, RANK_RTOL).x)
+        anchors.append(quad_inf(eig_of(q), q.a, q.a0, RANK_RTOL).x)
         if q.A.any():
-            dirs.extend(q.eig.vectors.T)
+            dirs.extend(eig_of(q).vectors.T)
         if q.a.any():
             dirs.append(q.a / np.linalg.norm(q.a))
     optima, mins = [], []
@@ -130,7 +131,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     keep = ~np.isnan(T)
     points = np.vstack([np.reshape(optima, (-1, n)),
                         (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
-    return Candidates(points, min_g=mins[1], min_h=mins[0], per_quad={})
+    return Candidates(points, min_g=mins[1], min_h=mins[0])
 
 
 def _move_to_zero_set(q: QuadForm, pts: np.ndarray) -> np.ndarray:
@@ -147,7 +148,9 @@ def _move_to_zero_set(q: QuadForm, pts: np.ndarray) -> np.ndarray:
     nearer = np.argmin(np.where(np.isnan(roots), np.inf, np.abs(roots)), axis=1)
     dirs *= np.nan_to_num(roots[np.arange(len(roots)), nearer])[:, None]
     dirs += pts  # the moved points; the candidates are shared between checkers
-    return dirs[np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())]
+    moved = dirs[np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())]
+    moved.setflags(write=False)
+    return moved
 
 
 def _zero_set_witness(
@@ -191,6 +194,7 @@ class TwoSidedSlater:
     positive_point: Optional[np.ndarray] = None
 
 
+@in_workspace
 def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
     """Does q take strictly negative / strictly positive values somewhere?"""
     neg, pos = find_negative_point(q, tol), find_negative_point(-q, tol)
@@ -228,7 +232,7 @@ def _pencil_certificate(p: QuadForm, q: QuadForm) -> Optional[float]:
     if iv[1] < 0.0:
         lam, ed = iv[1], upper
     else:
-        lam, ed = (iv[0], lower) if iv[0] > 0.0 else (0.0, p.lift_eig)
+        lam, ed = (iv[0], lower) if iv[0] > 0.0 else (0.0, eig_of(p, lifted=True))
     if ed is None:
         return lam if nonneg_everywhere(p + lam * q) else None
     return lam if _status_of(ed, PSD_RTOL).verdict is not PsdVerdict.INDEFINITE else None
@@ -378,6 +382,7 @@ def _zero_set_empty(q: QuadForm, tol: float) -> bool:
     return any(m.status == "attained" and m.value > cut for m in map(unconstrained_min, (q, -q)))
 
 
+@in_workspace
 def check_inclusion_zeroset(
     g: QuadForm,
     h: QuadForm,
@@ -455,6 +460,7 @@ class AssumptionVerdict:
         return self.verdict is Verdict.FAILS
 
 
+@in_workspace
 def check_assumption4(g: QuadForm, h: QuadForm, tol: float = PSD_RTOL) -> AssumptionVerdict:
     """Two-sided Slater: each of g, -g, h, -h takes a strictly negative value."""
     missing = [name for name, q in (("g", g), ("-g", -g), ("h", h), ("-h", -h))
@@ -484,6 +490,7 @@ def _assumption5_one_orientation(g, h, tol):
     return {"change": change, "c1": float(c1), "c0": float(c0)}
 
 
+@in_workspace
 def check_assumption5(
     g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL
 ) -> AssumptionVerdict:
@@ -492,14 +499,9 @@ def check_assumption5(
     Fails exactly when c0 = +-c1 (within tolerance); holds, possibly as
     "not applicable", otherwise.
     """
-    return _check_assumption5(g, h, tol)[0]
-
-
-def _check_assumption5(g: QuadForm, h: QuadForm, tol: float):
-    """:func:`check_assumption5`, and the pattern behind it (None when not applicable)."""
     pat = _assumption5_one_orientation(g, h, PSD_RTOL)
     if pat is None:
-        return AssumptionVerdict(Verdict.HOLDS, note="pattern not applicable"), None
+        return AssumptionVerdict(Verdict.HOLDS, note="pattern not applicable")
     c0, c1 = pat["c0"], pat["c1"]
     scale = tol * (1.0 + abs(c1))
     if abs(c0 - c1) <= scale or abs(c0 + c1) <= scale:
@@ -508,14 +510,15 @@ def _check_assumption5(g: QuadForm, h: QuadForm, tol: float):
             Verdict.FAILS,
             note=f"degenerate pattern with c0 = {side} * c1",
             certificate={"c0": c0, "c1": c1, "sign": 1 if side == "+1" else -1},
-        ), pat
+        )
     return AssumptionVerdict(
         Verdict.HOLDS,
         note="pattern applicable, c0 differs from both +-c1",
         certificate={"c0": c0, "c1": c1},
-    ), pat
+    )
 
 
+@in_workspace
 def check_assumption2(
     g: QuadForm,
     h: QuadForm,
@@ -557,6 +560,7 @@ def check_assumption2(
     return verdict, (i1, i2, i3, i4)
 
 
+@in_workspace
 def check_assumption3(
     g: QuadForm,
     h: QuadForm,
@@ -633,6 +637,7 @@ def check_assumption3(
     )
 
 
+@in_workspace
 def check_assumption1(
     g: QuadForm,
     h: QuadForm,
@@ -782,6 +787,7 @@ def _refutes_nonnegative(q: QuadForm, w: np.ndarray, cut: float) -> bool:
     return min(evaluate(q, p) for p in pts) < -cut
 
 
+@in_workspace
 def classify_problem(
     g: QuadForm,
     h: QuadForm,
@@ -799,9 +805,8 @@ def classify_problem(
     cands = _ray_candidates(g, h, spec, tol)
     a3 = check_assumption3(g, h, tol, spec, cands)
     a4 = check_assumption4(g, h)
-    a5_gh, pat_gh = _check_assumption5(g, h, tol)
-    a5_hg, pat_hg = _check_assumption5(h, g, tol)
-    a5, pat = (a5_gh, pat_gh) if a5_gh.fails or not a5_hg.fails else (a5_hg, pat_hg)
+    a5_gh, a5_hg = check_assumption5(g, h, tol), check_assumption5(h, g, tol)
+    a5 = a5_gh if a5_gh.fails or not a5_hg.fails else a5_hg
     a2, inclusions = check_assumption2(g, h, tol, spec, cands)
     a1 = check_assumption1(g, h, tol, spec, cands)
 
@@ -845,14 +850,18 @@ def classify_problem(
         )
     elif a5.fails:
         sign = (a5.certificate or {}).get("sign", 1)
-        role = "g" if a5 is a5_gh else "h"
+        role, pair = ("g", (g, h)) if a5 is a5_gh else ("h", (h, g))
         if sign > 0:
+            # Reached where c0 is within tolerance of c1 but assumption 3
+            # still finds both constraints active, as for g = 1 - x^2 and
+            # h = x + 1 - 1.5e-8 at tol 1e-8.
             overall = ArrangementClass.REDUCES_TO_QP1QC
             hint = {"kind": "single_constraint", "which": "h" if role == "g" else "g"}
             notes.append("assumption 5 fails with c0 = c1: halfspace constraint only")
         else:
             overall = ArrangementClass.ASSUMPTION5_DEGENERATE
-            hint = {"kind": "halfspace_union_hyperplane", "pattern_role": role, "pattern": pat}
+            hint = {"kind": "halfspace_union_hyperplane", "pattern_role": role,
+                    "pattern": _assumption5_one_orientation(*pair, PSD_RTOL)}
             notes.append(
                 "assumption 5 fails with c0 = -c1: halfspace plus an isolated hyperplane"
             )

@@ -41,6 +41,7 @@ from .quad_core import (
     EigenDecomp,
     QuadForm,
     evaluate,
+    in_workspace,
     lift,
     quad_inf,
     sym_eigen,
@@ -186,6 +187,7 @@ class _Phi(NamedTuple):
     x: Optional[np.ndarray] = None
 
 
+@in_workspace
 def solve_dual_2d(
     f: QuadForm,
     g: QuadForm,

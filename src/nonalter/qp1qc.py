@@ -34,8 +34,10 @@ from .quad_core import (
     _definite_congruence,
     _min_clearly_below,
     _pencil_interval,
+    eig_of,
     evaluate,
     find_negative_point,
+    in_workspace,
     line_roots,
     pseudo_inverse,
     quad_inf,
@@ -102,7 +104,7 @@ def _dual_at(f: QuadForm, g: QuadForm, lam: float,
     """The dual and its derivatives at lam from one closed form; None where
     psi(lam) = -inf.  At lam = 0 it reads f's own decomposition, elsewhere
     ``eig`` when the caller holds that of f.A + lam*g.A with vectors."""
-    Q = f.eig if lam == 0.0 else f.A + lam * g.A if eig is None or eig.vectors is None else eig
+    Q = eig_of(f) if lam == 0.0 else f.A + lam * g.A if eig is None or eig.vectors is None else eig
     qi = quad_inf(Q, f.a + lam * g.a, f.a0 + lam * g.a0)
     if qi.value == -np.inf:
         return None
@@ -340,6 +342,7 @@ def _candidates(g, lam, d: _DualPoint, tol):
     return [d.x]
 
 
+@in_workspace
 def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResult:
     """Globally minimize f subject to g <= 0."""
     if f.n != g.n:

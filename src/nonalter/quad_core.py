@@ -12,9 +12,10 @@ and ``q >= 0`` everywhere exactly when ``M(q)`` is positive semidefinite.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -57,16 +58,12 @@ def _to_vector(a, n: int) -> np.ndarray:
 class QuadForm:
     """One quadratic function q(x) = x'Ax + 2a'x + a0 on R^n.
 
-    ``A`` is symmetrized exactly on construction; all data is immutable.
-    Each quadratic computes its data scale (:meth:`data_scale`) and its lift
-    (:func:`lift`) at most once, and decomposes ``A`` and the lift at most
-    once (``eig``, ``lift_eig``); ``-q`` shares the decompositions with
-    ``q``, negated.  It also keeps the pencil root solves of the pairs it
-    came first in, with the stacked reads they served (see
-    :func:`pencil_interval`), in one table with ``-q``, the Cholesky factor
-    of A when A is definite (``chol``), and its unconstrained minimum at the
-    default cutoff (:func:`unconstrained_min`).  Every cached array is
-    read-only.
+    Plain immutable data: ``A`` is symmetrized exactly on construction and
+    every array is read-only.  Whatever is derived from a quadratic (its
+    decompositions, lift, data scale, Cholesky factor, unconstrained minimum
+    and the pencil solves it takes part in) lives in the :class:`Workspace`
+    of the request that asks for it, not on the quadratic; ``-q`` is a plain
+    quadratic that the open workspace records as q's negation.
     """
 
     A: np.ndarray
@@ -126,54 +123,7 @@ class QuadForm:
     __rmul__ = __mul__
 
     def __neg__(self):
-        # -q is built once and points back at q, so the two share decompositions.
-        if "_neg" not in self.__dict__:
-            neg = QuadForm(-self.A, -self.a, -self.a0)
-            self.__dict__["_neg"], neg.__dict__["_neg"] = neg, self
-        return self.__dict__["_neg"]
-
-    @cached_property
-    def eig(self) -> "EigenDecomp":
-        """The read-only decomposition of A, computed at most once."""
-        return self._from_negation("eig") or sym_eigen(self.A)
-
-    @cached_property
-    def lift_eig(self) -> "EigenDecomp":
-        """The read-only decomposition of lift(q), computed at most once."""
-        return self._from_negation("lift_eig") or sym_eigen(lift(self))
-
-    @cached_property
-    def _lift(self) -> np.ndarray:
-        n = self.n
-        M = np.empty((n + 1, n + 1))
-        M[0, 0] = self.a0
-        M[0, 1:] = self.a
-        M[1:, 0] = self.a
-        M[1:, 1:] = self.A
-        M.setflags(write=False)
-        return M
-
-    @cached_property
-    def chol(self) -> Optional[np.ndarray]:
-        """The read-only Cholesky factor L of A (LL' = A) from
-        :func:`_definite_factor`, computed at most once; None when A has none."""
-        return _definite_factor(self.A)
-
-    def _from_negation(self, name: str) -> Optional["EigenDecomp"]:
-        # -q's decomposition, once it exists, serves q negated.
-        ed = self.__dict__["_neg"].__dict__.get(name) if "_neg" in self.__dict__ else None
-        return None if ed is None else ed.negated()
-
-    @cached_property
-    def _pencils(self) -> dict:
-        """Pencil root solves and their stacked reads keyed by (lifted, the
-        other quadratic's table), one table for q and -q."""
-        neg = self.__dict__.get("_neg")
-        return {} if neg is None else neg.__dict__.setdefault("_pencils", {})
-
-    @cached_property
-    def _min(self) -> "UnconstrainedMin":
-        return _unconstrained_min(self, RANK_RTOL)
+        return current_workspace().negation(self)
 
     def is_constant(self) -> bool:
         """Exact constancy check (zero quadratic and linear coefficients)."""
@@ -185,17 +135,8 @@ class QuadForm:
 
     def data_scale(self) -> float:
         """Magnitude of the coefficient data, used for relative tolerances;
-        computed at most once."""
-        return self._scale
-
-    @cached_property
-    def _scale(self) -> float:
-        return max(
-            float(np.abs(self.A).max(initial=0.0)),
-            float(np.abs(self.a).max(initial=0.0)),
-            abs(self.a0),
-            1e-300,
-        )
+        computed at most once per request."""
+        return current_workspace().read("scale", _data_scale, self)
 
     @staticmethod
     def constant(n: int, c: float) -> "QuadForm":
@@ -204,6 +145,122 @@ class QuadForm:
     @staticmethod
     def zero(n: int) -> "QuadForm":
         return QuadForm.constant(n, 0.0)
+
+
+#: The workspace of the request in progress (:func:`in_workspace`).
+_CURRENT: ContextVar[Optional["Workspace"]] = ContextVar("nonalter_workspace", default=None)
+_MISSING = object()
+
+
+class Workspace:
+    """Every derived read of one request, each computed at most once, keyed
+    by the objects it holds alive: decompositions (:func:`eig_of`), lifts,
+    data scales, Cholesky factors, unconstrained minima, classification's
+    candidate reads and the pencil root solves (:meth:`pencil`).
+
+    The outermost public call opens one (:func:`in_workspace`) and calls
+    nested in it join it through a context variable; it goes, with all it
+    holds, when that call returns.  It records which quadratic is the
+    negation of which (:meth:`negation`): a negation's decompositions are
+    its source's, negated, whichever of the two is asked for first.
+    """
+
+    def __init__(self):
+        self._reads = {}  # (kind, id of each key object) -> value
+        self._held = []  # the key objects of _reads, alive while their ids are keys
+        self._source = {}  # id(-q) -> q
+        self._pair_solves = {}  # (lifted, id of each source) -> (p, q, solve, reads)
+
+    def __enter__(self) -> "Workspace":
+        self._token = _CURRENT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CURRENT.reset(self._token)
+
+    def read(self, kind: str, compute, *objs):
+        """compute(*objs), computed at most once per ``kind`` and objects."""
+        key = (kind, *map(id, objs))
+        value = self._reads.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._reads[key] = compute(*objs)
+            self._held.append(objs)
+        return value
+
+    def negation(self, q: QuadForm) -> QuadForm:
+        """-q, built once: the negation of a negation is its source."""
+        if id(q) in self._source:
+            return self._source[id(q)]
+        neg = self.read("neg", lambda q: QuadForm(-q.A, -q.a, -q.a0), q)
+        self._source[id(neg)] = q
+        return neg
+
+    def eig(self, q: QuadForm, lifted: bool = False) -> "EigenDecomp":
+        """The read-only decomposition of q.A, or of lift(q) when ``lifted``."""
+        def compute(q):
+            source = self._source.get(id(q))
+            if source is not None:
+                return self.eig(source, lifted).negated()
+            return sym_eigen(self.read("lift", _build_lift, q) if lifted else q.A)
+
+        return self.read("lift_eig" if lifted else "eig", compute, q)
+
+    def decomposed(self, q: QuadForm) -> bool:
+        """Whether q.A's decomposition is held, q's or its source's."""
+        return ("eig", id(self._source.get(id(q), q))) in self._reads
+
+    def pencil(self, p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
+        """The root solve of P + lam*Q, the quadratic parts of p and q or
+        their lifts, as (solve, sign, swap, q_sign, reads): one solve per
+        pair up to the sign and the order of p and q, of the orientation
+        asked for first (solve None when no shift leaves the pencil well
+        conditioned).  ``sign`` and ``swap`` map its roots to this pencil
+        (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with which
+        the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
+        ``reads`` holds the stacked reads of the pair's pencils
+        (:func:`_interval`), keyed by (sign, swap, q_sign, tol)."""
+        key = (lifted, *(id(self._source.get(id(r), r)) for r in (p, q)))
+        entry, swap = self._pair_solves.get(key), False
+        if entry is None:
+            entry, swap = self._pair_solves.get((lifted, key[2], key[1])), True
+        if entry is None:
+            entry, swap = (p, q, _solve_pencil(P, Q, None if lifted else q), {}), False
+            self._pair_solves[key] = entry
+        first, second = (q, p) if swap else (p, q)
+        p0, q0, solve, reads = entry
+        q_sign = 1 if second is q0 else -1
+        return solve, (1 if first is p0 else -1) * q_sign, swap, q_sign, reads
+
+
+def current_workspace() -> Workspace:
+    """The open request's workspace, or a fresh one when no request is open."""
+    ws = _CURRENT.get()
+    return Workspace() if ws is None else ws
+
+
+def in_workspace(fn):
+    """``fn`` run in the open request's workspace, or, when none is open, as
+    a request of its own with a fresh workspace for its duration."""
+    @wraps(fn)
+    def run(*args, **kwargs):
+        if _CURRENT.get() is not None:
+            return fn(*args, **kwargs)
+        with Workspace():
+            return fn(*args, **kwargs)
+
+    return run
+
+
+def eig_of(q: QuadForm, lifted: bool = False) -> "EigenDecomp":
+    """The read-only decomposition of q.A, or of lift(q) when ``lifted``,
+    computed at most once per request (:meth:`Workspace.eig`)."""
+    return current_workspace().eig(q, lifted)
+
+
+def cholesky(q: QuadForm) -> Optional[np.ndarray]:
+    """The Cholesky factor of q.A (:func:`_definite_factor`), computed at
+    most once per request."""
+    return current_workspace().read("chol", lambda q: _definite_factor(q.A), q)
 
 
 def evaluate(q: QuadForm, x) -> float:
@@ -218,11 +275,6 @@ def evaluate_many(q: QuadForm, pts: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != q.n:
         raise DimensionError(f"expected points of shape (N, {q.n})")
     return ((pts @ q.A) * pts).sum(axis=1) + 2.0 * (pts @ q.a) + q.a0
-
-
-def gradient(q: QuadForm, x) -> np.ndarray:
-    x = _to_vector(x, q.n)
-    return 2.0 * (q.A @ x + q.a)
 
 
 def gradient_many(q: QuadForm, pts: np.ndarray) -> np.ndarray:
@@ -264,10 +316,30 @@ def line_roots(q: QuadForm, X: np.ndarray, D: np.ndarray, rtol: float) -> np.nda
     return out
 
 
+def _data_scale(q: QuadForm) -> float:
+    return max(
+        float(np.abs(q.A).max(initial=0.0)),
+        float(np.abs(q.a).max(initial=0.0)),
+        abs(q.a0),
+        1e-300,
+    )
+
+
 def lift(q: QuadForm) -> np.ndarray:
     """The symmetric (n+1)x(n+1) homogenization of ``q``, read-only, built
-    at most once per quadratic."""
-    return q._lift
+    at most once per request."""
+    return current_workspace().read("lift", _build_lift, q)
+
+
+def _build_lift(q: QuadForm) -> np.ndarray:
+    n = q.n
+    M = np.empty((n + 1, n + 1))
+    M[0, 0] = q.a0
+    M[0, 1:] = q.a
+    M[1:, 0] = q.a
+    M[1:, 1:] = q.A
+    M.setflags(write=False)
+    return M
 
 
 def from_lift(M: np.ndarray) -> QuadForm:
@@ -390,7 +462,7 @@ def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
 
 def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
     """True iff q(x) >= 0 for all x, decided through the lifted matrix."""
-    return _status_of(q.lift_eig, tol).verdict is not PsdVerdict.INDEFINITE
+    return _status_of(eig_of(q, lifted=True), tol).verdict is not PsdVerdict.INDEFINITE
 
 
 def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
@@ -399,7 +471,7 @@ def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarr
     Returns None when ``q`` is nonnegative everywhere, by the verdict of
     :func:`nonneg_everywhere`.
     """
-    ed = q.lift_eig
+    ed = eig_of(q, lifted=True)
     if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
@@ -529,7 +601,7 @@ def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
 def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) -> Optional[_PencilSolve]:
     """The root solve of P + lam*Q.
 
-    With a Cholesky factor LL' = Q (:func:`_definite_factor`; ``q.chol``
+    With a Cholesky factor LL' = Q (:func:`_definite_factor`; :func:`cholesky`
     when Q is the quadratic part of ``q``) the roots are lam = -sigma for the
     eigenvalues sigma of L^-1 P L^-T (Moré, Optim. Methods Softw. 2, 1993),
     stored as theta = 1/sigma at mu = 0; a definite Q leaves no common
@@ -538,7 +610,7 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
     Otherwise the solve is at the best-conditioned shift (one stacked SVD of
     the shifted matrices); None when no shift leaves the reduced pencil well
     conditioned."""
-    L = _definite_factor(Q) if q is None else q.chol
+    L = _definite_factor(Q) if q is None else cholesky(q)
     if L is not None:
         eig = EigenDecomp.of(np.linalg.solve(L, np.linalg.solve(L, P).T))
         eig.values.setflags(write=False)
@@ -560,40 +632,12 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
     return _PencilSolve(np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
 
 
-def _pair_solve(p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
-    """The root solve of P + lam*Q, the quadratic parts of p and q or their
-    lifts, as (solve, sign, swap, q_sign, reads): one solve per pair up to
-    the sign and the order of p and q (solve None when no shift leaves the
-    pencil well conditioned).  ``sign`` and ``swap`` map its roots to this
-    pencil (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with
-    which the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
-    ``reads`` holds the stacked reads of the pair's pencils
-    (:func:`_interval`), keyed by (sign, swap, q_sign, tol).
-
-    The solve sits in the table of the pair's first quadratic (shared with
-    its negative) under the other's table, as (id of the first, the other,
-    solve, reads): the table lives as long as the first, which keeps that
-    id, and the entry keeps the other and with it its table's id.
-    """
-    for first, second, swap in ((p, q, False), (q, p, True)):
-        entry = first._pencils.get((lifted, id(second._pencils)))
-        if entry is not None:
-            break
-    else:
-        first, second, swap = p, q, False
-        solve = _solve_pencil(P, Q, None if lifted else q)
-        entry = p._pencils[lifted, id(q._pencils)] = (id(p), q, solve, {})
-    owner, other, solve, reads = entry
-    q_sign = 1 if second is other else -1
-    return solve, (1 if id(first) == owner else -1) * q_sign, swap, q_sign, reads
-
-
 def _definite_congruence(p: QuadForm, q: QuadForm) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """(T, sigma) with T'(p.A + lam*q.A)T = diag(sigma + lam) for every lam,
     from the pair's root solve (:meth:`_PencilSolve.congruence`) when that
     solve is definite and is of this pencil itself, q.A = LL'; None for any
     other solve or orientation."""
-    solve, sign, swap, q_sign, _ = _pair_solve(p, q, False, p.A, q.A)
+    solve, sign, swap, q_sign, _ = current_workspace().pencil(p, q, False, p.A, q.A)
     if solve is None or not solve.definite or (sign, swap, q_sign) != (1, False, 1):
         return None
     return solve.congruence()
@@ -602,8 +646,9 @@ def _definite_congruence(p: QuadForm, q: QuadForm) -> Optional[Tuple[np.ndarray,
 def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
                     lifted: bool = False) -> Optional[Tuple[float, float]]:
     """:func:`psd_interval` of p.A + lam*q.A, or of lift(p) + lam*lift(q)
-    when ``lifted``, from the root solve the pair shares across negation and
-    swap of p and q."""
+    when ``lifted``, from the root solve that the request's workspace holds
+    for the pair, shared across negation and swap of p and q
+    (:meth:`Workspace.pencil`); outside a request the call solves afresh."""
     return _pencil_interval(p, q, tol, lifted)[0]
 
 
@@ -614,7 +659,7 @@ def _pencil_interval(p: QuadForm, q: QuadForm, tol: float, lifted: bool = False)
     whose stacked read the pair already holds, its own or the mirror of
     -P + lam*Q's, is read from it with no decomposition."""
     P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    solve, sign, swap, q_sign, reads = _pair_solve(p, q, lifted, P, Q)
+    solve, sign, swap, q_sign, reads = current_workspace().pencil(p, q, lifted, P, Q)
     read = reads.get((sign, swap, q_sign, tol))
     return read if read is not None else _interval(P, Q, tol, solve, sign, swap, q_sign, reads)
 
@@ -668,8 +713,9 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     and the last passing one.
 
     On raw matrices each call solves for the roots.  Between quadratics,
-    :func:`pencil_interval` reads them from the root solve the pair owns:
-    one per pair, shared across the negation of either and their swap.
+    :func:`pencil_interval` reads them from the pair's root solve in the
+    request's workspace: one per pair and request, shared across the
+    negation of either and their swap.
     There the stacked read of P + lam*Q is kept with the read of -P + lam*Q
     that the same decomposition gives, whose matrices at the negated test
     points are the stack's negated: once either is read, neither costs a
@@ -683,7 +729,7 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
               sign: int = 1, swap: bool = False, q_sign: int = 1, reads: Optional[dict] = None):
     """:func:`psd_interval` of P + lam*Q from ``solve``, the root solve of a
     pencil P0 + lam*Q0 that P + lam*Q is up to ``sign``, ``swap`` and
-    ``q_sign`` (:func:`_pair_solve`), as (interval, lower, upper).
+    ``q_sign`` (:meth:`Workspace.pencil`), as (interval, lower, upper).
 
     ``lower`` and ``upper`` are the decompositions of P + lo*Q and P + hi*Q
     at the interval's ends, whether or not the end passed, where the search
@@ -691,7 +737,7 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
     a definite read above it; None otherwise.  They hold vectors, except
     where a mirrored read (below) gives the eigenvalues alone.
 
-    Given ``reads`` (:func:`_pair_solve`), the stacked scan stores its read
+    Given ``reads`` (:meth:`Workspace.pencil`), the stacked scan stores its read
     and the mirrored read of -P + lam*Q, each as (interval, lower, upper)
     with read-only ends.  The test points of -P + lam*Q are -pts[::-1], and
     each of its matrices is the negative of one in the stack, exactly up to
@@ -907,17 +953,19 @@ def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
     """Global infimum of q over R^n, with minimizer or escape direction.
 
     Its arrays are read-only; at the default ``rtol`` it is computed at most
-    once per quadratic."""
-    return q._min if rtol == RANK_RTOL else _unconstrained_min(q, rtol)
+    once per request."""
+    if rtol != RANK_RTOL:
+        return _unconstrained_min(q, rtol)
+    return current_workspace().read("min", lambda q: _unconstrained_min(q, RANK_RTOL), q)
 
 
 def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     """True when q's minimum lies clearly below -cut, read at its minimizer
-    x = -L^-T L^-1 q.a from the Cholesky factor LL' = q.A (``q.chol``)
+    x = -L^-T L^-1 q.a from the Cholesky factor LL' = q.A (:func:`cholesky`)
     without a decomposition of q.A.  False leaves the verdict to
     :func:`unconstrained_min`: when q.A has no factor, when the test is
-    close, and when q.A is already decomposed (``q.eig``, or ``-q``'s),
-    from which that minimum costs no decomposition.
+    close, and when the request already holds q.A's decomposition
+    (:meth:`Workspace.decomposed`), from which that minimum costs none.
 
     A True never contradicts that minimum.  The test runs only when every
     eigenvalue of q.A is above twice the minimum's cutoff, as
@@ -926,11 +974,11 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     and what a solve's residual e costs in value, at most |e|^2 |L^-1|_F^2,
     with |e| <= 8n eps (lam_max |x| + |q.a|).
     """
-    neg = q.__dict__.get("_neg")
-    if "eig" in q.__dict__ or (neg is not None and "eig" in neg.__dict__) or q.chol is None:
+    L = None if current_workspace().decomposed(q) else cholesky(q)
+    if L is None:
         return False
-    Li = np.linalg.inv(q.chol)
-    inv_norm, top = float(np.square(Li).sum()), float(np.square(q.chol).sum())
+    Li = np.linalg.inv(L)
+    inv_norm, top = float(np.square(Li).sum()), float(np.square(L).sum())
     if RANK_RTOL * (1.0 + top) * inv_norm >= 0.5:
         return False
     x = -(Li.T @ (Li @ q.a))
@@ -942,7 +990,7 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
 
 
 def _unconstrained_min(q: QuadForm, rtol: float) -> UnconstrainedMin:
-    qi = quad_inf(q.eig, q.a, q.a0, rtol)
+    qi = quad_inf(eig_of(q), q.a, q.a0, rtol)
     V = qi.eig.vectors
     K = V[:, qi.zero]
     if qi.eig.values[0] < -qi.eig.cut(rtol):

@@ -42,6 +42,7 @@ from .quad_core import (
     EigenDecomp,
     QuadForm,
     evaluate,
+    in_workspace,
     null_basis,
     quad_inf,
     restrict_affine,
@@ -128,6 +129,7 @@ def _residuals(f, g, h, x, nu):
     return (evaluate(f, x) - nu, evaluate(g, x), evaluate(h, x))
 
 
+@in_workspace
 def recover_solution(
     f: QuadForm, g: QuadForm, h: QuadForm, dual: DualSolveResult, tol: float = DEFAULT_TOL
 ):
@@ -292,6 +294,7 @@ def _solve_reduction(f, g, h, hint: dict, tol: float):
     return reduction, best, best, ("minimum over halfspace and hyperplane branches",)
 
 
+@in_workspace
 def solve_nonalter(
     f: QuadForm,
     g: QuadForm,

@@ -61,6 +61,14 @@ def rng(request):
 
 
 @pytest.fixture()
+def workspace():
+    """One request's workspace, open for the whole test: internal reads
+    called one by one share their work as inside a public call."""
+    with quad_core.Workspace() as ws:
+        yield ws
+
+
+@pytest.fixture()
 def eig_calls(monkeypatch):
     """A one-element list counting np.linalg.eigh/eigvalsh calls; reset it by hand."""
     count = [0]

@@ -187,7 +187,7 @@ class TestInclusion:
         v = check_inclusion_zeroset(g, poly2(bx=1), +1)
         assert v.status is InclusionStatus.VACUOUS
 
-    def test_zero_set_emptiness_decomposes_once(self, eig_calls):
+    def test_zero_set_emptiness_decomposes_once(self, workspace, eig_calls):
         f, g, h, _ = corpus.load("ex24")
         assert not _zero_set_empty(g, DEFAULT_TOL)  # both signs are tested
         assert eig_calls[0] == 1
@@ -287,24 +287,49 @@ class TestAssumption5:
         f, g, h, _ = corpus.load("ex24")
         assert check_assumption5(g, h).verdict is Verdict.HOLDS
 
-    def test_classification_reuses_the_pattern(self, monkeypatch):
-        # The reduction hint carries the pattern the check found: one
-        # canonical pattern per order of g and h, none more.
+    def test_classification_reuses_the_pattern(self, monkeypatch, eig_calls):
+        # The reduction hint carries the pattern of the failing order: one
+        # canonical pattern per order of g and h for the public check, and
+        # the hint's, read from the decompositions the check made.
         calls = []
         orientation = classify._assumption5_one_orientation
-        monkeypatch.setattr(classify, "_assumption5_one_orientation",
-                            lambda *args: calls.append(args) or orientation(*args))
+
+        def counted(*args):
+            before = eig_calls[0]
+            pattern = orientation(*args)
+            calls.append(eig_calls[0] - before)
+            return pattern
+
+        monkeypatch.setattr(classify, "_assumption5_one_orientation", counted)
         for g, h in ((poly1(axx=-1, c=1), poly1(bx=-1, c=-1)),
                      (poly1(bx=2, c=-2), poly1(axx=-1, c=1))):
             calls.clear()
             rep = classify_problem(g, h)
             assert rep.overall_class is ArrangementClass.ASSUMPTION5_DEGENERATE
-            assert len(calls) == 2
+            assert len(calls) == 3 and calls[2] == 0
             hint = rep.reduction_hint
             role = (g, h) if hint["pattern_role"] == "g" else (h, g)
             want = orientation(*role, quad_core.PSD_RTOL)
             assert {k: hint["pattern"][k] for k in ("c0", "c1")} == {k: want[k] for k in ("c0", "c1")}
             assert np.array_equal(hint["pattern"]["change"].T, want["change"].T)
+
+    def test_near_halfspace_pattern_reduces_to_the_halfspace(self):
+        # g = 1 - x^2, h = x + 1 - 1.5e-8: c0 is within tolerance of c1, so
+        # assumption 5 fails with c0 = c1, while assumption 3 still finds a
+        # candidate with g clearly positive on {h <= 0}.  The feasible set is
+        # {h <= 0} up to the tolerance, and min (x - 1)^2 there is about 4 at
+        # x = -1, not 0 at x = 1 as the hyperplane branch of c0 = -c1 gives.
+        g, h = poly1(axx=-1, c=1), poly1(bx=1, c=1 - 1.5e-8)
+        f = poly1(axx=1, bx=-2, c=1)
+        rep = classify_problem(g, h, 1e-8)
+        assert rep.a3.verdict is Verdict.HOLDS
+        assert rep.a5.verdict is Verdict.FAILS and rep.a5.certificate["sign"] == 1
+        assert rep.overall_class is ArrangementClass.REDUCES_TO_QP1QC
+        assert rep.reduction_hint == {"kind": "single_constraint", "which": "h"}
+        sol = solve_nonalter(f, g, h, 1e-8)
+        assert sol.status == "solved"
+        assert sol.nu_star == pytest.approx(4.0, abs=1e-6)
+        assert sol.x_star == pytest.approx([-1.0], abs=1e-6)
 
 
 class TestClassifyProblem:
@@ -451,7 +476,7 @@ class TestWitnessCandidates:
             assert _verdicts(classify_problem(move.pull(g), move.pull(h))) == _verdicts(
                 classify_problem(g, h)), i
 
-    def test_one_decomposition_per_constraint(self, eig_calls, monkeypatch):
+    def test_one_decomposition_per_constraint(self, workspace, eig_calls, monkeypatch):
         # The stationary point, the eigenvector directions: one eigh of g.A, one of h.A.
         f, g, h, _ = corpus.load("ex24")
         solve, inner = qp1qc.solve_qp1qc, []
@@ -568,21 +593,28 @@ class TestWorkPerClassification:
             assert len(on_candidates) == len(set(map(id, on_candidates))) <= 2, name
             assert all(q is g or q is h for q in on_candidates), name
 
-    def test_parsed_copies_share_nothing(self, work_counts):
-        # The solves live on the quadratics of one request: a second parse of
-        # the same document starts from nothing and gives the same report.
+    def test_parsed_copies_share_nothing(self, work_counts, monkeypatch):
+        # The solves live in the workspace of one request: a second request
+        # on a second parse of the same document starts from nothing and
+        # gives the same report.
         doc = json.loads(corpus.corpus_path("ex25b").read_text())
-        reports, copies = [], []
+        pencil, used = quad_core.Workspace.pencil, set()
+
+        def recorded(ws, *args):
+            used.add(ws)
+            return pencil(ws, *args)
+
+        monkeypatch.setattr(quad_core.Workspace, "pencil", recorded)
+        reports, workspaces = [], []
         for _ in range(2):
             _, g, h, _ = parse_problem_dict(doc)
             work_counts.update(solves=0, minima=0)
+            used.clear()
             reports.append(dumps_report(classify_problem(g, h, 1e-9)))
             assert work_counts == {"solves": 2, "minima": 4}
-            quads = (g, h, -g, -h)
-            for q in quads:
-                for owner, other, *_ in q._pencils.values():
-                    assert owner in map(id, quads) and any(other is r for r in quads)
-            copies.append(quads)
-        assert reports[0] == reports[1]
-        tables = [{id(q._pencils) for q in quads} for quads in copies]
-        assert not tables[0] & tables[1]
+            (ws,) = used
+            quads = (g, h, ws.negation(g), ws.negation(h))
+            for p0, q0, *_ in ws._pair_solves.values():
+                assert any(p0 is q for q in quads) and any(q0 is q for q in quads)
+            workspaces.append(ws)
+        assert reports[0] == reports[1] and workspaces[0] is not workspaces[1]

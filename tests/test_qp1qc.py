@@ -13,7 +13,10 @@ from nonalter.quad_core import (
     INF_PSD_RTOL,
     EigenDecomp,
     QuadForm,
+    Workspace,
     _min_clearly_below,
+    cholesky,
+    eig_of,
     evaluate,
     pencil_interval,
     unconstrained_min,
@@ -266,11 +269,12 @@ class TestWork:
         assert eig_calls[0] == 1
         assert r.status == "attained" and np.allclose(r.x, 0.0)
 
-    def test_dual_at_zero_reads_the_objectives_decomposition(self, rng, eig_calls):
-        # At lam = 0 the matrix of the dual is f.A, which f.eig already holds.
+    def test_dual_at_zero_reads_the_objectives_decomposition(self, rng, workspace, eig_calls):
+        # At lam = 0 the matrix of the dual is f.A, whose decomposition the
+        # request already holds.
         f, g, _ = trust_region_pair(rng, 5, False)
         f = f + 10.0 * QuadForm(np.eye(5), np.zeros(5), 0.0)  # f.A definite: no kernel step
-        ed = f.eig
+        ed = eig_of(f)
         eig_calls[0] = 0
         d = qp1qc._dual_at(f, g, 0.0)
         assert eig_calls[0] == 0 and d.eig is ed
@@ -411,7 +415,7 @@ class TestSlaterFromFactor:
         n = 3
         for a0 in (-1.0, -1e-8, 1e-9):
             g = QuadForm(1e-12 * np.eye(n), 1e-13 * rng.normal(size=n), a0)
-            assert g.chol is not None and not _min_clearly_below(g, 1e-8 * (1 + g.data_scale()))
+            assert cholesky(g) is not None and not _min_clearly_below(g, 1e-8 * (1 + g.data_scale()))
             self._same_as_the_eigen_test(monkeypatch, random_quadform(rng, n), g)
 
     def test_minimum_within_rounding_is_not_clear(self):
@@ -423,27 +427,30 @@ class TestSlaterFromFactor:
             assert _min_clearly_below(g, cut) == clear
 
     def test_known_decomposition_decides(self, rng, monkeypatch):
-        # Once g.A is decomposed (for g or -g), g's minimum costs no
-        # decomposition and decides the regime; the factor's test does not run.
+        # Once the request has decomposed g.A (for g or -g), g's minimum
+        # costs no decomposition and decides the regime; the factor's test
+        # does not run.
         def no_inverse(M):
             raise AssertionError("the factor's test ran")
 
-        for known in (lambda g: unconstrained_min(g), lambda g: (-g).eig):
+        for known in (lambda g: unconstrained_min(g), lambda g: eig_of(-g)):
             f, g, _ = trust_region_pair(rng, 5, False)
-            known(g)
-            with monkeypatch.context() as mp:
+            with Workspace(), monkeypatch.context() as mp:
+                known(g)
                 mp.setattr(np.linalg, "inv", no_inverse)
                 assert solve_qp1qc(f, g).status == "attained"
 
     @pytest.mark.parametrize("n", [2, 10, 50])
-    def test_constraint_never_decomposed(self, rng, n):
+    def test_constraint_never_decomposed(self, rng, n, work_counts):
         # An easy trust-region solve reads g.A through its Cholesky factor
         # alone: neither its eigendecomposition nor its minimum is computed.
         for _ in range(5):
             f, g, _ = trust_region_pair(rng, n, False)
-            assert solve_qp1qc(f, g).status == "attained"
-            assert "eig" not in g.__dict__ and "_min" not in g.__dict__
-            assert g.chol is not None
+            work_counts["minima"] = 0
+            with Workspace() as ws:
+                assert solve_qp1qc(f, g).status == "attained"
+                assert not ws.decomposed(g) and work_counts["minima"] == 0
+                assert cholesky(g) is not None
 
 
 class TestLowerEnd:

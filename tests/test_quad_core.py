@@ -16,12 +16,14 @@ from nonalter.quad_core import (
     RANK_RTOL,
     DimensionError,
     _definite_factor,
-    _pair_solve,
     _pencil_interval,
     _solve_pencil,
     EigenDecomp,
     PsdVerdict,
     QuadForm,
+    Workspace,
+    current_workspace,
+    eig_of,
     evaluate,
     evaluate_many,
     find_negative_point,
@@ -280,7 +282,7 @@ def _pencil_test_points(P, Q):
 def _pair_test_points(p, q, lifted, P, Q):
     """The roots and test points of P + lam*Q from the root solve the pair
     (p, q) shares."""
-    solve, sign, swap, *_ = _pair_solve(p, q, lifted, P, Q)
+    solve, sign, swap, *_ = current_workspace().pencil(p, q, lifted, P, Q)
     return None if solve is None else solve.test_points(sign, swap)
 
 
@@ -553,7 +555,7 @@ class TestSharedPencilSolve:
     def _orientations(p, q):
         return ((p, q), (-p, q), (q, p), (-q, p), (q, -p), (-q, -p))
 
-    def test_orientations_match_direct_solves(self, work_counts):
+    def test_orientations_match_direct_solves(self, workspace, work_counts):
         kinds = {"interval": 0, "none": 0, "swapped_root_at_0": 0}
         for P, Q in _pencil_families():
             m = len(P)
@@ -576,7 +578,7 @@ class TestSharedPencilSolve:
             assert work_counts["solves"] == 1
         assert min(kinds.values()) > 0, kinds
 
-    def test_lifted_pencils_of_the_corpus(self, work_counts):
+    def test_lifted_pencils_of_the_corpus(self, workspace, work_counts):
         for name in corpus.NAMES:
             _, g, h, _ = corpus.load(name)
             work_counts["solves"] = 0
@@ -594,17 +596,20 @@ class TestSharedPencilSolve:
             pencil_interval(-g, h)
             assert work_counts["solves"] == 2
 
-    def test_entry_lives_on_the_first_quadratic(self):
+    def test_one_entry_per_pair_and_request(self, workspace):
         _, g, h, _ = corpus.load("ex24")
         pencil_interval(g, h)
-        assert len(g._pencils) == 1 and not h._pencils
-        assert (-g)._pencils is g._pencils
-        pencil_interval(-h, g)  # found in g's table, swapped
-        assert len(g._pencils) == 1 and not h._pencils
-        # A transient first quadratic takes its entry with it.
+        assert list(workspace._pair_solves) == [(False, id(g), id(h))]
+        pencil_interval(-g, h)  # filed under g, the source of -g
+        pencil_interval(-h, g)  # found under (g, h), swapped
+        assert len(workspace._pair_solves) == 1
+        # A transient first quadratic's entry stays until the request ends.
         tmp = g + 2.0 * h
         pencil_interval(tmp, g)
-        assert len(tmp._pencils) == 1 and len(g._pencils) == 1
+        assert len(workspace._pair_solves) == 2
+        with Workspace() as inner:  # a second request shares nothing
+            pencil_interval(g, h)
+            assert len(inner._pair_solves) == 1 and len(workspace._pair_solves) == 2
 
 
 class TestDefinitePencil:
@@ -708,12 +713,13 @@ class TestDefiniteInterval:
         p, q = QuadForm(P, np.zeros(m), 0.0), QuadForm(Q, np.zeros(m), 0.0)
         calls_per_end = 1 if m <= quad_core._SCAN_MAX else 2
         bisected = 0
-        for (a, b), ends in self._orientations(p, q):
-            found = _pair_test_points(a, b, False, a.A, b.A)
-            eig_calls[0] = 0
-            iv = pencil_interval(a, b, tol)
-            bisected += ends is not None and eig_calls[0] > ends * calls_per_end
-            assert iv == _psd_interval_scan(a.A, b.A, tol, found=found)
+        with Workspace():
+            for (a, b), ends in self._orientations(p, q):
+                found = _pair_test_points(a, b, False, a.A, b.A)
+                eig_calls[0] = 0
+                iv = pencil_interval(a, b, tol)
+                bisected += ends is not None and eig_calls[0] > ends * calls_per_end
+                assert iv == _psd_interval_scan(a.A, b.A, tol, found=found)
         return bisected
 
     def test_matches_the_scan_in_every_orientation(self, eig_calls):
@@ -755,7 +761,7 @@ class TestDefiniteInterval:
                 bisected += self._check(_sym(rng, m), Q, eig_calls)
         assert bisected >= 20
 
-    def test_lower_end_decomposition(self, rng, monkeypatch):
+    def test_lower_end_decomposition(self, rng, workspace, monkeypatch):
         # Above _SCAN_MAX the read decomposes P + lam*Q at a positive end
         # with vectors, bit for bit the decomposition of that matrix, and a
         # negative end from eigenvalues alone; up to it, every finite end
@@ -805,14 +811,14 @@ def _direct_read(p, q, tol, lifted=False):
     """_pencil_interval of (p, q) read afresh from the pair's root solve:
     no stored read is looked up, and none is stored."""
     P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    solve, sign, swap, q_sign, _ = _pair_solve(p, q, lifted, P, Q)
+    solve, sign, swap, q_sign, _ = current_workspace().pencil(p, q, lifted, P, Q)
     return quad_core._interval(P, Q, tol, solve, sign, swap, q_sign)
 
 
 def _stored(p, q, tol, lifted=False):
     """Whether the pair holds a stacked read of (p, q) at tol."""
     P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    _, sign, swap, q_sign, reads = _pair_solve(p, q, lifted, P, Q)
+    _, sign, swap, q_sign, reads = current_workspace().pencil(p, q, lifted, P, Q)
     return (sign, swap, q_sign, tol) in reads
 
 
@@ -860,18 +866,20 @@ class TestMirroredRead:
 
     @staticmethod
     def _read_in_sign_pairs(p, q, tol, lifted, eig_calls):
-        # Each orientation, then its mirror; the number of mirrors served.
+        # Each orientation, then its mirror, in one request; the number of
+        # mirrors served.
         served = 0
-        for a, b in ((p, q), (p, -q), (q, p), (q, -p)):
-            _assert_same_read(_pencil_interval(a, b, tol, lifted), _direct_read(a, b, tol, lifted))
-            stored = _stored(-a, b, tol, lifted)
-            eig_calls[0] = 0
-            mirrored = _pencil_interval(-a, b, tol, lifted)
-            if stored:
-                assert eig_calls[0] == 0
-                served += 1
-            _assert_same_read(mirrored, _direct_read(-a, b, tol, lifted), stored)
-        assert len(p._pencils) == 1 and not q._pencils  # one entry for the pair
+        with Workspace() as ws:
+            for a, b in ((p, q), (p, -q), (q, p), (q, -p)):
+                _assert_same_read(_pencil_interval(a, b, tol, lifted), _direct_read(a, b, tol, lifted))
+                stored = _stored(-a, b, tol, lifted)
+                eig_calls[0] = 0
+                mirrored = _pencil_interval(-a, b, tol, lifted)
+                if stored:
+                    assert eig_calls[0] == 0
+                    served += 1
+                _assert_same_read(mirrored, _direct_read(-a, b, tol, lifted), stored)
+            assert len(ws._pair_solves) == 1  # one entry for the pair
         return served
 
     def test_mirror_is_the_direct_read(self, eig_calls):
@@ -887,7 +895,7 @@ class TestMirroredRead:
                             found += pencil_interval(p, q, tol, lifted) is not None
         assert served >= 500 and found >= 100, (served, found)
 
-    def test_after_a_definite_read(self, eig_calls):
+    def test_after_a_definite_read(self, workspace, eig_calls):
         # q.A is definite: P + lam*Q takes the definite read, which stores
         # nothing, so -P + lam*Q is read on its own.
         rng = np.random.default_rng(8121)
@@ -911,7 +919,7 @@ class TestMirroredRead:
                 _assert_same_read(mirrored, _direct_read(-p, q, tol))
         assert definite >= 10
 
-    def test_degenerate_pencils(self):
+    def test_degenerate_pencils(self, workspace):
         # Small integer diagonals and a two-dimensional common kernel: the
         # interval is still the direct read's, and the eigenvalues are equal
         # up to rounding of the spectral scale.
@@ -1047,35 +1055,54 @@ class TestSpectralPrimitive:
         with pytest.raises(ValueError):
             sym_eigen([[np.nan]])
 
-    def test_quadform_owns_its_decompositions(self):
+    def test_workspace_holds_the_decompositions(self, workspace):
         for name in corpus.NAMES:
             for q in corpus.load(name)[:3]:
-                for ed, ref in ((q.eig, EigenDecomp.of(q.A)), (q.lift_eig, sym_eigen(lift(q)))):
+                for ed, ref in ((eig_of(q), EigenDecomp.of(q.A)), (eig_of(q, lifted=True), sym_eigen(lift(q)))):
                     assert ed.values.tobytes() == ref.values.tobytes()
                     assert ed.vectors.tobytes() == ref.vectors.tobytes()
-                for ed in (q.eig, q.lift_eig, (-q).eig, (-q).lift_eig):
+                for p, lifted in ((q, False), (q, True), (-q, False), (-q, True)):
+                    ed = eig_of(p, lifted)
                     assert not ed.values.flags.writeable and not ed.vectors.flags.writeable
-                assert q.eig is q.eig and -q is -q and -(-q) is q
+                    assert eig_of(p, lifted) is ed
+                assert -q is -q and -(-q) is q
                 # The lift and the data scale are built once, read-only.
                 assert lift(q) is lift(q) and not lift(q).flags.writeable
                 assert q.data_scale() == max(np.abs(lift(q)).max(), 1e-300)
 
-    def test_negation_shares_the_decompositions(self, eig_calls):
-        # Whichever of q and -q asks first decomposes; the other negates.
+    def test_negation_shares_the_decompositions(self, workspace, eig_calls):
+        # q decomposes and -q negates, whichever of the two asks first.
         for first in (lambda q: q, lambda q: -q):
             f, g, h, _ = corpus.load("ex24")
             p = first(g)
             eig_calls[0] = 0
-            ed, lifted = p.eig, p.lift_eig
+            ed, lifted = eig_of(p), eig_of(p, lifted=True)
             assert eig_calls[0] == 2
-            assert np.array_equal((-p).eig.values, -ed.values[::-1])
-            assert np.array_equal((-p).lift_eig.vectors, lifted.vectors[:, ::-1])
+            assert np.array_equal(eig_of(-p).values, -ed.values[::-1])
+            assert np.array_equal(eig_of(-p, lifted=True).vectors, lifted.vectors[:, ::-1])
             unconstrained_min(-p)
             nonneg_everywhere(-p)
             find_negative_point(-p)
             assert eig_calls[0] == 2
 
-    def test_unconstrained_min_once_and_read_only(self):
+    def test_negation_decomposes_alike_in_either_order(self):
+        # For q = x'x - 1, whose spectrum is degenerate, LAPACK's vectors of
+        # -A differ from A's reversed; -q's decomposition is q's negated
+        # whether q or -q asks first.
+        q = QuadForm(np.eye(2), np.zeros(2), -1.0)
+        reads = []
+        for first in (lambda q: q, lambda q: -q):
+            with Workspace():
+                eig_of(first(q)), eig_of(first(q), lifted=True)
+                reads.append([eig_of(-q, lifted) for lifted in (False, True)])
+        ref = [sym_eigen(q.A).negated(), sym_eigen(lift(q)).negated()]
+        for ed, other, want in zip(*reads, ref):
+            for arrays in ((ed.values, other.values, want.values), (ed.vectors, other.vectors, want.vectors)):
+                assert arrays[0].tobytes() == arrays[1].tobytes() == arrays[2].tobytes()
+        # Outside a request nothing is kept: each read is afresh.
+        assert eig_of(q) is not eig_of(q) and -q is not -q
+
+    def test_unconstrained_min_once_and_read_only(self, workspace):
         for name in corpus.NAMES:
             for q in corpus.load(name)[:3]:
                 for p in (q, -q):
