@@ -20,7 +20,6 @@ from .classify import (
     AssumptionVerdict,
     InclusionStatus,
     InclusionVerdict,
-    SearchSpec,
     SeparationCertificate,
     Verdict,
     check_assumption1,
@@ -90,7 +89,6 @@ __all__ = [
     "Qp1qcResult",
     "QuadForm",
     "ReducedProblem",
-    "SearchSpec",
     "SeparationCertificate",
     "SolveReport",
     "Verdict",

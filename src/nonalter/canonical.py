@@ -167,7 +167,7 @@ def _householder_with_first_column(u: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / vv
 
 
-def canonical_reduce(g: QuadForm, rtol: float = RANK_RTOL):
+def canonical_reduce(g: QuadForm):
     """Reduce ``g`` to its canonical shape.
 
     Returns ``(change, form)`` with ``change.s * g(change.apply(y))`` equal
@@ -185,7 +185,7 @@ def canonical_reduce(g: QuadForm, rtol: float = RANK_RTOL):
         abs(g.a0),
         1e-300,
     )
-    thr = rtol * gscale
+    thr = RANK_RTOL * gscale
     warnings = []
     borderline = (np.abs(lam) > thr) & (np.abs(lam) < 10.0 * thr)
     if borderline.any():

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,18 +52,12 @@ from .quad_core import (
 )
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """Seed of the random line directions of the witness candidates."""
-
-    seed: int = 0
-
-
-class Candidates(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Candidates:
     """Witness candidate points of (g, h) and two single-constraint solves
     behind them.  What the checkers read of them per quadratic, the values
     at the candidates and the candidates moved onto the zero set, is kept in
-    the request's workspace."""
+    the request's workspace, keyed on this set."""
 
     points: np.ndarray
     min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
@@ -71,22 +66,31 @@ class Candidates(NamedTuple):
     def values(self, q: QuadForm) -> np.ndarray:
         """q at every candidate, read-only, evaluated at most once per
         quadratic and request."""
-        return current_workspace().read("values", _values_at, q, self.points)
+        return current_workspace().read("values", _values_at, q, self)
 
     def on_zero_set(self, q: QuadForm) -> np.ndarray:
         """The candidates moved onto {q = 0} that land there, read-only,
         moved at most once per quadratic and request (:func:`_move_to_zero_set`)."""
-        return current_workspace().read("zero_set", _move_to_zero_set, q, self.points)
+        return current_workspace().read("zero_set", _move_to_zero_set, q, self)
 
 
-def _values_at(q: QuadForm, pts: np.ndarray) -> np.ndarray:
-    vals = evaluate_many(q, pts)
+def _values_at(q: QuadForm, cands: Candidates) -> np.ndarray:
+    vals = evaluate_many(q, cands.points)
     vals.setflags(write=False)
     return vals
 
 
-def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
-                    tol: float = DEFAULT_TOL) -> Candidates:
+@lru_cache(maxsize=None)
+def _line_directions(n: int) -> np.ndarray:
+    """The 8 fixed unit directions in R^n of the candidate lines, read-only:
+    the rows of ``default_rng(1).normal(size=(8, n))``, normalized."""
+    rnd = np.random.default_rng(1).normal(size=(8, n))
+    dirs = rnd / np.linalg.norm(rnd, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    return dirs
+
+
+def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candidates:
     """Witness candidates: single-constraint optimizers and sign-cell probes on lines.
 
     Along any line both constraints restrict to scalar quadratics whose roots
@@ -94,8 +98,8 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     (plus the roots themselves and points beyond the extremes) on lines
     through the origin, the stationary points -A^+a of g and h, and the
     optimizers of +-h over {g <= 0} and of +-g over {h <= 0}, in eigenvector,
-    linear-term and seeded random directions, reaches every arrangement
-    feature the checkers care about.  The optimizers, exact for one
+    linear-term and fixed directions (:func:`_line_directions`), reaches
+    every arrangement feature the checkers care about.  The optimizers, exact for one
     constraint, are candidates themselves: they reach the bounded sign
     regions that lines miss.  The solves run at ``tol``.
     """
@@ -114,9 +118,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
             if r.status == "attained":
                 optima.append(r.x)
     anchors += optima
-    rng = np.random.default_rng(spec.seed + 1)
-    rnd = rng.normal(size=(8, n))
-    dirs.extend(rnd / np.linalg.norm(rnd, axis=1, keepdims=True))
+    dirs.extend(_line_directions(n))
 
     X = np.repeat(anchors, len(dirs), axis=0)
     D = np.tile(dirs, (len(anchors), 1))
@@ -134,13 +136,14 @@ def _ray_candidates(g: QuadForm, h: QuadForm, spec: SearchSpec,
     return Candidates(points, min_g=mins[1], min_h=mins[0])
 
 
-def _move_to_zero_set(q: QuadForm, pts: np.ndarray) -> np.ndarray:
-    """The points of {q = 0} that the rows of ``pts`` move to.
+def _move_to_zero_set(q: QuadForm, cands: Candidates) -> np.ndarray:
+    """The points of {q = 0} that the candidates move to.
 
     Each candidate p moves along the gradient of q at p to the nearer real
     root of q on that line, an exact point of {q = 0}; a candidate whose
     line has no root stays put and counts only if it already lies on the set.
     """
+    pts = cands.points
     dirs = gradient_many(q, pts)
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     np.divide(dirs, norms, out=dirs, where=norms > 0.0)
@@ -195,9 +198,9 @@ class TwoSidedSlater:
 
 
 @in_workspace
-def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
+def slater_two_sided(q: QuadForm) -> TwoSidedSlater:
     """Does q take strictly negative / strictly positive values somewhere?"""
-    neg, pos = find_negative_point(q, tol), find_negative_point(-q, tol)
+    neg, pos = find_negative_point(q), find_negative_point(-q)
     return TwoSidedSlater(
         takes_negative=neg is not None,
         takes_positive=pos is not None,
@@ -206,14 +209,14 @@ def slater_two_sided(q: QuadForm, tol: float = PSD_RTOL) -> TwoSidedSlater:
     )
 
 
-def pencil_psd_search(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
+def pencil_psd_search(p: QuadForm, q: QuadForm) -> Optional[float]:
     """A real lambda with lift(p) + lambda*lift(q) PSD, if one exists.
 
     The feasible multipliers form an interval (:func:`pencil_interval`); the
     point of it nearest zero is returned, which keeps certificates small
     and reproducible.
     """
-    iv = pencil_interval(p, q, tol, lifted=True)
+    iv = pencil_interval(p, q, PSD_RTOL, lifted=True)
     return None if iv is None else min(max(0.0, iv[0]), iv[1])
 
 
@@ -238,9 +241,9 @@ def _pencil_certificate(p: QuadForm, q: QuadForm) -> Optional[float]:
     return lam if _status_of(ed, PSD_RTOL).verdict is not PsdVerdict.INDEFINITE else None
 
 
-def pencil_psd_search_nonneg(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL) -> Optional[float]:
+def pencil_psd_search_nonneg(p: QuadForm, q: QuadForm) -> Optional[float]:
     """Like :func:`pencil_psd_search` but restricted to lambda >= 0."""
-    iv = pencil_interval(p, q, tol, lifted=True)
+    iv = pencil_interval(p, q, PSD_RTOL, lifted=True)
     return None if iv is None or iv[1] < 0.0 else max(0.0, iv[0])
 
 
@@ -264,13 +267,13 @@ class SeparationCertificate:
     witnesses: Tuple[np.ndarray, np.ndarray]
 
 
-def _affine_companion(g: QuadForm, h: QuadForm, tol: float):
+def _affine_companion(g: QuadForm, h: QuadForm):
     """``(change, form, cbar)`` when h has an affine pattern in g's canonical basis.
 
     The pattern: g reduces to ``-y1^2 + delta*(y2^2+..+ym^2) + theta`` (FORM1,
     k = 1) and h is ``c1*y1 + delta*(c2*y2+..+cm*ym) + c0`` there, with
     c1 != 0; ``cbar`` holds (c0, c1, ..., cn).  A coefficient counts as zero
-    at ``tol`` times the scale of the companion.  None otherwise.
+    at ``PSD_RTOL`` times the scale of the companion.  None otherwise.
     """
     if g.is_constant():
         return None
@@ -278,7 +281,7 @@ def _affine_companion(g: QuadForm, h: QuadForm, tol: float):
     if form.tag is not FormTag.FORM1 or form.k != 1:
         return None
     comp = companion_in_basis(h, change)
-    zero = tol * comp.data_scale()
+    zero = PSD_RTOL * comp.data_scale()
     if float(np.abs(comp.A).max(initial=0.0)) > zero:
         return None  # companion is not affine in this basis
     cbar = np.concatenate([[comp.a0], 2.0 * comp.a])
@@ -308,9 +311,7 @@ def _restriction_on_hyperplane(coeffs: np.ndarray, delta: int, theta: int, m: in
     return QuadForm(A, a, theta - kappa**2)
 
 
-def detect_separation_by_hyperplane(
-    g: QuadForm, h: QuadForm, tol: float = PSD_RTOL
-) -> Optional[SeparationCertificate]:
+def detect_separation_by_hyperplane(g: QuadForm, h: QuadForm) -> Optional[SeparationCertificate]:
     """Certificate that {h=0} separates {g<0}, or None.
 
     Separation happens exactly when (i) ``g`` reduces to
@@ -319,13 +320,13 @@ def detect_separation_by_hyperplane(
     c1 != 0, and (iii) the restriction of the canonical g to {h = 0} is
     nonnegative everywhere.
     """
-    pat = _affine_companion(g, h, tol)
+    pat = _affine_companion(g, h)
     if pat is None:
         return None
     change, form, cbar = pat
     m = form.m
     restriction = _restriction_on_hyperplane(cbar, form.delta, form.theta, m)
-    status = psd_status(lift(restriction), tol)
+    status = psd_status(lift(restriction))
     if status.verdict is PsdVerdict.INDEFINITE:
         return None
     # Probe the two branches y1 = +-X with the other coordinates at zero.
@@ -388,7 +389,6 @@ def check_inclusion_zeroset(
     h: QuadForm,
     sign: int,
     tol: float = DEFAULT_TOL,
-    spec: SearchSpec = SearchSpec(),
     witness_search: bool = True,
     cands: Optional[Candidates] = None,
 ) -> InclusionVerdict:
@@ -417,7 +417,7 @@ def check_inclusion_zeroset(
         )
     margin = tol * (1.0 + h.data_scale())
     if cands is None:
-        cands = _ray_candidates(g, h, spec, tol)
+        cands = _ray_candidates(g, h, tol)
     w = _zero_set_witness(g, signed_h, margin, cands)
     if w is not None:
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
@@ -461,10 +461,13 @@ class AssumptionVerdict:
 
 
 @in_workspace
-def check_assumption4(g: QuadForm, h: QuadForm, tol: float = PSD_RTOL) -> AssumptionVerdict:
-    """Two-sided Slater: each of g, -g, h, -h takes a strictly negative value."""
-    missing = [name for name, q in (("g", g), ("-g", -g), ("h", h), ("-h", -h))
-               if find_negative_point(q, tol) is None]
+def check_assumption4(g: QuadForm, h: QuadForm) -> AssumptionVerdict:
+    """Two-sided Slater: each of g, -g, h, -h takes a strictly negative value
+    (:func:`slater_two_sided`)."""
+    sg, sh = slater_two_sided(g), slater_two_sided(h)
+    missing = [name for name, found in (("g", sg.takes_negative), ("-g", sg.takes_positive),
+                                        ("h", sh.takes_negative), ("-h", sh.takes_positive))
+               if not found]
     if missing:
         return AssumptionVerdict(
             Verdict.FAILS,
@@ -474,9 +477,9 @@ def check_assumption4(g: QuadForm, h: QuadForm, tol: float = PSD_RTOL) -> Assump
     return AssumptionVerdict(Verdict.HOLDS, note="all of g, -g, h, -h take negative values")
 
 
-def _assumption5_one_orientation(g, h, tol):
+def _assumption5_one_orientation(g, h):
     """A5 pattern with g playing the one-variable concave role."""
-    pat = _affine_companion(g, h, tol)
+    pat = _affine_companion(g, h)
     if pat is None:
         return None
     change, form, cbar = pat
@@ -499,7 +502,7 @@ def check_assumption5(
     Fails exactly when c0 = +-c1 (within tolerance); holds, possibly as
     "not applicable", otherwise.
     """
-    pat = _assumption5_one_orientation(g, h, PSD_RTOL)
+    pat = _assumption5_one_orientation(g, h)
     if pat is None:
         return AssumptionVerdict(Verdict.HOLDS, note="pattern not applicable")
     c0, c1 = pat["c0"], pat["c1"]
@@ -523,7 +526,6 @@ def check_assumption2(
     g: QuadForm,
     h: QuadForm,
     tol: float = DEFAULT_TOL,
-    spec: SearchSpec = SearchSpec(),
     cands: Optional[Candidates] = None,
 ):
     """Mutual one-sidedness of the zero sets.
@@ -532,12 +534,12 @@ def check_assumption2(
     {g=0} in {h<=0}, {g=0} in {h>=0}, {h=0} in {g<=0}, {h=0} in {g>=0}.
     """
     if cands is None:
-        cands = _ray_candidates(g, h, spec, tol)
-    i1 = check_inclusion_zeroset(g, h, +1, tol, spec, cands=cands)
-    i2 = check_inclusion_zeroset(g, h, -1, tol, spec,
+        cands = _ray_candidates(g, h, tol)
+    i1 = check_inclusion_zeroset(g, h, +1, tol, cands=cands)
+    i2 = check_inclusion_zeroset(g, h, -1, tol,
                                  witness_search=not i1.is_true, cands=cands)
-    i3 = check_inclusion_zeroset(h, g, +1, tol, spec, cands=cands)
-    i4 = check_inclusion_zeroset(h, g, -1, tol, spec,
+    i3 = check_inclusion_zeroset(h, g, +1, tol, cands=cands)
+    i4 = check_inclusion_zeroset(h, g, -1, tol,
                                  witness_search=not i3.is_true, cands=cands)
 
     def disjunct(a: InclusionVerdict, b: InclusionVerdict):
@@ -565,7 +567,6 @@ def check_assumption3(
     g: QuadForm,
     h: QuadForm,
     tol: float = DEFAULT_TOL,
-    spec: SearchSpec = SearchSpec(),
     cands: Optional[Candidates] = None,
 ) -> AssumptionVerdict:
     """Non-triviality: g, h nonconstant; D nonempty; D != {g<=0}; D != {h<=0}."""
@@ -596,7 +597,7 @@ def check_assumption3(
 
     gs, hs = g.data_scale(), h.data_scale()
     if cands is None:
-        cands = _ray_candidates(g, h, spec, tol)
+        cands = _ray_candidates(g, h, tol)
     feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], cands)
     if feas is None:
         r = cands.min_g
@@ -642,7 +643,6 @@ def check_assumption1(
     g: QuadForm,
     h: QuadForm,
     tol: float = DEFAULT_TOL,
-    spec: SearchSpec = SearchSpec(),
     cands: Optional[Candidates] = None,
 ) -> AssumptionVerdict:
     """If D collapses onto one zero set, it must be that whole zero set.
@@ -654,7 +654,7 @@ def check_assumption1(
     """
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
     if cands is None:
-        cands = _ray_candidates(g, h, spec, tol)
+        cands = _ray_candidates(g, h, tol)
     interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], cands)
     if interior is not None:
         return AssumptionVerdict(
@@ -679,7 +679,7 @@ def check_assumption1(
                         witness=w,
                         certificate={"collapsed_on": label},
                     )
-                incl = check_inclusion_zeroset(first, second, +1, tol, spec, cands=cands)
+                incl = check_inclusion_zeroset(first, second, +1, tol, cands=cands)
                 if incl.is_true:
                     continue  # D = {first = 0} exactly: implication holds
                 return AssumptionVerdict(
@@ -788,12 +788,7 @@ def _refutes_nonnegative(q: QuadForm, w: np.ndarray, cut: float) -> bool:
 
 
 @in_workspace
-def classify_problem(
-    g: QuadForm,
-    h: QuadForm,
-    tol: float = DEFAULT_TOL,
-    spec: SearchSpec = SearchSpec(),
-) -> ArrangementReport:
+def classify_problem(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> ArrangementReport:
     """Run every assumption checker and dispatch to an arrangement class.
 
     Checkers run in the order 3, 4, 5, 2, 1 so that each early exit carries a
@@ -802,13 +797,13 @@ def classify_problem(
     (:func:`_contradiction`) make the class undetermined before any dispatch.
     """
     notes = []
-    cands = _ray_candidates(g, h, spec, tol)
-    a3 = check_assumption3(g, h, tol, spec, cands)
+    cands = _ray_candidates(g, h, tol)
+    a3 = check_assumption3(g, h, tol, cands)
     a4 = check_assumption4(g, h)
     a5_gh, a5_hg = check_assumption5(g, h, tol), check_assumption5(h, g, tol)
     a5 = a5_gh if a5_gh.fails or not a5_hg.fails else a5_hg
-    a2, inclusions = check_assumption2(g, h, tol, spec, cands)
-    a1 = check_assumption1(g, h, tol, spec, cands)
+    a2, inclusions = check_assumption2(g, h, tol, cands)
+    a1 = check_assumption1(g, h, tol, cands)
 
     if a1.holds and a2.holds:
         membership = Verdict.HOLDS
@@ -861,7 +856,7 @@ def classify_problem(
         else:
             overall = ArrangementClass.ASSUMPTION5_DEGENERATE
             hint = {"kind": "halfspace_union_hyperplane", "pattern_role": role,
-                    "pattern": _assumption5_one_orientation(*pair, PSD_RTOL)}
+                    "pattern": _assumption5_one_orientation(*pair)}
             notes.append(
                 "assumption 5 fails with c0 = -c1: halfspace plus an isolated hyperplane"
             )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .canonical import canonical_reduce, companion_in_basis
 from .classify import (
-    SearchSpec,
     check_assumption1,
     check_assumption2,
     check_assumption3,
@@ -75,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full arrangement report")
-    _add_common(p, "--seed", tol=1e-9)
+    _add_common(p, tol=1e-9)
 
     p = sub.add_parser("check", help="run a single assumption checker")
     p.add_argument("--assumption", type=int, required=True, choices=(1, 2, 3, 4, 5))
-    _add_common(p, "--seed", tol=1e-9)
+    _add_common(p, tol=1e-9)
 
     p = sub.add_parser("solve", help="classify, reduce or dual-solve, recover a point")
-    _add_common(p, "--seed", tol=1e-8)
+    _add_common(p, tol=1e-8)
     p.add_argument("--trace", action="store_true", help="dual iterates as JSON lines on stderr")
     p.add_argument("--single-constraint", action="store_true",
                    help="solve min f s.t. g <= 0, ignoring h")
@@ -103,10 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _search_spec(args) -> SearchSpec:
-    return SearchSpec(seed=args.seed)
-
-
 def _emit(args, payload: dict, text_lines: Sequence[str]) -> None:
     if args.format == "json":
         print(dumps_report(payload))
@@ -121,7 +116,7 @@ def _fmt_vec(x) -> str:
 
 def _cmd_classify(args) -> int:
     f, g, h, meta = parse_problem(args.problem)
-    report = classify_problem(g, h, args.tol, _search_spec(args))
+    report = classify_problem(g, h, args.tol)
     payload = {"meta": meta, "classification": report}
     lines = [f"class: {report.overall_class.value}",
              f"in_nonalter: {report.in_nonalter.value}"]
@@ -136,16 +131,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     f, g, h, meta = parse_problem(args.problem)
-    spec = _search_spec(args)
     k = args.assumption
     if k == 2:
-        verdict, inclusions = check_assumption2(g, h, args.tol, spec)
+        verdict, inclusions = check_assumption2(g, h, args.tol)
         payload = {"assumption": k, "verdict": verdict, "inclusions": inclusions}
     else:
         checker = {1: check_assumption1, 3: check_assumption3,
-                   4: lambda g, h, t, s: check_assumption4(g, h),
-                   5: lambda g, h, t, s: check_assumption5(g, h, t)}[k]
-        verdict = checker(g, h, args.tol, spec)
+                   4: lambda g, h, t: check_assumption4(g, h), 5: check_assumption5}[k]
+        verdict = checker(g, h, args.tol)
         payload = {"assumption": k, "verdict": verdict}
     lines = [f"assumption {k}: {verdict.verdict.value}", f"note: {verdict.note}"]
     if verdict.witness is not None:
@@ -171,8 +164,7 @@ def _cmd_solve(args) -> int:
                 "infeasible": EXIT_INFEASIBLE, "unbounded_below": EXIT_UNBOUNDED,
                 "numerical_failure": EXIT_UNDETERMINED}[res.status]
 
-    report = solve_nonalter(f, g, h, args.tol, spec=_search_spec(args),
-                            collect_trace=args.trace)
+    report = solve_nonalter(f, g, h, args.tol, collect_trace=args.trace)
     if args.trace and report.dual is not None and report.dual.trace:
         for entry in report.dual.trace:
             print(dumps_report(entry).replace("\n", " "), file=sys.stderr)

@@ -120,17 +120,15 @@ class DualSolveResult:
     certificate: Optional[DualCertificate] = field(default=None, metadata=_OMIT_DEFAULT)
 
 
-def lagrangian_dual_value(
-    f: QuadForm, g: QuadForm, h: QuadForm, lam1: float, lam2: float,
-    psd_tol: float = INF_PSD_RTOL,
-) -> float:
+def lagrangian_dual_value(f: QuadForm, g: QuadForm, h: QuadForm,
+                          lam1: float, lam2: float) -> float:
     """inf_x [f + lam1*g + lam2*h](x); -inf when the combination escapes."""
     if lam1 < 0 or lam2 < 0:
         raise ValueError("multipliers must be nonnegative")
     Q = f.A + lam1 * g.A + lam2 * h.A
     v = f.a + lam1 * g.a + lam2 * h.a
     s = f.a0 + lam1 * g.a0 + lam2 * h.a0
-    return float(quad_inf(Q, v, s, psd_tol).value)
+    return float(quad_inf(Q, v, s).value)
 
 
 def slack_matrix(f, g, h, gamma: float, lam1: float, lam2: float) -> np.ndarray:
@@ -141,9 +139,7 @@ def slack_matrix(f, g, h, gamma: float, lam1: float, lam2: float) -> np.ndarray:
     return Z
 
 
-def sdp_certificate(
-    f: QuadForm, g: QuadForm, h: QuadForm, point: DualPoint, tol: float = PSD_RTOL
-) -> SlackReport:
+def sdp_certificate(f: QuadForm, g: QuadForm, h: QuadForm, point: DualPoint) -> SlackReport:
     """Recompute the dual slack at a reported point; the replayable certificate."""
     Z = slack_matrix(f, g, h, point.gamma, point.lambda1, point.lambda2)
     ev = sym_eigen(Z)
@@ -151,7 +147,7 @@ def sdp_certificate(
     return SlackReport(
         slack_min_eig=min_eig,
         slack_norm=float(np.abs(ev.values).max(initial=0.0)),
-        feasible=bool(min_eig >= -ev.cut(tol)),
+        feasible=bool(min_eig >= -ev.cut(PSD_RTOL)),
     )
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from .quad_core import QuadForm
 
 
-def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    M = rng.normal(scale=scale, size=(n, n))
+def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
+    M = rng.normal(size=(n, n))
     return (M + M.T) / 2.0
 
 

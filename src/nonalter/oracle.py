@@ -185,20 +185,13 @@ def s1_empirical(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm,
     return res.min_value is None or res.min_value >= gamma - tol
 
 
-def probe_unbounded(
-    f: QuadForm,
-    g: QuadForm,
-    h: QuadForm,
-    spec: GridSpec,
-    threshold: float = -1e6,
-    enlargements: int = 4,
-) -> Optional[np.ndarray]:
-    """A feasible grid point with f below ``threshold``, enlarging the box x8
-    per round, or None.  Evidence (not proof) of unboundedness."""
+def probe_unbounded(f: QuadForm, g: QuadForm, h: QuadForm, spec: GridSpec) -> Optional[np.ndarray]:
+    """A feasible grid point with f below -1e6, enlarging the box x8 per
+    round for four rounds, or None.  Evidence (not proof) of unboundedness."""
     current = spec
-    for _ in range(enlargements):
+    for _ in range(4):
         current = current.scaled(8.0)
         res = grid_min(f, g, h, current)
-        if res.min_value is not None and res.min_value < threshold:
+        if res.min_value is not None and res.min_value < -1e6:
             return res.argmin
     return None

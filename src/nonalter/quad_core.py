@@ -54,16 +54,17 @@ def _to_vector(a, n: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadForm:
     """One quadratic function q(x) = x'Ax + 2a'x + a0 on R^n.
 
     Plain immutable data: ``A`` is symmetrized exactly on construction and
-    every array is read-only.  Whatever is derived from a quadratic (its
-    decompositions, lift, data scale, Cholesky factor, unconstrained minimum
-    and the pencil solves it takes part in) lives in the :class:`Workspace`
-    of the request that asks for it, not on the quadratic; ``-q`` is a plain
-    quadratic that the open workspace records as q's negation.
+    every array is read-only.  Equality and hashing are by identity, so a
+    quadratic can key what is derived from it: its decompositions, lift,
+    data scale, Cholesky factor, unconstrained minimum and the pencil solves
+    it takes part in live in the :class:`Workspace` of the request that asks
+    for them, not on the quadratic.  ``-q`` is a plain quadratic that the
+    open workspace records as q's negation.
     """
 
     A: np.ndarray
@@ -129,9 +130,8 @@ class QuadForm:
         """Exact constancy check (zero quadratic and linear coefficients)."""
         return not self.A.any() and not self.a.any()
 
-    def is_affine(self, rtol: float = RANK_RTOL) -> bool:
-        scale = self.data_scale()
-        return float(np.abs(self.A).max(initial=0.0)) <= rtol * scale
+    def is_affine(self) -> bool:
+        return float(np.abs(self.A).max(initial=0.0)) <= RANK_RTOL * self.data_scale()
 
     def data_scale(self) -> float:
         """Magnitude of the coefficient data, used for relative tolerances;
@@ -154,9 +154,10 @@ _MISSING = object()
 
 class Workspace:
     """Every derived read of one request, each computed at most once, keyed
-    by the objects it holds alive: decompositions (:func:`eig_of`), lifts,
-    data scales, Cholesky factors, unconstrained minima, classification's
-    candidate reads and the pencil root solves (:meth:`pencil`).
+    by the objects it is read from, which it holds alive: decompositions
+    (:func:`eig_of`), lifts, data scales, Cholesky factors, unconstrained
+    minima, classification's candidate reads and the pencil root solves
+    (:meth:`pencil`).
 
     The outermost public call opens one (:func:`in_workspace`) and calls
     nested in it join it through a context variable; it goes, with all it
@@ -166,10 +167,9 @@ class Workspace:
     """
 
     def __init__(self):
-        self._reads = {}  # (kind, id of each key object) -> value
-        self._held = []  # the key objects of _reads, alive while their ids are keys
-        self._source = {}  # id(-q) -> q
-        self._pair_solves = {}  # (lifted, id of each source) -> (p, q, solve, reads)
+        self._reads = {}  # (kind, *key objects) -> value
+        self._source = {}  # -q -> q
+        self._pair_solves = {}  # (lifted, source of p, source of q) -> (p, q, solve, reads)
 
     def __enter__(self) -> "Workspace":
         self._token = _CURRENT.set(self)
@@ -180,25 +180,25 @@ class Workspace:
 
     def read(self, kind: str, compute, *objs):
         """compute(*objs), computed at most once per ``kind`` and objects."""
-        key = (kind, *map(id, objs))
+        key = (kind, *objs)
         value = self._reads.get(key, _MISSING)
         if value is _MISSING:
             value = self._reads[key] = compute(*objs)
-            self._held.append(objs)
         return value
 
     def negation(self, q: QuadForm) -> QuadForm:
         """-q, built once: the negation of a negation is its source."""
-        if id(q) in self._source:
-            return self._source[id(q)]
+        source = self._source.get(q)
+        if source is not None:
+            return source
         neg = self.read("neg", lambda q: QuadForm(-q.A, -q.a, -q.a0), q)
-        self._source[id(neg)] = q
+        self._source[neg] = q
         return neg
 
     def eig(self, q: QuadForm, lifted: bool = False) -> "EigenDecomp":
         """The read-only decomposition of q.A, or of lift(q) when ``lifted``."""
         def compute(q):
-            source = self._source.get(id(q))
+            source = self._source.get(q)
             if source is not None:
                 return self.eig(source, lifted).negated()
             return sym_eigen(self.read("lift", _build_lift, q) if lifted else q.A)
@@ -207,7 +207,7 @@ class Workspace:
 
     def decomposed(self, q: QuadForm) -> bool:
         """Whether q.A's decomposition is held, q's or its source's."""
-        return ("eig", id(self._source.get(id(q), q))) in self._reads
+        return ("eig", self._source.get(q, q)) in self._reads
 
     def pencil(self, p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
         """The root solve of P + lam*Q, the quadratic parts of p and q or
@@ -219,7 +219,7 @@ class Workspace:
         the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
         ``reads`` holds the stacked reads of the pair's pencils
         (:func:`_interval`), keyed by (sign, swap, q_sign, tol)."""
-        key = (lifted, *(id(self._source.get(id(r), r)) for r in (p, q)))
+        key = (lifted, self._source.get(p, p), self._source.get(q, q))
         entry, swap = self._pair_solves.get(key), False
         if entry is None:
             entry, swap = self._pair_solves.get((lifted, key[2], key[1])), True
@@ -460,19 +460,19 @@ def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
     return _status_of(sym_eigen(M), tol)
 
 
-def nonneg_everywhere(q: QuadForm, tol: float = PSD_RTOL) -> bool:
+def nonneg_everywhere(q: QuadForm) -> bool:
     """True iff q(x) >= 0 for all x, decided through the lifted matrix."""
-    return _status_of(eig_of(q, lifted=True), tol).verdict is not PsdVerdict.INDEFINITE
+    return _status_of(eig_of(q, lifted=True), PSD_RTOL).verdict is not PsdVerdict.INDEFINITE
 
 
-def find_negative_point(q: QuadForm, tol: float = PSD_RTOL) -> Optional[np.ndarray]:
+def find_negative_point(q: QuadForm) -> Optional[np.ndarray]:
     """A concrete x with q(x) < 0, built from a negative lift eigenvector.
 
     Returns None when ``q`` is nonnegative everywhere, by the verdict of
     :func:`nonneg_everywhere`.
     """
     ed = eig_of(q, lifted=True)
-    if _status_of(ed, tol).verdict is not PsdVerdict.INDEFINITE:
+    if _status_of(ed, PSD_RTOL).verdict is not PsdVerdict.INDEFINITE:
         return None
     v = ed.vectors[:, 0]
     w0, wbar = v[0], v[1:]
@@ -868,15 +868,17 @@ def _read_stack(stack: EigenDecomp, edges: np.ndarray, tol: float):
     return (float(edges[ends[0]]), float(edges[ends[1]])), *eds
 
 
-def pseudo_inverse(M, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix, zero below ``EigenDecomp.cut(rtol)``."""
+def pseudo_inverse(M) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric matrix, zero below
+    ``EigenDecomp.cut(RANK_RTOL)``."""
     ed = sym_eigen(M)
-    return (ed.vectors * ed.inverse(rtol)) @ ed.vectors.T
+    return (ed.vectors * ed.inverse(RANK_RTOL)) @ ed.vectors.T
 
 
-def null_basis(M, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal columns spanning the kernel (shape (n, m), possibly m=0)."""
-    return sym_eigen(M).kernel(rtol)
+def null_basis(M) -> np.ndarray:
+    """Orthonormal columns spanning the kernel (shape (n, m), possibly m=0),
+    below ``EigenDecomp.cut(RANK_RTOL)``."""
+    return sym_eigen(M).kernel(RANK_RTOL)
 
 
 def restrict_affine(q: QuadForm, x0, N) -> QuadForm:

@@ -30,7 +30,6 @@ from .canonical import AffineChange
 from .classify import (
     ArrangementClass,
     ArrangementReport,
-    SearchSpec,
     classify_problem,
 )
 from .duality import DualPoint, DualSolveResult, slack_matrix, solve_dual_2d
@@ -95,8 +94,7 @@ class SolveReport:
     pathway: Tuple[str, ...] = ()
 
 
-def side_of_sublevel(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm,
-                     tol: float = DEFAULT_TOL) -> str:
+def side_of_sublevel(f: QuadForm, gamma: float, g: QuadForm, h: QuadForm) -> str:
     """Which strict side {f < gamma} lives on, probed at one sublevel point.
 
     The probe is the unconstrained minimizer when finite, otherwise a sample
@@ -301,14 +299,13 @@ def solve_nonalter(
     h: QuadForm,
     tol: float = DEFAULT_TOL,
     *,
-    spec: SearchSpec = SearchSpec(),
     classification: Optional[ArrangementReport] = None,
     collect_trace: bool = False,
 ) -> SolveReport:
     """Solve min f over {g <= 0, h <= 0} with a fully certified report."""
     if not (f.n == g.n == h.n):
         raise ValueError("dimension mismatch between objective and constraints")
-    report = classification or classify_problem(g, h, tol, spec)
+    report = classification or classify_problem(g, h, tol)
     cls = report.overall_class
     pathway = (f"class:{cls.value}",)
     if cls is ArrangementClass.INFEASIBLE:

@@ -12,7 +12,6 @@ from nonalter.canonical import AffineChange
 from nonalter.classify import (
     ArrangementClass,
     InclusionStatus,
-    SearchSpec,
     Verdict,
     _ray_candidates,
     _zero_set_empty,
@@ -309,7 +308,7 @@ class TestAssumption5:
             assert len(calls) == 3 and calls[2] == 0
             hint = rep.reduction_hint
             role = (g, h) if hint["pattern_role"] == "g" else (h, g)
-            want = orientation(*role, quad_core.PSD_RTOL)
+            want = orientation(*role)
             assert {k: hint["pattern"][k] for k in ("c0", "c1")} == {k: want[k] for k in ("c0", "c1")}
             assert np.array_equal(hint["pattern"]["change"].T, want["change"].T)
 
@@ -489,7 +488,7 @@ class TestWitnessCandidates:
                 inner.append(eig_calls[0] - before)
 
         monkeypatch.setattr(qp1qc, "solve_qp1qc", counted)
-        cands = _ray_candidates(g, h, SearchSpec(), 1e-9)
+        cands = _ray_candidates(g, h, 1e-9)
         assert len(inner) == 4
         assert eig_calls[0] - sum(inner) == 2
         assert np.isfinite(cands.points).all()

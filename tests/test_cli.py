@@ -160,7 +160,8 @@ class TestParseProblem:
         ["check", "--assumption", "2", "--grid-res", "11"], ["solve", "--grid-res", "11"],
         ["oracle", "--tol", "1e-3"], ["oracle", "--seed", "1"], ["witness", "--tol", "1e-3"],
         ["classify", "--bounds", "-10", "10"], ["check", "--assumption", "2", "--bounds", "-10", "10"],
-        ["solve", "--bounds", "-10", "10"],
+        ["solve", "--bounds", "-10", "10"], ["classify", "--seed", "1"],
+        ["check", "--assumption", "2", "--seed", "1"], ["solve", "--seed", "1"],
     ])
     def test_unread_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -233,6 +234,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0 and "value: 1" in out
 
+    def test_single_constraint_unattained(self, tmp_path, capsys):
+        # min x1^2 subject to 1 - x1*x2 <= 0: the infimum 0 is not attained.
+        doc = {
+            "n": 2,
+            "f": {"A": [[1.0, 0.0], [0.0, 0.0]], "a": [0.0, 0.0], "a0": 0.0},
+            "g": {"A": [[0.0, -0.5], [-0.5, 0.0]], "a": [0.0, 0.0], "a0": 1.0},
+            "h": {"A": [[0.0, 0.0], [0.0, 0.0]], "a": [0.0, 0.0], "a0": -1.0},
+        }
+        code = run(["solve", write_problem(tmp_path, doc), "--single-constraint"])
+        out = capsys.readouterr().out
+        assert code == 0 and out.splitlines() == ["status: unattained", "value: 0"]
+
 
 class TestJsonReports:
     def test_replayable_dual_certificate(self, capsys):
@@ -276,7 +289,7 @@ class TestJsonReports:
 
     def test_byte_identical_runs(self):
         cmd = [sys.executable, "-m", "nonalter.cli", "solve",
-               str(corpus.corpus_path("ex25a")), "--format", "json", "--seed", "0"]
+               str(corpus.corpus_path("ex25a")), "--format", "json"]
         r1 = subprocess.run(cmd, capture_output=True)
         r2 = subprocess.run(cmd, capture_output=True)
         assert r1.returncode == 0

@@ -85,6 +85,13 @@ class TestHandCases:
         r = solve_qp1qc(poly2(by=1), poly2(axx=1, c=-1))  # y is free
         assert r.status == "unbounded_below"
 
+    def test_unattained_infimum(self):
+        # min x^2 subject to 1 - xy <= 0: x -> 0 along xy = 1, so the
+        # infimum 0 has no minimizer.
+        r = solve_qp1qc(poly2(axx=1), poly2(axy=-1, c=1))
+        assert r.status == "unattained"
+        assert r.value == 0.0 and r.lam == 0.0 and r.x is None
+
     def test_equality_like_constraint(self):
         # g = (x-1)^2 has minimum exactly 0: the feasible set is the line x=1.
         f = poly2(axx=1, ayy=1)

@@ -599,7 +599,7 @@ class TestSharedPencilSolve:
     def test_one_entry_per_pair_and_request(self, workspace):
         _, g, h, _ = corpus.load("ex24")
         pencil_interval(g, h)
-        assert list(workspace._pair_solves) == [(False, id(g), id(h))]
+        assert list(workspace._pair_solves) == [(False, g, h)]
         pencil_interval(-g, h)  # filed under g, the source of -g
         pencil_interval(-h, g)  # found under (g, h), swapped
         assert len(workspace._pair_solves) == 1
