@@ -136,6 +136,12 @@ def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candi
     return Candidates(points, min_g=mins[1], min_h=mins[0])
 
 
+def _candidates(g: QuadForm, h: QuadForm, tol: float) -> Candidates:
+    """:func:`_ray_candidates` of (g, h) at ``tol``, built at most once per
+    pair and request: every checker of the request reads this one set."""
+    return current_workspace().read("cands", _ray_candidates, g, h, tol)
+
+
 def _move_to_zero_set(q: QuadForm, cands: Candidates) -> np.ndarray:
     """The points of {q = 0} that the candidates move to.
 
@@ -384,14 +390,8 @@ def _zero_set_empty(q: QuadForm, tol: float) -> bool:
 
 
 @in_workspace
-def check_inclusion_zeroset(
-    g: QuadForm,
-    h: QuadForm,
-    sign: int,
-    tol: float = DEFAULT_TOL,
-    witness_search: bool = True,
-    cands: Optional[Candidates] = None,
-) -> InclusionVerdict:
+def check_inclusion_zeroset(g: QuadForm, h: QuadForm, sign: int,
+                            tol: float = DEFAULT_TOL) -> InclusionVerdict:
     """Decide whether {g = 0} is contained in {sign * h <= 0}.
 
     Routes, in order: vacuous truth when {g=0} is provably empty; a pencil
@@ -401,6 +401,15 @@ def check_inclusion_zeroset(
     otherwise undetermined, with a note recording whether the exactness
     hypotheses of the pencil route held.
     """
+    return _inclusion(g, h, sign, tol, (g, h))
+
+
+def _inclusion(g: QuadForm, h: QuadForm, sign: int, tol: float, pair,
+               witness_search: bool = True) -> InclusionVerdict:
+    """:func:`check_inclusion_zeroset`, with its witnesses searched among the
+    candidates of ``pair`` (:func:`_candidates`), which the checkers of
+    (g, h) pass for the inclusions of (h, g) too, and not searched at all
+    without ``witness_search``."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if _zero_set_empty(g, tol):
@@ -416,9 +425,7 @@ def check_inclusion_zeroset(
             note="witness search skipped (the companion inclusion already settles the disjunct)",
         )
     margin = tol * (1.0 + h.data_scale())
-    if cands is None:
-        cands = _ray_candidates(g, h, tol)
-    w = _zero_set_witness(g, signed_h, margin, cands)
+    w = _zero_set_witness(g, signed_h, margin, _candidates(*pair, tol))
     if w is not None:
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
     ts = slater_two_sided(g)
@@ -522,25 +529,19 @@ def check_assumption5(
 
 
 @in_workspace
-def check_assumption2(
-    g: QuadForm,
-    h: QuadForm,
-    tol: float = DEFAULT_TOL,
-    cands: Optional[Candidates] = None,
-):
+def check_assumption2(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL):
     """Mutual one-sidedness of the zero sets.
 
     Returns ``(verdict, (I1, I2, I3, I4))`` for the four inclusions
     {g=0} in {h<=0}, {g=0} in {h>=0}, {h=0} in {g<=0}, {h=0} in {g>=0}.
+    The second of each pair skips its witness search when the first holds,
+    which settles the disjunct.
     """
-    if cands is None:
-        cands = _ray_candidates(g, h, tol)
-    i1 = check_inclusion_zeroset(g, h, +1, tol, cands=cands)
-    i2 = check_inclusion_zeroset(g, h, -1, tol,
-                                 witness_search=not i1.is_true, cands=cands)
-    i3 = check_inclusion_zeroset(h, g, +1, tol, cands=cands)
-    i4 = check_inclusion_zeroset(h, g, -1, tol,
-                                 witness_search=not i3.is_true, cands=cands)
+    pair = (g, h)
+    i1 = _inclusion(g, h, +1, tol, pair)
+    i2 = _inclusion(g, h, -1, tol, pair, witness_search=not i1.is_true)
+    i3 = _inclusion(h, g, +1, tol, pair)
+    i4 = _inclusion(h, g, -1, tol, pair, witness_search=not i3.is_true)
 
     def disjunct(a: InclusionVerdict, b: InclusionVerdict):
         if a.is_true or b.is_true:
@@ -563,41 +564,25 @@ def check_assumption2(
 
 
 @in_workspace
-def check_assumption3(
-    g: QuadForm,
-    h: QuadForm,
-    tol: float = DEFAULT_TOL,
-    cands: Optional[Candidates] = None,
-) -> AssumptionVerdict:
+def check_assumption3(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> AssumptionVerdict:
     """Non-triviality: g, h nonconstant; D nonempty; D != {g<=0}; D != {h<=0}."""
-    if g.is_constant():
-        if g.a0 <= tol:
+    for q, name, other in ((g, "g", "h"), (h, "h", "g")):
+        if not q.is_constant():
+            continue
+        if q.a0 <= tol:
             return AssumptionVerdict(
                 Verdict.FAILS,
-                note="g is constant and redundant, D = {h<=0}",
-                certificate={"case": "redundant", "which": "h"},
+                note=f"{name} is constant and redundant, D = {{{other}<=0}}",
+                certificate={"case": "redundant", "which": other},
             )
         return AssumptionVerdict(
             Verdict.FAILS,
-            note="g is a positive constant, D is empty",
-            certificate={"case": "infeasible"},
-        )
-    if h.is_constant():
-        if h.a0 <= tol:
-            return AssumptionVerdict(
-                Verdict.FAILS,
-                note="h is constant and redundant, D = {g<=0}",
-                certificate={"case": "redundant", "which": "g"},
-            )
-        return AssumptionVerdict(
-            Verdict.FAILS,
-            note="h is a positive constant, D is empty",
+            note=f"{name} is a positive constant, D is empty",
             certificate={"case": "infeasible"},
         )
 
     gs, hs = g.data_scale(), h.data_scale()
-    if cands is None:
-        cands = _ray_candidates(g, h, tol)
+    cands = _candidates(g, h, tol)
     feas = _feasible_witness([(g, tol * (1 + gs)), (h, tol * (1 + hs))], cands)
     if feas is None:
         r = cands.min_g
@@ -639,12 +624,7 @@ def check_assumption3(
 
 
 @in_workspace
-def check_assumption1(
-    g: QuadForm,
-    h: QuadForm,
-    tol: float = DEFAULT_TOL,
-    cands: Optional[Candidates] = None,
-) -> AssumptionVerdict:
+def check_assumption1(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> AssumptionVerdict:
     """If D collapses onto one zero set, it must be that whole zero set.
 
     Certified through, in order: a strict interior point (both premises
@@ -653,8 +633,7 @@ def check_assumption1(
     followed by a witness search on {g=0} away from D.
     """
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
-    if cands is None:
-        cands = _ray_candidates(g, h, tol)
+    cands = _candidates(g, h, tol)
     interior = _feasible_witness([(g, -tol * gs), (h, -tol * hs)], cands)
     if interior is not None:
         return AssumptionVerdict(
@@ -679,7 +658,7 @@ def check_assumption1(
                         witness=w,
                         certificate={"collapsed_on": label},
                     )
-                incl = check_inclusion_zeroset(first, second, +1, tol, cands=cands)
+                incl = _inclusion(first, second, +1, tol, (g, h))
                 if incl.is_true:
                     continue  # D = {first = 0} exactly: implication holds
                 return AssumptionVerdict(
@@ -797,13 +776,12 @@ def classify_problem(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Arra
     (:func:`_contradiction`) make the class undetermined before any dispatch.
     """
     notes = []
-    cands = _ray_candidates(g, h, tol)
-    a3 = check_assumption3(g, h, tol, cands)
+    a3 = check_assumption3(g, h, tol)
     a4 = check_assumption4(g, h)
     a5_gh, a5_hg = check_assumption5(g, h, tol), check_assumption5(h, g, tol)
     a5 = a5_gh if a5_gh.fails or not a5_hg.fails else a5_hg
-    a2, inclusions = check_assumption2(g, h, tol, cands)
-    a1 = check_assumption1(g, h, tol, cands)
+    a2, inclusions = check_assumption2(g, h, tol)
+    a1 = check_assumption1(g, h, tol)
 
     if a1.holds and a2.holds:
         membership = Verdict.HOLDS

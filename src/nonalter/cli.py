@@ -1,7 +1,8 @@
 """Command-line interface: classify, solve, oracle, reduce, check, witness.
 
 Exit codes: 0 success, 1 other invalid input (for example a constant g for
-``reduce``), 2 malformed input, 3 infeasible, 4 unbounded or
+``reduce``), 2 malformed input (a --tol or --eps that is not a finite
+number >= 0 included), 3 infeasible, 4 unbounded or
 dual-infeasible, 5 undetermined or numerical failure (a LAPACK routine
 that did not converge also exits 5, with ``error: numerical failure``),
 141 standard output closed before the report was written.
@@ -10,6 +11,7 @@ that did not converge also exits 5, with ``error: numerical failure``),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -48,6 +50,17 @@ _SOLVE_EXIT = {
 }
 
 
+def _tolerance(text: str) -> float:
+    """The value of --tol or --eps: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
 _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--bounds": dict(type=float, nargs=2, default=(-10.0, 10.0), metavar=("LO", "HI")),
@@ -61,7 +74,7 @@ def _add_common(p: argparse.ArgumentParser, *flags: str, tol: Optional[float] = 
     p.add_argument("problem", help="path to a problem JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
+        p.add_argument("--tol", type=_tolerance, default=tol)
     for flag in flags:
         p.add_argument(flag, **_FLAGS[flag])
 
@@ -88,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force grid minimization (n <= 3)")
     _add_common(p, "--bounds", "--grid-res")
-    p.add_argument("--eps", type=float, default=1e-6, help="feasibility slack")
+    p.add_argument("--eps", type=_tolerance, default=1e-6, help="feasibility slack")
 
     p = sub.add_parser("reduce", help="canonical form of g and the companion h")
     _add_common(p)
@@ -97,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--seed", "--bounds", "--grid-res")
     p.add_argument("--pattern", default="g>0,h>=0",
                    help="comma-separated pair from {g,h}x{>0,>=0}")
-    p.add_argument("--eps", type=float, default=1e-9, help="strict/weak margin")
+    p.add_argument("--eps", type=_tolerance, default=1e-9, help="strict/weak margin")
     p.add_argument("--samples", type=int, default=10_000)
     return ap
 

@@ -139,6 +139,14 @@ def slack_matrix(f, g, h, gamma: float, lam1: float, lam2: float) -> np.ndarray:
     return Z
 
 
+def dual_point(f: QuadForm, g: QuadForm, h: QuadForm, gamma: float,
+               lam1: float, lam2: float) -> DualPoint:
+    """The reported dual point, with the smallest eigenvalue of its slack."""
+    Z = slack_matrix(f, g, h, gamma, lam1, lam2)
+    return DualPoint(lambda1=lam1, lambda2=lam2, gamma=gamma,
+                     slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
+
+
 def sdp_certificate(f: QuadForm, g: QuadForm, h: QuadForm, point: DualPoint) -> SlackReport:
     """Recompute the dual slack at a reported point; the replayable certificate."""
     Z = slack_matrix(f, g, h, point.gamma, point.lambda1, point.lambda2)
@@ -250,9 +258,7 @@ def solve_dual_2d(
         if pt is not None:
             x = pt.x
             (l1, l2), value = to_data(pt), sf * pt.value
-            Z = slack_matrix(f, g, h, value, l1, l2)
-            point = DualPoint(lambda1=l1, lambda2=l2, gamma=value,
-                              slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
+            point = dual_point(f, g, h, value, l1, l2)
         return DualSolveResult(status=status, value=value, best=point, evaluations=evals,
                                trace=tuple(trace) if trace is not None else None, x=x,
                                phase_one=decompositions, certificate=certificate)

@@ -31,7 +31,7 @@ class GridSpec:
                 raise ValueError("grid bounds need lo < hi")
         if self.resolution < 3:
             raise ValueError("resolution must be at least 3")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("feasibility slack must be nonnegative")
         object.__setattr__(self, "bounds", bounds)
 

@@ -374,7 +374,7 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
                     kkt=_kkt(f, g, 0.0, gmin.x),
                     note="feasible set is a single point",
                 )
-            res = solve_on_affine_subspace(f, gmin.x, Z, tol)
+            res = solve_on_affine_subspace(f, gmin.x, Z)
             note = "feasible set is an affine subspace; " + res.note
             return replace(res, note=note.strip("; "))
 
@@ -429,9 +429,7 @@ def _unconstrained_result(f: QuadForm, note: str = "") -> Qp1qcResult:
     )
 
 
-def solve_on_affine_subspace(
-    f: QuadForm, x0, N, tol: float = DEFAULT_TOL
-) -> Qp1qcResult:
+def solve_on_affine_subspace(f: QuadForm, x0, N) -> Qp1qcResult:
     """Minimize f over the affine set {x0 + N y} (no inequality constraint)."""
     fr = restrict_affine(f, x0, N)
     um = unconstrained_min(fr)

@@ -450,14 +450,14 @@ def _status_of(ed: EigenDecomp, tol: float) -> PsdStatus:
     return PsdStatus(min_eig=min_eig, verdict=verdict)
 
 
-def psd_status(M, tol: float = PSD_RTOL) -> PsdStatus:
+def psd_status(M) -> PsdStatus:
     """Classify a symmetric matrix by its smallest eigenvalue.
 
-    The verdict uses the margin ``EigenDecomp.cut(tol)``: strictly below
+    The verdict uses the margin ``EigenDecomp.cut(PSD_RTOL)``: strictly below
     minus it is indefinite, strictly above it positive definite, otherwise
     semidefinite-singular.
     """
-    return _status_of(sym_eigen(M), tol)
+    return _status_of(sym_eigen(M), PSD_RTOL)
 
 
 def nonneg_everywhere(q: QuadForm) -> bool:
@@ -665,8 +665,9 @@ def _pencil_interval(p: QuadForm, q: QuadForm, tol: float, lifted: bool = False)
 
 
 def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
-    """The closed interval of real lam where ``psd_status(P + lam*Q, tol)``
-    is not indefinite (P, Q symmetric), or None when there is no such lam.
+    """The closed interval of real lam where P + lam*Q is not indefinite at
+    the margin ``cut(tol)`` (:func:`_status_of`; P, Q symmetric), or None
+    when there is no such lam.
 
     Ends may be -inf or inf.  Up to the cutoff, the set is an interval
     because the smallest eigenvalue of P + lam*Q is concave in lam, and its
@@ -951,14 +952,12 @@ class UnconstrainedMin:
     kernel: Optional[np.ndarray] = None
 
 
-def unconstrained_min(q: QuadForm, rtol: float = RANK_RTOL) -> UnconstrainedMin:
-    """Global infimum of q over R^n, with minimizer or escape direction.
+def unconstrained_min(q: QuadForm) -> UnconstrainedMin:
+    """Global infimum of q over R^n, with minimizer or escape direction,
+    eigenvalues of q.A within ``RANK_RTOL`` of its scale counting as zero.
 
-    Its arrays are read-only; at the default ``rtol`` it is computed at most
-    once per request."""
-    if rtol != RANK_RTOL:
-        return _unconstrained_min(q, rtol)
-    return current_workspace().read("min", lambda q: _unconstrained_min(q, RANK_RTOL), q)
+    Its arrays are read-only; it is computed at most once per request."""
+    return current_workspace().read("min", _unconstrained_min, q)
 
 
 def _min_clearly_below(q: QuadForm, cut: float) -> bool:
@@ -991,11 +990,11 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     return quad + 2.0 * lin + q.a0 < -cut - margin
 
 
-def _unconstrained_min(q: QuadForm, rtol: float) -> UnconstrainedMin:
-    qi = quad_inf(eig_of(q), q.a, q.a0, rtol)
+def _unconstrained_min(q: QuadForm) -> UnconstrainedMin:
+    qi = quad_inf(eig_of(q), q.a, q.a0, RANK_RTOL)
     V = qi.eig.vectors
     K = V[:, qi.zero]
-    if qi.eig.values[0] < -qi.eig.cut(rtol):
+    if qi.eig.values[0] < -qi.eig.cut(RANK_RTOL):
         um = UnconstrainedMin(status="unbounded_below", value=-np.inf,
                               direction=V[:, 0].copy(), kind="negative_curvature", kernel=K)
     elif qi.value == -np.inf:

@@ -32,18 +32,16 @@ from .classify import (
     ArrangementReport,
     classify_problem,
 )
-from .duality import DualPoint, DualSolveResult, slack_matrix, solve_dual_2d
+from .duality import DualSolveResult, dual_point, lagrangian_dual_value, solve_dual_2d
 # probe_unbounded has no caller here; perfbench/tracing.py wraps it by this name.
 from .oracle import GridSpec, grid_min, probe_unbounded  # noqa: F401
 from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
-    EigenDecomp,
     QuadForm,
     evaluate,
     in_workspace,
     null_basis,
-    quad_inf,
     restrict_affine,
     unconstrained_min,
 )
@@ -168,12 +166,9 @@ def recover_solution(
     refined = _refine_kkt(f, g, h, dual.x, lam) if all(active) and dual.x is not None else None
     if refined is not None and min(refined[1:]) >= 0.0:
         x, l1, l2 = refined
-        psi = float(quad_inf(f.A + l1 * g.A + l2 * h.A, f.a + l1 * g.a + l2 * h.a,
-                             f.a0 + l1 * g.a0 + l2 * h.a0).value)
+        psi = lagrangian_dual_value(f, g, h, l1, l2)
         if np.isfinite(psi) and optimal(x, psi):
-            Z = slack_matrix(f, g, h, psi, l1, l2)
-            best = DualPoint(lambda1=l1, lambda2=l2, gamma=psi,
-                             slack_min_eig=float(EigenDecomp.values_of(Z).values[0]))
+            best = dual_point(f, g, h, psi, l1, l2)
             return x, side, ["the dual's Lagrangian minimizer is optimal after a KKT "
                              "Newton refinement"], replace(dual, value=psi, best=best, x=x)
     if any(active):
@@ -262,7 +257,7 @@ def _solve_reduction(f, g, h, hint: dict, tol: float):
             point = Qp1qcResult("attained", evaluate(f, x0), x0)
             return reduction, point, None, ("subspace is a single point",)
         if remaining is None:
-            sub = solve_on_affine_subspace(f, x0, N, tol)
+            sub = solve_on_affine_subspace(f, x0, N)
         else:
             q = restrict_affine(g if remaining == "g" else h, x0, N)
             sub = solve_qp1qc(restrict_affine(f, x0, N), q, tol)
@@ -280,7 +275,7 @@ def _solve_reduction(f, g, h, hint: dict, tol: float):
                                       "N_plane": N_plane})
     half = solve_qp1qc(f, halfspace, tol)
     if N_plane is not None:
-        plane = solve_on_affine_subspace(f, x_plane, N_plane, tol)
+        plane = solve_on_affine_subspace(f, x_plane, N_plane)
     else:
         plane = Qp1qcResult(status="attained", value=evaluate(f, x_plane), x=x_plane, lam=0.0)
     if "unbounded_below" in (half.status, plane.status):
@@ -299,13 +294,12 @@ def solve_nonalter(
     h: QuadForm,
     tol: float = DEFAULT_TOL,
     *,
-    classification: Optional[ArrangementReport] = None,
     collect_trace: bool = False,
 ) -> SolveReport:
     """Solve min f over {g <= 0, h <= 0} with a fully certified report."""
     if not (f.n == g.n == h.n):
         raise ValueError("dimension mismatch between objective and constraints")
-    report = classification or classify_problem(g, h, tol)
+    report = classify_problem(g, h, tol)
     cls = report.overall_class
     pathway = (f"class:{cls.value}",)
     if cls is ArrangementClass.INFEASIBLE:

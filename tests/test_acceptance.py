@@ -52,7 +52,7 @@ def nonalter_solutions(corpus_reports):
     out = {}
     for name, (f, g, h, rep) in corpus_reports.items():
         if rep.overall_class is ArrangementClass.NON_ALTER:
-            out[name] = solve_nonalter(f, g, h, classification=rep)
+            out[name] = solve_nonalter(f, g, h)
     return out
 
 

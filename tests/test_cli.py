@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 
 from nonalter import corpus
+from nonalter.classify import (
+    check_assumption1,
+    check_assumption2,
+    check_assumption3,
+    check_assumption4,
+    check_assumption5,
+)
 from nonalter.cli import run
 from nonalter.duality import DualPoint, sdp_certificate
 from nonalter.problem_io import (
     ProblemFormatError,
+    dumps_report,
     parse_problem,
     parse_problem_dict,
     problem_to_dict,
@@ -169,6 +177,25 @@ class TestParseProblem:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tol", "nan"], ["solve", "--tol", "-1"], ["solve", "--tol", "inf"],
+        ["solve", "--tol", "abc"], ["classify", "--tol", "nan"],
+        ["check", "--assumption", "1", "--tol=-1e-9"],
+        ["oracle", "--eps", "nan"], ["oracle", "--eps=-inf"],
+        ["witness", "--eps", "nan"], ["witness", "--eps", "-1"],
+    ])
+    def test_bad_tolerances_rejected(self, argv, capsys):
+        # A tolerance must be a finite number >= 0: anything else is
+        # malformed input, not a question to answer.
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [str(corpus.corpus_path("ex24"))])
+        assert exc.value.code == 2
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_zero_tolerance_accepted(self, command, capsys):
+        assert run([command, "--tol", "0", str(corpus.corpus_path("ex24"))]) == 0
+
 
 class TestCommands:
     def test_solve_shell(self, capsys):
@@ -200,6 +227,23 @@ class TestCommands:
         code = run(["check", "--assumption", "2", str(corpus.corpus_path("ex24"))])
         out = capsys.readouterr().out
         assert code == 0 and "holds" in out
+
+    @pytest.mark.parametrize("name", ["ex24", "ex22"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_check_reports_the_checker(self, capsys, k, name):
+        # Each --assumption k prints the report of the checker called
+        # directly at the subcommand's default tolerance.
+        path = str(corpus.corpus_path(name))
+        assert run(["check", "--assumption", str(k), path, "--format", "json"]) == 0
+        _, g, h, _ = parse_problem(path)
+        if k == 2:
+            verdict, inclusions = check_assumption2(g, h, 1e-9)
+            payload = {"assumption": k, "verdict": verdict, "inclusions": inclusions}
+        else:
+            checkers = {1: check_assumption1, 3: check_assumption3, 5: check_assumption5}
+            verdict = check_assumption4(g, h) if k == 4 else checkers[k](g, h, 1e-9)
+            payload = {"assumption": k, "verdict": verdict}
+        assert capsys.readouterr().out == dumps_report(payload) + "\n"
 
     def test_reduce(self, capsys):
         code = run(["reduce", str(corpus.corpus_path("ex22"))])

@@ -19,7 +19,15 @@ from nonalter.instances import (
 )
 from nonalter.oracle import GridSpec, grid_min
 from nonalter.qp1qc import solve_qp1qc
-from nonalter.quad_core import PsdVerdict, QuadForm, evaluate, lift, psd_status
+from nonalter.quad_core import (
+    PsdVerdict,
+    QuadForm,
+    _status_of,
+    evaluate,
+    lift,
+    psd_status,
+    sym_eigen,
+)
 
 
 def two_point_instance():
@@ -546,7 +554,7 @@ class TestDualReadingsAgree:
                 Z = slack_matrix(f, g, h, mid, lam1, lam2)
                 # Same tight margin as the closed form, so both readings
                 # resolve the PSD boundary identically.
-                if psd_status(Z, tol=1e-12).verdict is PsdVerdict.INDEFINITE:
+                if _status_of(sym_eigen(Z), 1e-12).verdict is PsdVerdict.INDEFINITE:
                     hi = mid
                 else:
                     lo = mid

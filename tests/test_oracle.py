@@ -43,6 +43,8 @@ class TestGridSpec:
             GridSpec(bounds=((0.0, 1.0),), resolution=2)
         with pytest.raises(ValueError):
             GridSpec(bounds=((0.0, 1.0),), eps=-1.0)
+        with pytest.raises(ValueError):
+            GridSpec(bounds=((0.0, 1.0),), eps=float("nan"))
 
     def test_spacing(self):
         spec = GridSpec.cube(2, -10, 10, 401)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from nonalter import corpus
-from nonalter.classify import check_assumption2, check_assumption4, check_assumption5, classify_problem
+from nonalter.classify import (
+    check_assumption1,
+    check_assumption2,
+    check_assumption3,
+    check_assumption4,
+    check_assumption5,
+    check_inclusion_zeroset,
+    classify_problem,
+)
 from nonalter.instances import random_nonalter_instance, random_triple
 from nonalter.problem_io import dumps_report
 from nonalter.qp1qc import solve_qp1qc
@@ -51,13 +59,17 @@ def test_requests_leave_no_cycles():
 
 def test_nested_calls_report_as_alone():
     # A public call inside another request's workspace, after that request's
-    # work, gives the report it gives as a request of its own.  These calls
-    # ask for each pencil in the orientation the solve asked for it first;
-    # the test below covers the other orientations.
+    # work, gives the report it gives as a request of its own; the checkers
+    # of (g, h) share that request's candidate set.  These calls ask for
+    # each pencil in the orientation the solve asked for it first; the test
+    # below covers the other orientations.
     def calls(f, g, h):
         return [
             classify_problem(g, h, 1e-9),
+            check_assumption1(g, h),
             check_assumption2(g, h)[0],
+            check_assumption3(g, h),
+            check_inclusion_zeroset(g, h, +1),
             check_assumption4(g, h),
             check_assumption5(h, g),
             solve_qp1qc(f, g),
