@@ -54,14 +54,16 @@ from .quad_core import (
 
 @dataclass(frozen=True, eq=False)
 class Candidates:
-    """Witness candidate points of (g, h) and two single-constraint solves
-    behind them.  What the checkers read of them per quadratic, the values
-    at the candidates and the candidates moved onto the zero set, is kept in
-    the request's workspace, keyed on this set."""
+    """Witness candidate points of (g, h) and the four single-constraint
+    solves behind them, which assumptions 1 and 3 decide from.  The values
+    at the candidates and the candidates moved onto a zero set are kept per
+    quadratic in the request's workspace, keyed on this set."""
 
     points: np.ndarray
     min_g: qp1qc.Qp1qcResult  # min g subject to h <= 0
     min_h: qp1qc.Qp1qcResult  # min h subject to g <= 0
+    max_g: qp1qc.Qp1qcResult  # min -g subject to h <= 0
+    max_h: qp1qc.Qp1qcResult  # min -h subject to g <= 0
 
     def values(self, q: QuadForm) -> np.ndarray:
         """q at every candidate, read-only, evaluated at most once per
@@ -101,7 +103,8 @@ def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candi
     linear-term and fixed directions (:func:`_line_directions`), reaches
     every arrangement feature the checkers care about.  The optimizers, exact for one
     constraint, are candidates themselves: they reach the bounded sign
-    regions that lines miss.  The solves run at ``tol``.
+    regions that lines miss.  The four solves run at ``tol`` and are kept
+    on the set, where assumptions 1 and 3 read their verdicts.
     """
     n = g.n
     anchors, dirs = [np.zeros(n)], []
@@ -111,12 +114,10 @@ def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candi
             dirs.extend(eig_of(q).vectors.T)
         if q.a.any():
             dirs.append(q.a / np.linalg.norm(q.a))
-    optima, mins = [], []
-    for p, q in ((g, h), (h, g)):
-        mins.append(qp1qc.solve_qp1qc(q, p, tol))  # min q subject to p <= 0
-        for r in (mins[-1], qp1qc.solve_qp1qc(-q, p, tol)):
-            if r.status == "attained":
-                optima.append(r.x)
+    # min h, min -h subject to g <= 0; min g, min -g subject to h <= 0
+    min_h, max_h, min_g, max_g = solves = [
+        qp1qc.solve_qp1qc(r, p, tol) for p, q in ((g, h), (h, g)) for r in (q, -q)]
+    optima = [r.x for r in solves if r.status == "attained"]
     anchors += optima
     dirs.extend(_line_directions(n))
 
@@ -133,7 +134,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candi
     keep = ~np.isnan(T)
     points = np.vstack([np.reshape(optima, (-1, n)),
                         (X[:, None, :] + T[:, :, None] * D[:, None, :])[keep]])
-    return Candidates(points, min_g=mins[1], min_h=mins[0])
+    return Candidates(points, min_g=min_g, min_h=min_h, max_g=max_g, max_h=max_h)
 
 
 def _candidates(g: QuadForm, h: QuadForm, tol: float) -> Candidates:
@@ -160,24 +161,6 @@ def _move_to_zero_set(q: QuadForm, cands: Candidates) -> np.ndarray:
     moved = dirs[np.abs(evaluate_many(q, dirs)) <= 1e-7 * (1.0 + q.data_scale())]
     moved.setflags(write=False)
     return moved
-
-
-def _zero_set_witness(
-    q: QuadForm, objective: QuadForm, margin: float, cands: Candidates
-) -> Optional[np.ndarray]:
-    """A point with q(x) ~ 0 and objective(x) > margin, or None, among the
-    candidates moved onto {q = 0} (:meth:`Candidates.on_zero_set`)."""
-    pts = cands.on_zero_set(q)
-    if not len(pts):
-        return None
-    vals = evaluate_many(objective, pts)
-    clear = vals > margin
-    if not clear.any():
-        return None
-    # The largest clearance relative to 1 + |x|^2, which the rounding of
-    # both q and the objective grows with: far points pass only by rounding.
-    rel = np.where(clear, vals / (1.0 + np.einsum("ij,ij->i", pts, pts)), -np.inf)
-    return pts[int(np.argmax(rel))].copy()
 
 
 def _feasible_witness(conds, cands: Candidates) -> Optional[np.ndarray]:
@@ -424,9 +407,15 @@ def _inclusion(g: QuadForm, h: QuadForm, sign: int, tol: float, pair,
             InclusionStatus.UNDETERMINED,
             note="witness search skipped (the companion inclusion already settles the disjunct)",
         )
-    margin = tol * (1.0 + h.data_scale())
-    w = _zero_set_witness(g, signed_h, margin, _candidates(*pair, tol))
-    if w is not None:
+    # A witness: the candidate moved onto {g = 0} where signed_h clears the
+    # margin most relative to 1 + |x|^2, which the rounding of both g and h
+    # grows with: far points pass only by rounding.
+    pts = _candidates(*pair, tol).on_zero_set(g)
+    vals = evaluate_many(signed_h, pts)
+    clear = vals > tol * (1.0 + h.data_scale())
+    if clear.any():
+        rel = np.where(clear, vals / (1.0 + np.einsum("ij,ij->i", pts, pts)), -np.inf)
+        w = pts[int(np.argmax(rel))].copy()
         return InclusionVerdict(InclusionStatus.REFUTED_WITNESS, witness=w)
     ts = slater_two_sided(g)
     sep = detect_separation_by_hyperplane(signed_h, g)
@@ -565,7 +554,13 @@ def check_assumption2(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL):
 
 @in_workspace
 def check_assumption3(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> AssumptionVerdict:
-    """Non-triviality: g, h nonconstant; D nonempty; D != {g<=0}; D != {h<=0}."""
+    """Non-triviality: g, h nonconstant; D nonempty; D != {g<=0}; D != {h<=0}.
+
+    From the pair's exact solves (:class:`Candidates`): without a feasible
+    candidate, D is empty when min g subject to h <= 0 is positive, nonempty
+    when it is attained (the witness), unbounded or below 0; D != {p<=0} when
+    min -q subject to p <= 0 is negative, else a pencil may certify D = {p<=0}.
+    """
     for q, name, other in ((g, "g", "h"), (h, "h", "g")):
         if not q.is_constant():
             continue
@@ -592,20 +587,16 @@ def check_assumption3(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Ass
             )
         if r.status == "attained":
             feas = r.x
-        else:
+        elif r.status != "unbounded_below" and r.value >= -tol * (1 + gs):
+            # An infimum near 0 that is not attained shows no point of D.
             return AssumptionVerdict(
                 Verdict.UNDETERMINED, note="could not produce a feasible point"
             )
 
-    # D != {g<=0}: a point with g <= 0 < h, or a certificate {g<=0} in {h<=0}.
-    for first, second, label in ((g, h, "g"), (h, g, "h")):
-        mask = (cands.values(first) <= tol * (1 + first.data_scale())) & (
-            cands.values(second) > tol * (1 + second.data_scale())
-        )
-        if mask.any():
-            continue
-        w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), cands)
-        if w is not None:
+    for first, second, label, r in ((g, h, "g", cands.max_h), (h, g, "h", cands.max_g)):
+        if r.status == "unbounded_below" or (
+            r.value is not None and r.value < -tol * (1 + second.data_scale())
+        ):
             continue
         lam = pencil_psd_search_nonneg(-second, first)
         if lam is not None:
@@ -630,7 +621,8 @@ def check_assumption1(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Ass
     Certified through, in order: a strict interior point (both premises
     false); structural redundancy (D equals one sublevel set); the exact
     subproblem min{g : h <= 0} whose zero value identifies D inside {g=0},
-    followed by a witness search on {g=0} away from D.
+    followed by assumption 2's inclusion of {g=0} in {h<=0}: true means
+    D = {g=0}; its witness, a point of {g=0} outside D, refutes the assumption.
     """
     gs, hs = 1.0 + g.data_scale(), 1.0 + h.data_scale()
     cands = _candidates(g, h, tol)
@@ -643,33 +635,25 @@ def check_assumption1(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Ass
         return AssumptionVerdict(Verdict.HOLDS, note="one constraint is a nonpositive constant")
 
     for first, second, label, r in ((g, h, "g", cands.min_g), (h, g, "h", cands.min_h)):
-        if r.status == "infeasible":
+        if r.status in ("infeasible", "unbounded_below"):
             continue
-        if r.status in ("attained", "unattained") and r.value is not None:
-            if r.value > tol * (1 + first.data_scale()):
-                continue  # D empty; nonemptiness is assumption 3's business
-            if abs(r.value) <= tol * (1 + first.data_scale()):
-                # D sits inside {first = 0}; find a zero-set point outside D.
-                w = _zero_set_witness(first, second, tol * (1 + second.data_scale()), cands)
-                if w is not None:
-                    return AssumptionVerdict(
-                        Verdict.FAILS,
-                        note=f"D is contained in {{{label}=0}} but misses part of it",
-                        witness=w,
-                        certificate={"collapsed_on": label},
-                    )
-                incl = _inclusion(first, second, +1, tol, (g, h))
-                if incl.is_true:
-                    continue  # D = {first = 0} exactly: implication holds
-                return AssumptionVerdict(
-                    Verdict.UNDETERMINED,
-                    note=f"D appears to be contained in {{{label}=0}}; equality undecided",
-                )
-            # min < 0: a feasible point with first < 0 exists, premise false.
-            continue
-        if r.status == "unbounded_below":
-            continue
-        return AssumptionVerdict(Verdict.UNDETERMINED, note="subproblem did not resolve")
+        if abs(r.value) > tol * (1 + first.data_scale()):
+            continue  # D is empty (assumption 3's business) or meets {first < 0}
+        # D sits inside {first = 0}, and equals it exactly when {first = 0}
+        # lies in {second <= 0}: assumption 2's inclusion decides.
+        incl = _inclusion(first, second, +1, tol, (g, h))
+        if incl.is_false:
+            return AssumptionVerdict(
+                Verdict.FAILS,
+                note=f"D is contained in {{{label}=0}} but misses part of it",
+                witness=incl.witness,
+                certificate={"collapsed_on": label},
+            )
+        if not incl.is_true:
+            return AssumptionVerdict(
+                Verdict.UNDETERMINED,
+                note=f"D appears to be contained in {{{label}=0}}; equality undecided",
+            )
     return AssumptionVerdict(Verdict.HOLDS, note="no collapse of D onto either zero set")
 
 

@@ -1,11 +1,11 @@
 """Command-line interface: classify, solve, oracle, reduce, check, witness.
 
 Exit codes: 0 success, 1 other invalid input (for example a constant g for
-``reduce``), 2 malformed input (a --tol or --eps that is not a finite
-number >= 0 included), 3 infeasible, 4 unbounded or
-dual-infeasible, 5 undetermined or numerical failure (a LAPACK routine
-that did not converge also exits 5, with ``error: numerical failure``),
-141 standard output closed before the report was written.
+``reduce``), 2 malformed input (a flag value out of range included), 3
+infeasible, 4 unbounded or dual-infeasible, 5 undetermined or numerical
+failure (a LAPACK routine that did not converge also exits 5, with
+``error: numerical failure``), 141 standard output closed before the report
+was written.
 """
 
 from __future__ import annotations
@@ -61,8 +61,15 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """The value of --samples or --seed: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return int(text)
+
+
 _FLAGS = {
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_count, default=0),
     "--bounds": dict(type=float, nargs=2, default=(-10.0, 10.0), metavar=("LO", "HI")),
     "--grid-res": dict(type=int, default=401),
 }
@@ -111,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="g>0,h>=0",
                    help="comma-separated pair from {g,h}x{>0,>=0}")
     p.add_argument("--eps", type=_tolerance, default=1e-9, help="strict/weak margin")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_count, default=10_000,
+                   help="random samples after the grid scan (0: the grid only)")
     return ap
 
 
@@ -207,10 +215,18 @@ def _cmd_solve(args) -> int:
     return _SOLVE_EXIT[report.status]
 
 
+def _grid(args, n: int, eps: float = 1e-6) -> GridSpec:
+    """The grid of --bounds and --grid-res; one GridSpec rejects is malformed input."""
+    try:
+        return GridSpec.cube(n, *args.bounds, args.grid_res, eps)
+    except ValueError as exc:
+        raise ProblemFormatError(f"--bounds, --grid-res: {exc}") from None
+
+
 def _cmd_oracle(args) -> int:
     f, g, h, meta = parse_problem(args.problem)
     lo, hi = args.bounds
-    spec = GridSpec.cube(f.n, lo, hi, args.grid_res, args.eps)
+    spec = _grid(args, f.n, args.eps)
     res = grid_min(f, g, h, spec)
     payload = {"meta": meta, "oracle": res,
                "grid": {"bounds": [lo, hi], "resolution": args.grid_res, "eps": args.eps}}
@@ -267,8 +283,7 @@ def _cmd_witness(args) -> int:
             break
         else:
             raise ProblemFormatError(f"cannot parse pattern condition {part!r}")
-    lo, hi = args.bounds
-    spec = GridSpec.cube(g.n, lo, hi, args.grid_res)
+    spec = _grid(args, g.n)
     w = find_witness(order[0], order[1], (signs[0], signs[1]), spec,
                      seed=args.seed, n_samples=args.samples, margin=args.eps)
     payload = {"meta": meta, "pattern": args.pattern,

@@ -27,8 +27,8 @@ class GridSpec:
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         for lo, hi in bounds:
-            if not lo < hi:
-                raise ValueError("grid bounds need lo < hi")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ValueError("grid bounds need finite lo < hi")
         if self.resolution < 3:
             raise ValueError("resolution must be at least 3")
         if not self.eps >= 0:

@@ -225,6 +225,15 @@ class TestAssumption1:
         x = v.witness
         assert abs(evaluate(g, x)) <= 1e-6 and evaluate(h, x) > 1e-8
 
+    def test_collapse_fails_with_the_inclusion_witness(self):
+        # D sits inside {g = 0}; the inclusion of {g = 0} in {h <= 0} that
+        # assumption 2 refutes gives assumption 1 its point outside D.
+        f, g, h, _ = corpus.load("hqpd_s5a")
+        rep = classify_problem(g, h)
+        assert rep.a1.fails and rep.a1.certificate == {"collapsed_on": "g"}
+        assert rep.inclusions[0].is_false
+        assert np.array_equal(rep.a1.witness, rep.inclusions[0].witness)
+
     def test_cylinder_cut_by_plane(self):
         # In R^3 the feasible set {(1,0,t)} is a strict part of {g=0}.
         g = poly3((1.0, 1.0, 0.0), c=-1.0)
@@ -248,6 +257,14 @@ class TestAssumption3:
         v = check_assumption3(QuadForm.constant(2, 1.0), poly2(axx=1, c=-1))
         assert v.verdict is Verdict.FAILS
         assert v.certificate["case"] == "infeasible"
+
+    def test_unattained_zero_infimum_is_no_feasible_point(self):
+        # D = {x = 0, xy >= 1} is empty, yet min g subject to h <= 0 is an
+        # unattained 0 (x -> 0 along xy = 1): that shows no point of D.
+        g, h = poly2(axx=1), poly2(axy=-1, c=1)
+        assert qp1qc.solve_qp1qc(g, h, 1e-9).status == "unattained"
+        v = check_assumption3(g, h)
+        assert not v.holds and v.witness is None
 
 
 class TestAssumption4:
@@ -475,6 +492,24 @@ class TestWitnessCandidates:
             assert _verdicts(classify_problem(move.pull(g), move.pull(h))) == _verdicts(
                 classify_problem(g, h)), i
 
+    @pytest.mark.parametrize("n, draw", [(3, 128), (3, 195), (4, 66)])
+    def test_thin_cones_decided_by_the_exact_solves(self, n, draw):
+        # No candidate line meets these pairs' sets {g <= 0 < h} and
+        # {h <= 0 < g}; min -h subject to g <= 0 and min -g subject to
+        # h <= 0 are negative, so assumption 3 holds, plain and shifted by 30.
+        rng = np.random.default_rng(600 + n)
+        for _ in range(draw):
+            f, g, h = random_triple(rng, n)
+            t = rng.normal(size=n)
+        move = AffineChange(np.eye(n), -30.0 * t / np.linalg.norm(t), 1.0)
+        for p, q in ((g, h), (move.pull(g), move.pull(h))):
+            rep = classify_problem(p, q)
+            assert rep.overall_class is ArrangementClass.OUTSIDE_NON_ALTER
+            assert rep.a3.holds
+            if rep.a3.witness is not None:
+                for r in (p, q):
+                    assert evaluate(r, rep.a3.witness) <= DEFAULT_TOL * (1.0 + r.data_scale())
+
     def test_one_decomposition_per_constraint(self, workspace, eig_calls, monkeypatch):
         # The stationary point, the eigenvector directions: one eigh of g.A, one of h.A.
         f, g, h, _ = corpus.load("ex24")
@@ -493,7 +528,8 @@ class TestWitnessCandidates:
         assert eig_calls[0] - sum(inner) == 2
         assert np.isfinite(cands.points).all()
         # The solves behind the candidates run at the classification tol.
-        for r, (p, q) in ((cands.min_g, (g, h)), (cands.min_h, (h, g))):
+        for r, (p, q) in ((cands.min_g, (g, h)), (cands.min_h, (h, g)),
+                          (cands.max_g, (-g, h)), (cands.max_h, (-h, g))):
             ref = solve(p, q, 1e-9)
             assert r.status == ref.status and r.value == ref.value
             assert np.array_equal(r.x, ref.x)

@@ -192,6 +192,35 @@ class TestParseProblem:
         assert exc.value.code == 2
         assert "must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "--bounds", "0", "inf"], "grid bounds need finite lo < hi"),
+        (["witness", "--bounds", "-1", "1e400"], "grid bounds need finite lo < hi"),
+        (["oracle", "--bounds", "nan", "1"], "grid bounds need finite lo < hi"),
+        (["oracle", "--bounds", "5", "1"], "grid bounds need finite lo < hi"),
+        (["witness", "--bounds", "1", "1"], "grid bounds need finite lo < hi"),
+        (["oracle", "--grid-res", "1"], "resolution must be at least 3"),
+        (["witness", "--grid-res", "2.5"], "argument --grid-res: invalid int value"),
+        (["witness", "--samples", "-1"], "argument --samples: must be an integer >= 0"),
+        (["witness", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+        (["witness", "--seed", "x"], "argument --seed: must be an integer >= 0"),
+    ])
+    def test_bad_grid_flags_rejected(self, argv, message, capsys):
+        # A bad value of the oracle's or the witness search's flags is
+        # malformed input, and the message names the flag.
+        path = str(corpus.corpus_path("ex24"))
+        try:
+            code = run(argv + [path])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert argv[1] in err and message in err
+
+    def test_zero_samples_search_the_grid_only(self, capsys):
+        argv = ["witness", str(corpus.corpus_path("cdt_s2")), "--pattern", "g>0,h>0"]
+        assert run(argv + ["--samples", "0", "--grid-res", "5"]) == 0
+        assert "witness: (-10, -10)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["classify", "solve"])
     def test_zero_tolerance_accepted(self, command, capsys):
         assert run([command, "--tol", "0", str(corpus.corpus_path("ex24"))]) == 0

@@ -45,6 +45,9 @@ class TestGridSpec:
             GridSpec(bounds=((0.0, 1.0),), eps=-1.0)
         with pytest.raises(ValueError):
             GridSpec(bounds=((0.0, 1.0),), eps=float("nan"))
+        for bounds in ((0.0, np.inf), (-np.inf, 0.0)):
+            with pytest.raises(ValueError):
+                GridSpec(bounds=(bounds,))
 
     def test_spacing(self):
         spec = GridSpec.cube(2, -10, 10, 401)
