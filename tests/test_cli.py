@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonalter import corpus
 from nonalter.classify import (
@@ -121,6 +123,87 @@ class TestParseProblem:
             parse_problem_dict(doc)
         assert run(["solve", write_problem(tmp_path, doc)]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value, kind", [("1", "string"), (None, "null")])
+    @pytest.mark.parametrize("field", ["f.a0", "g.a", "last", "nested"])
+    def test_non_number_rejected(self, tmp_path, capsys, field, value, kind):
+        # numpy and float() read the string "1" as the number 1.
+        doc = simple_doc()
+        if field == "last":
+            # The last entry of a 50 x 50 matrix.
+            n = 50
+            doc = {"n": n}
+            for role in "fgh":
+                doc[role] = {"A": np.eye(n).tolist(), "a": [0.0] * n, "a0": -1.0}
+            doc["g"]["A"][n - 1][n - 1] = value
+        elif field == "nested":
+            doc["h"]["A"] = [[0.0, [1.0, [value]]]]
+        else:
+            role, key = field.split(".")
+            doc[role][key] = {"a": [value], "a0": value}[key]
+        with pytest.raises(ProblemFormatError, match=f"must be numeric, not {kind}"):
+            parse_problem_dict(doc)
+        assert run(["solve", write_problem(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("a0", [4]), ("a0", []), ("a0", [1, 2]), ("a0", {}), ("a", 5), ("a", [[0.0]]),
+        ("A", 4), ("A", []), ("A", [[1.0], [[2.0]]]),
+    ])
+    def test_misshapen_field_rejected(self, tmp_path, capsys, key, value):
+        # Numbers alone pass the type check; a0 must be one of them, and A
+        # and a must have the shape n gives.
+        doc = simple_doc()
+        doc["f"][key] = value
+        with pytest.raises(ProblemFormatError):
+            parse_problem_dict(doc)
+        assert run(["solve", write_problem(tmp_path, doc)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["A", "a", "a0"]), value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children),
+        max_leaves=8,
+    ))
+    def test_any_json_field_parses_or_is_rejected(self, key, value):
+        # Whatever JSON value a field holds, parsing returns or raises
+        # ProblemFormatError (exit 2); no other exception escapes.
+        doc = simple_doc()
+        doc["f"][key] = value
+        try:
+            parse_problem_dict(doc)
+        except ProblemFormatError:
+            pass
+
+    @pytest.mark.parametrize("role, key, value", [
+        ("f", "A", [[float("nan")]]), ("g", "a", [float("inf")]), ("h", "a0", float("-inf")),
+        ("f", "A", [[0.0, float("nan")], [0.0, 1.0]]), ("g", "A", [[0.0, float("-inf")], [0.0, 1.0]]),
+    ], ids=["nan-A", "inf-a", "-inf-a0", "nan-asymmetric-A", "inf-asymmetric-A"])
+    def test_non_finite_rejected(self, tmp_path, capsys, role, key, value):
+        # Python's json reads the tokens NaN, Infinity and -Infinity.  A
+        # non-finite asymmetric matrix is reported as non-finite.
+        doc = simple_doc()
+        if key == "A" and len(value) == 2:
+            doc["n"] = 2
+            for r in "fgh":
+                doc[r] = {"A": np.eye(2).tolist(), "a": [0.0, 0.0], "a0": -1.0}
+        doc[role][key] = value
+        path = write_problem(tmp_path, doc)
+        with pytest.raises(ProblemFormatError, match="non-finite"):
+            parse_problem(path)
+        assert run(["solve", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"field {role!r} contains non-finite numbers" in captured.err
+
+    @pytest.mark.parametrize("key", ["A", "a0"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, key):
+        # Python's json reads a 401-digit integer exactly; no float holds it.
+        doc = simple_doc()
+        doc["f"][key] = [[10**400]] if key == "A" else 10**400
+        assert run(["solve", write_problem(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "int too large to convert to float" in captured.err
 
     def test_malformed_json_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
