@@ -6,9 +6,10 @@ interval where f.A + lam*g.A is PSD by Newton's method on the dual's
 derivative, followed by primal recovery ``x(lam*) = -Q(lam*)^+ v(lam*)``.
 The Newton iterates are predicted in O(n) each, in a congruence that
 diagonalizes the whole pencil, and the exact closed form corrects where
-they end.  When g.A is definite the congruence is T = L^-T U from the
-pencil's root solve (LL' = g.A, U the eigenvectors of L^-1 f.A L^-T), so
-the solve's one decomposition drives every Newton step; otherwise it is
+they end.  When the pencil's root solve is definite, from a Cholesky
+factor LL' of +-f.A or +-g.A, the congruence is T = L^-T U (U the
+eigenvectors of the other matrix in that basis) whatever the orientation,
+so the solve's one decomposition drives every Newton step; otherwise it is
 built from the first exact point inside the interval.
 When the stationary system at the optimal multiplier is singular and
 complementarity fails, a kernel direction is added and scaled to reach the
@@ -157,7 +158,7 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
     the upper end when psi' > 0 there (the hard case), and otherwise the root
     of psi', found by Newton's method safeguarded by bisection: on the
     :func:`_predictor`, then on exact points.  The predictor's congruence
-    comes from the pair's root solve when g.A is definite
+    comes from the pair's root solve when it is definite
     (:func:`_definite_congruence`), with no exact point inside; otherwise
     from the first exact point inside.  The returned dual is always an
     exact point.
@@ -183,16 +184,13 @@ def _maximize_dual(f: QuadForm, g: QuadForm) -> Tuple[Optional[float], Optional[
         eig = EigenDecomp.of(f.A + t * g.A)
         return _dual_at(f, g, t, eig)
 
-    root = _definite_congruence(f, g)
+    congruence = _definite_congruence(f, g)
     lam = a
     if d is None:
         lam = 0.5 * (a + b) if b < np.inf else a + max(a, unit)
-        if root is None:
-            d = exact(lam)
-    if root is not None:
-        congruence = root[0], 0.0, root[1], 1.0
-    else:
-        congruence = None if d is None else _exact_congruence(g, lam, d)
+        d = exact(lam) if congruence is None else None
+    if congruence is None and d is not None:
+        congruence = _exact_congruence(g, lam, d)
     if congruence is not None:
         # Newton's iterates come from the predictor, and the exact closed
         # form corrects where they end: it is the maximizer when the exact
@@ -249,9 +247,10 @@ def _predictor(f: QuadForm, g: QuadForm, T: np.ndarray, lam0: float, e0, theta):
     """psi' and psi'' in O(n) per point from a congruence T that diagonalizes
     the pencil, T'Q(lam)T = diag(e) with e = e0 + (lam - lam0) theta for
     every lam (Moré and Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983), so
-    that T'BT = diag(theta) for B = g.A.  It comes from the pair's root
-    solve, T = L^-T U with e = sigma + lam (:func:`_definite_congruence`),
-    or from an exact point (:func:`_exact_congruence`).
+    that T'BT = diag(theta) for B = g.A (a scalar e0 or theta stands for a
+    constant diagonal).  It comes from the pair's definite root solve
+    (:func:`_definite_congruence`) or from an exact point
+    (:func:`_exact_congruence`).
 
     Write g = x'Bx + 2b'x + b0, v(lam) = f.a + lam*b and s(lam) = f.a0 +
     lam*b0.  For c = T'v(lam) and y = c/e the stationary point is x = -Ty,

@@ -16,6 +16,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
+from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -161,15 +162,15 @@ class Workspace:
 
     The outermost public call opens one (:func:`in_workspace`) and calls
     nested in it join it through a context variable; it goes, with all it
-    holds, when that call returns.  It records which quadratic is the
-    negation of which (:meth:`negation`): a negation's decompositions are
-    its source's, negated, whichever of the two is asked for first.
+    holds, when that call returns.  Each read is a function of the data,
+    not of what the request asked for before it (:meth:`canonical`,
+    :meth:`pencil`).
     """
 
     def __init__(self):
         self._reads = {}  # (kind, *key objects) -> value
         self._source = {}  # -q -> q
-        self._pair_solves = {}  # (lifted, source of p, source of q) -> (p, q, solve, reads)
+        self._pair_solves = {}  # (lifted, {x, y}) -> (p0, q0, solve, reads)
 
     def __enter__(self) -> "Workspace":
         self._token = _CURRENT.set(self)
@@ -191,45 +192,65 @@ class Workspace:
         source = self._source.get(q)
         if source is not None:
             return source
-        neg = self.read("neg", lambda q: QuadForm(-q.A, -q.a, -q.a0), q)
+        neg = self.read("neg", lambda q: QuadForm._from_checked(-q.A, -q.a, -q.a0), q)
         self._source[neg] = q
         return neg
 
-    def eig(self, q: QuadForm, lifted: bool = False) -> "EigenDecomp":
-        """The read-only decomposition of q.A, or of lift(q) when ``lifted``."""
+    def canonical(self, q: QuadForm) -> Tuple[QuadForm, int]:
+        """(c, s) with q = s*c, c the member of q and -q whose first nonzero
+        coefficient in (A, a, a0) order is positive (for zero, the source)."""
         def compute(q):
-            source = self._source.get(q)
-            if source is not None:
-                return self.eig(source, lifted).negated()
-            return sym_eigen(self.read("lift", _build_lift, q) if lifted else q.A)
+            lead = next((c for c in chain(q.A.flat, q.a, (q.a0,)) if c), 0.0)
+            if lead < 0.0:
+                return self.negation(q), -1
+            return (q if lead else self._source.get(q, q)), 1
+
+        return self.read("canon", compute, q)
+
+    def matrix(self, q: QuadForm, lifted: bool = False) -> np.ndarray:
+        """q.A, or lift(q) when ``lifted``."""
+        return self.read("lift", _build_lift, q) if lifted else q.A
+
+    def factor(self, q: QuadForm, lifted: bool = False) -> Optional[np.ndarray]:
+        """The Cholesky factor of :meth:`matrix` (:func:`_definite_factor`)."""
+        return self.read("lift_chol" if lifted else "chol",
+                         lambda q: _definite_factor(self.matrix(q, lifted)), q)
+
+    def eig(self, q: QuadForm, lifted: bool = False) -> "EigenDecomp":
+        """The read-only decomposition of :meth:`matrix`, -q's negated when
+        q is not canonical."""
+        def compute(q):
+            c, s = self.canonical(q)
+            return self.eig(c, lifted).negated() if s < 0 else sym_eigen(self.matrix(q, lifted))
 
         return self.read("lift_eig" if lifted else "eig", compute, q)
 
     def decomposed(self, q: QuadForm) -> bool:
-        """Whether q.A's decomposition is held, q's or its source's."""
-        return ("eig", self._source.get(q, q)) in self._reads
+        """Whether q.A's decomposition is held, q's canonical member's."""
+        return ("eig", self.canonical(q)[0]) in self._reads
 
-    def pencil(self, p: QuadForm, q: QuadForm, lifted: bool, P: np.ndarray, Q: np.ndarray):
-        """The root solve of P + lam*Q, the quadratic parts of p and q or
-        their lifts, as (solve, sign, swap, q_sign, reads): one solve per
-        pair up to the sign and the order of p and q, of the orientation
-        asked for first (solve None when no shift leaves the pencil well
-        conditioned).  ``sign`` and ``swap`` map its roots to this pencil
-        (:meth:`_PencilSolve.test_points`); ``q_sign`` is the sign with which
-        the solve's Q enters it (:meth:`_PencilSolve.definite_segment`).
-        ``reads`` holds the stacked reads of the pair's pencils
-        (:func:`_interval`), keyed by (sign, swap, q_sign, tol)."""
-        key = (lifted, self._source.get(p, p), self._source.get(q, q))
-        entry, swap = self._pair_solves.get(key), False
+    def pencil(self, p: QuadForm, q: QuadForm, lifted: bool):
+        """The root solve of the :meth:`matrix` pencil of p and q, one per
+        pair and request, as (solve, sign, swap, q_sign, reads).  With x and
+        y the canonical members of p and q (:meth:`canonical`) in byte order,
+        it solves the first of x + lam*y, x - lam*y, y + lam*x and y - lam*x
+        whose second member has a Cholesky factor, else x + lam*y (solve None
+        when no shift leaves it well conditioned); -x and -y never have one,
+        since a canonical member's first diagonal entry is not negative.
+        ``sign``, ``swap`` and ``q_sign`` map it to p + lam*q
+        (:meth:`_PencilSolve.diagonal`); ``reads`` holds the pair's stacked
+        reads (:func:`_interval`)."""
+        (cp, sp), (cq, sq) = self.canonical(p), self.canonical(q)
+        key = (lifted, frozenset((cp, cq)))
+        entry = self._pair_solves.get(key)
         if entry is None:
-            entry, swap = self._pair_solves.get((lifted, key[2], key[1])), True
-        if entry is None:
-            entry, swap = (p, q, _solve_pencil(P, Q, None if lifted else q), {}), False
-            self._pair_solves[key] = entry
-        first, second = (q, p) if swap else (p, q)
-        p0, q0, solve, reads = entry
-        q_sign = 1 if second is q0 else -1
-        return solve, (1 if first is p0 else -1) * q_sign, swap, q_sign, reads
+            x, y = sorted((cp, cq), key=lambda c: (c.A.tobytes(), c.a.tobytes(), c.a0))
+            p0, q0 = next((o for o in ((x, y), (y, x)) if self.factor(o[1], lifted) is not None), (x, y))
+            P, Q, L = self.matrix(p0, lifted), self.matrix(q0, lifted), self.factor(q0, lifted)
+            entry = self._pair_solves[key] = (p0, q0, _solve_pencil(P, Q, L), {})
+        p0, _, solve, reads = entry
+        swap = cp is not p0
+        return solve, sp * sq, swap, sp if swap else sq, reads
 
 
 def current_workspace() -> Workspace:
@@ -255,12 +276,6 @@ def eig_of(q: QuadForm, lifted: bool = False) -> "EigenDecomp":
     """The read-only decomposition of q.A, or of lift(q) when ``lifted``,
     computed at most once per request (:meth:`Workspace.eig`)."""
     return current_workspace().eig(q, lifted)
-
-
-def cholesky(q: QuadForm) -> Optional[np.ndarray]:
-    """The Cholesky factor of q.A (:func:`_definite_factor`), computed at
-    most once per request."""
-    return current_workspace().read("chol", lambda q: _definite_factor(q.A), q)
 
 
 def evaluate(q: QuadForm, x) -> float:
@@ -513,9 +528,9 @@ class _PencilSolve(NamedTuple):
     positive definite Q has no common kernel with P: then the solve is
     ``definite``, Pr, Qr = P, Q, mu = 0 and theta = 1/sigma (an infinite
     theta is the root 0), and T = L^-T U diagonalizes the whole pencil
-    (:meth:`congruence`).  It serves every orientation +-P + lam*(+-Q) and
-    +-Q + lam*(+-P); a definite solve knows a positive definite member of
-    all but -Q + lam*(+-P) (:meth:`definite_segment`)."""
+    (:meth:`congruence`) in every orientation +-P + lam*(+-Q) and
+    +-Q + lam*(+-P), which the solve serves, so it knows where each has a
+    positive definite member (:meth:`definite_segment`)."""
 
     theta: np.ndarray
     mu: float
@@ -566,21 +581,25 @@ class _PencilSolve(NamedTuple):
         pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
         return roots, pts
 
-    def definite_segment(self, roots: np.ndarray, swap: bool = False, q_sign: int = 1) -> Optional[int]:
-        """The segment j, from root j - 1 to root j (``roots`` of
-        :meth:`test_points`), that holds a positive definite member of the
-        pencil +-P + lam*q_sign*Q, or of q_sign*Q + lam*(+-P) when ``swap``.
+    def diagonal(self, sign: int, swap: bool, q_sign: int):
+        """(e0, theta) of a definite solve with T'(M + lam*N)T = diag(e0 +
+        lam*theta), T of :meth:`congruence`, for M + lam*N the orientation
+        (sign, swap, q_sign) of :meth:`Workspace.pencil`.  With s_q = q_sign
+        and s_p = sign*q_sign, s_p*P + lam*s_q*Q has e0 = s_p*sigma and
+        theta = s_q, and s_q*Q + lam*s_p*P has e0 = s_q, theta = s_p*sigma."""
+        p_sign, sigma = sign * q_sign, self.eig.values
+        return (float(q_sign), p_sign * sigma) if swap else (p_sign * sigma, float(q_sign))
 
-        Q = LL' is definite, so +-P + lam*Q is definite as lam -> inf (the
-        last segment), +-P - lam*Q as lam -> -inf (the first) and Q + lam*P
-        at lam = 0.  None for -Q + lam*P, for a solve that is not definite,
-        and when no root is left.
-        """
-        if not self.definite or not roots.size:
+    def definite_segment(self, pts: np.ndarray, sign: int, swap: bool, q_sign: int) -> Optional[int]:
+        """The segment j, from root j - 1 to root j, of an orientation's test
+        points ``pts`` (:meth:`test_points`) where it is definite: where
+        :meth:`diagonal` is positive at pts[2j].  None for a solve that is
+        not definite, when no root is left and when no segment is."""
+        if not self.definite or pts.size == 1:
             return None
-        if swap:
-            return int(np.searchsorted(roots, 0.0)) if q_sign > 0 else None
-        return roots.size if q_sign > 0 else 0
+        e0, theta = self.diagonal(sign, swap, q_sign)
+        found = np.flatnonzero((e0 + pts[::2, None] * theta > 0.0).all(axis=1))
+        return int(found[0]) if found.size else None
 
 
 def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
@@ -598,11 +617,11 @@ def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
     return L
 
 
-def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) -> Optional[_PencilSolve]:
+def _solve_pencil(P: np.ndarray, Q: np.ndarray, L=_MISSING) -> Optional[_PencilSolve]:
     """The root solve of P + lam*Q.
 
-    With a Cholesky factor LL' = Q (:func:`_definite_factor`; :func:`cholesky`
-    when Q is the quadratic part of ``q``) the roots are lam = -sigma for the
+    With a Cholesky factor LL' = Q (``L``, None when Q has none; by default
+    :func:`_definite_factor`) the roots are lam = -sigma for the
     eigenvalues sigma of L^-1 P L^-T (Moré, Optim. Methods Softw. 2, 1993),
     stored as theta = 1/sigma at mu = 0; a definite Q leaves no common
     kernel to remove.  That one decomposition keeps its eigenvectors, read
@@ -610,7 +629,7 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
     Otherwise the solve is at the best-conditioned shift (one stacked SVD of
     the shifted matrices); None when no shift leaves the reduced pencil well
     conditioned."""
-    L = _definite_factor(Q) if q is None else cholesky(q)
+    L = _definite_factor(Q) if L is _MISSING else L
     if L is not None:
         eig = EigenDecomp.of(np.linalg.solve(L, np.linalg.solve(L, P).T))
         eig.values.setflags(write=False)
@@ -632,15 +651,14 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, q: Optional[QuadForm] = None) ->
     return _PencilSolve(np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
 
 
-def _definite_congruence(p: QuadForm, q: QuadForm) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(T, sigma) with T'(p.A + lam*q.A)T = diag(sigma + lam) for every lam,
-    from the pair's root solve (:meth:`_PencilSolve.congruence`) when that
-    solve is definite and is of this pencil itself, q.A = LL'; None for any
-    other solve or orientation."""
-    solve, sign, swap, q_sign, _ = current_workspace().pencil(p, q, False, p.A, q.A)
-    if solve is None or not solve.definite or (sign, swap, q_sign) != (1, False, 1):
+def _definite_congruence(p: QuadForm, q: QuadForm):
+    """(T, 0, e0, theta) with T'(p.A + lam*q.A)T = diag(e0 + lam*theta), the
+    congruence of :func:`.qp1qc._predictor`, from the pair's root solve
+    when it is definite (:meth:`_PencilSolve.diagonal`); else None."""
+    solve, sign, swap, q_sign, _ = current_workspace().pencil(p, q, False)
+    if solve is None or not solve.definite:
         return None
-    return solve.congruence()
+    return solve.congruence()[0], 0.0, *solve.diagonal(sign, swap, q_sign)
 
 
 def pencil_interval(p: QuadForm, q: QuadForm, tol: float = PSD_RTOL,
@@ -658,9 +676,10 @@ def _pencil_interval(p: QuadForm, q: QuadForm, tol: float, lifted: bool = False)
     (:func:`_interval`), for a caller that goes on at an end.  A pencil
     whose stacked read the pair already holds, its own or the mirror of
     -P + lam*Q's, is read from it with no decomposition."""
-    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    solve, sign, swap, q_sign, reads = current_workspace().pencil(p, q, lifted, P, Q)
+    ws = current_workspace()
+    solve, sign, swap, q_sign, reads = ws.pencil(p, q, lifted)
     read = reads.get((sign, swap, q_sign, tol))
+    P, Q = ws.matrix(p, lifted), ws.matrix(q, lifted)
     return read if read is not None else _interval(P, Q, tol, solve, sign, swap, q_sign, reads)
 
 
@@ -684,19 +703,16 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
 
     The test points (:meth:`_PencilSolve.test_points`) are each root, the
     midpoint of each pair of neighbours and one point beyond each extreme
-    root; with no root the one test point is 0.  A definite Q gives the
-    answer from the solve: P + lam*Q is definite on the last segment, which
-    closes at the largest root (Moré and Sorensen, SIAM J. Sci. Stat.
-    Comput. 4, 1983).  Two decompositions confirm it: the root passes, and
-    the test point before it fails clearly (below).  Between quadratics the
-    same solve serves P - lam*Q, definite on the first segment, and
-    Q + lam*P, definite on the segment around 0, confirmed at both ends in
-    at most four.  Up to ``_SCAN_MAX`` wide, the two of each end are one
-    stacked call.  Where a check does not hold, and for every other pencil,
-    the verdicts are read from the test points: all of them at once, in
-    one stacked decomposition, when P is at most ``_SCAN_MAX`` wide, and
-    by bisection otherwise, in O(log n) decompositions unless some verdict
-    is close.
+    root; with no root the one test point is 0.  A definite solve gives the
+    answer: its congruence shows the segment where the pencil, in any
+    orientation, is definite (Moré and Sorensen, SIAM J. Sci. Stat.
+    Comput. 4, 1983).  Two decompositions per finite end confirm it: the
+    root passes, and the test point beyond it fails clearly (below); up to
+    ``_SCAN_MAX`` wide they are one stacked call.  Where a check does not
+    hold, and for every other pencil, the verdicts are read from the test
+    points: all of them at once, in one stacked decomposition, when P is at
+    most ``_SCAN_MAX`` wide, and by bisection otherwise, in O(log n)
+    decompositions unless some verdict is close.
 
     The cutoff grows with the spectral radius, so a test point may fail
     between two passing ones; the result spans the first to the last
@@ -716,11 +732,11 @@ def psd_interval(P, Q, tol: float = PSD_RTOL) -> Optional[Tuple[float, float]]:
     On raw matrices each call solves for the roots.  Between quadratics,
     :func:`pencil_interval` reads them from the pair's root solve in the
     request's workspace: one per pair and request, shared across the
-    negation of either and their swap.
-    There the stacked read of P + lam*Q is kept with the read of -P + lam*Q
-    that the same decomposition gives, whose matrices at the negated test
-    points are the stack's negated: once either is read, neither costs a
-    decomposition again.
+    negation of either and their swap.  There the stacked read of
+    P + lam*Q is kept with the read of -P + lam*Q that the same
+    decomposition gives, whose matrices at the negated test points are the
+    stack's negated: once either is read, neither costs a decomposition
+    again.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     return _interval(P, Q, tol, _solve_pencil(P, Q))[0]
@@ -763,30 +779,31 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
             return True
         return False if ed.values[0] < -clear else None
 
-    j = solve.definite_segment(roots, swap, q_sign)
+    j = solve.definite_segment(pts, sign, swap, q_sign)
     if j is not None:
         # Segment j holds a definite member, so its inertia passes.  Each
         # finite end must pass, and the test point beyond it fail clearly,
         # which by concavity rules out every test point farther out.  Up to
-        # _SCAN_MAX wide, an end and the point beyond it are one stacked call
-        # with vectors; wider, an end is decomposed with vectors for the
+        # _SCAN_MAX wide, the ends and the points beyond them are one stacked
+        # call with vectors; wider, an end is decomposed with vectors for the
         # caller when it is positive, and the rest is eigenvalues alone.
-        ends = [None, None]
-        for e, (k, out) in enumerate(((2 * j - 1, 2 * j - 2), (2 * j + 1, 2 * j + 2))):
-            if not 0 < k < pts.size:
-                continue  # an infinite end
+        checks = [(k, out) for k, out in ((2 * j - 1, 2 * j - 2), (2 * j + 1, 2 * j + 2))
+                  if 0 < k < pts.size]  # the finite ends
+        if P.shape[0] <= _SCAN_MAX:
+            stack = EigenDecomp.of(P + pts[np.ravel(checks)][:, None, None] * Q)
+        ends = {}
+        for i, (k, out) in enumerate(checks):
             if P.shape[0] <= _SCAN_MAX:
-                pair = EigenDecomp.of(P + pts[[k, out]][:, None, None] * Q)
-                ed, beyond = pair.at(0), pair.at(1)
+                ed, beyond = stack.at(2 * i), stack.at(2 * i + 1)
             else:
                 M = P + pts[k] * Q
                 ed = EigenDecomp.of(M) if pts[k] > 0.0 else EigenDecomp.values_of(M)
                 beyond = EigenDecomp.values_of(P + pts[out] * Q)
             if not verdict(ed) or verdict(beyond) is not False:
                 break
-            ends[e] = ed if ed.vectors is not None else None
+            ends[k] = ed if ed.vectors is not None else None
         else:
-            return (float(edges[j]), float(edges[j + 1])), *ends
+            return (float(edges[j]), float(edges[j + 1])), ends.get(2 * j - 1), ends.get(2 * j + 1)
 
     if P.shape[0] <= _SCAN_MAX:
         # Every verdict from one stacked decomposition, stored with its
@@ -962,7 +979,7 @@ def unconstrained_min(q: QuadForm) -> UnconstrainedMin:
 
 def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     """True when q's minimum lies clearly below -cut, read at its minimizer
-    x = -L^-T L^-1 q.a from the Cholesky factor LL' = q.A (:func:`cholesky`)
+    x = -L^-T L^-1 q.a from q.A's Cholesky factor L (:meth:`Workspace.factor`)
     without a decomposition of q.A.  False leaves the verdict to
     :func:`unconstrained_min`: when q.A has no factor, when the test is
     close, and when the request already holds q.A's decomposition
@@ -975,7 +992,8 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     and what a solve's residual e costs in value, at most |e|^2 |L^-1|_F^2,
     with |e| <= 8n eps (lam_max |x| + |q.a|).
     """
-    L = None if current_workspace().decomposed(q) else cholesky(q)
+    ws = current_workspace()
+    L = None if ws.decomposed(q) else ws.factor(q)
     if L is None:
         return False
     Li = np.linalg.inv(L)

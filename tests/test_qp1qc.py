@@ -15,7 +15,6 @@ from nonalter.quad_core import (
     QuadForm,
     Workspace,
     _min_clearly_below,
-    cholesky,
     eig_of,
     evaluate,
     pencil_interval,
@@ -422,7 +421,7 @@ class TestSlaterFromFactor:
         n = 3
         for a0 in (-1.0, -1e-8, 1e-9):
             g = QuadForm(1e-12 * np.eye(n), 1e-13 * rng.normal(size=n), a0)
-            assert cholesky(g) is not None and not _min_clearly_below(g, 1e-8 * (1 + g.data_scale()))
+            assert Workspace().factor(g) is not None and not _min_clearly_below(g, 1e-8 * (1 + g.data_scale()))
             self._same_as_the_eigen_test(monkeypatch, random_quadform(rng, n), g)
 
     def test_minimum_within_rounding_is_not_clear(self):
@@ -457,7 +456,7 @@ class TestSlaterFromFactor:
             with Workspace() as ws:
                 assert solve_qp1qc(f, g).status == "attained"
                 assert not ws.decomposed(g) and work_counts["minima"] == 0
-                assert cholesky(g) is not None
+                assert ws.factor(g) is not None
 
 
 class TestLowerEnd:

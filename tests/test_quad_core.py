@@ -279,10 +279,10 @@ def _pencil_test_points(P, Q):
     return None if solve is None else solve.test_points()
 
 
-def _pair_test_points(p, q, lifted, P, Q):
-    """The roots and test points of P + lam*Q from the root solve the pair
-    (p, q) shares."""
-    solve, sign, swap, *_ = current_workspace().pencil(p, q, lifted, P, Q)
+def _pair_test_points(p, q, lifted):
+    """The roots and test points of p + lam*q, their quadratic parts or
+    lifts, from the root solve the pair shares."""
+    solve, sign, swap, *_ = current_workspace().pencil(p, q, lifted)
     return None if solve is None else solve.test_points(sign, swap)
 
 
@@ -563,7 +563,7 @@ class TestSharedPencilSolve:
             work_counts["solves"] = 0
             for a, b in self._orientations(p, q):
                 iv = pencil_interval(a, b)
-                found = _pair_test_points(a, b, False, a.A, b.A)
+                found = _pair_test_points(a, b, False)
                 direct = _solve_pencil(a.A, b.A)
                 if found is None:
                     assert iv is None and direct is None
@@ -583,7 +583,7 @@ class TestSharedPencilSolve:
             _, g, h, _ = corpus.load(name)
             work_counts["solves"] = 0
             for a, b in self._orientations(g, h):
-                found = _pair_test_points(a, b, True, lift(a), lift(b))
+                found = _pair_test_points(a, b, True)
                 direct = _solve_pencil(lift(a), lift(b))
                 assert (found is None) == (direct is None)
                 if found is not None:
@@ -596,20 +596,27 @@ class TestSharedPencilSolve:
             pencil_interval(-g, h)
             assert work_counts["solves"] == 2
 
-    def test_one_entry_per_pair_and_request(self, workspace):
+    def test_one_entry_per_pair_and_request(self, workspace, work_counts):
+        # One root solve per pair and request, whichever sign and order of
+        # g and h asks first, and a transient quadratic's solve stays until
+        # the request ends.
         _, g, h, _ = corpus.load("ex24")
-        pencil_interval(g, h)
-        assert list(workspace._pair_solves) == [(False, g, h)]
-        pencil_interval(-g, h)  # filed under g, the source of -g
-        pencil_interval(-h, g)  # found under (g, h), swapped
-        assert len(workspace._pair_solves) == 1
-        # A transient first quadratic's entry stays until the request ends.
+        for first in (lambda: (g, h), lambda: (-h, g), lambda: (h, -g)):
+            with Workspace():
+                work_counts["solves"] = 0
+                for a, b in (first(), (g, h), (-g, h), (-h, g), (h, -g), (-g, -h)):
+                    pencil_interval(a, b)
+                assert work_counts["solves"] == 1
+        work_counts["solves"] = 0
         tmp = g + 2.0 * h
         pencil_interval(tmp, g)
-        assert len(workspace._pair_solves) == 2
-        with Workspace() as inner:  # a second request shares nothing
-            pencil_interval(g, h)
-            assert len(inner._pair_solves) == 1 and len(workspace._pair_solves) == 2
+        pencil_interval(g, -tmp)
+        assert work_counts["solves"] == 1
+        with Workspace():  # a second request shares nothing
+            pencil_interval(g, tmp)
+            assert work_counts["solves"] == 2
+        pencil_interval(-tmp, -g)
+        assert work_counts["solves"] == 2
 
 
 class TestDefinitePencil:
@@ -715,7 +722,7 @@ class TestDefiniteInterval:
         bisected = 0
         with Workspace():
             for (a, b), ends in self._orientations(p, q):
-                found = _pair_test_points(a, b, False, a.A, b.A)
+                found = _pair_test_points(a, b, False)
                 eig_calls[0] = 0
                 iv = pencil_interval(a, b, tol)
                 bisected += ends is not None and eig_calls[0] > ends * calls_per_end
@@ -810,15 +817,14 @@ class TestDefiniteInterval:
 def _direct_read(p, q, tol, lifted=False):
     """_pencil_interval of (p, q) read afresh from the pair's root solve:
     no stored read is looked up, and none is stored."""
-    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    solve, sign, swap, q_sign, _ = current_workspace().pencil(p, q, lifted, P, Q)
-    return quad_core._interval(P, Q, tol, solve, sign, swap, q_sign)
+    ws = current_workspace()
+    solve, sign, swap, q_sign, _ = ws.pencil(p, q, lifted)
+    return quad_core._interval(ws.matrix(p, lifted), ws.matrix(q, lifted), tol, solve, sign, swap, q_sign)
 
 
 def _stored(p, q, tol, lifted=False):
     """Whether the pair holds a stacked read of (p, q) at tol."""
-    P, Q = (lift(p), lift(q)) if lifted else (p.A, q.A)
-    _, sign, swap, q_sign, reads = current_workspace().pencil(p, q, lifted, P, Q)
+    _, sign, swap, q_sign, reads = current_workspace().pencil(p, q, lifted)
     return (sign, swap, q_sign, tol) in reads
 
 
@@ -1056,11 +1062,21 @@ class TestSpectralPrimitive:
             sym_eigen([[np.nan]])
 
     def test_workspace_holds_the_decompositions(self, workspace):
+        # Each decomposition is that of the canonical member of q and -q,
+        # the one whose first nonzero coefficient in (A, a, a0) order is
+        # positive, negated for the other.
+        signs = set()
         for name in corpus.NAMES:
             for q in corpus.load(name)[:3]:
-                for ed, ref in ((eig_of(q), EigenDecomp.of(q.A)), (eig_of(q, lifted=True), sym_eigen(lift(q)))):
-                    assert ed.values.tobytes() == ref.values.tobytes()
-                    assert ed.vectors.tobytes() == ref.vectors.tobytes()
+                coef = np.concatenate([q.A.ravel(), q.a, [q.a0]])
+                sign = 1 if coef[np.flatnonzero(coef)[0]] > 0.0 else -1
+                signs.add(sign)
+                for p, s in ((q, sign), (-q, -sign)):
+                    c = p.A if s > 0 else -p.A
+                    for ed, ref in ((eig_of(p), EigenDecomp.of(c)), (eig_of(p, lifted=True), sym_eigen(s * lift(p)))):
+                        ref = ref if s > 0 else ref.negated()
+                        assert ed.values.tobytes() == ref.values.tobytes()
+                        assert ed.vectors.tobytes() == ref.vectors.tobytes()
                 for p, lifted in ((q, False), (q, True), (-q, False), (-q, True)):
                     ed = eig_of(p, lifted)
                     assert not ed.values.flags.writeable and not ed.vectors.flags.writeable
@@ -1069,9 +1085,11 @@ class TestSpectralPrimitive:
                 # The lift and the data scale are built once, read-only.
                 assert lift(q) is lift(q) and not lift(q).flags.writeable
                 assert q.data_scale() == max(np.abs(lift(q)).max(), 1e-300)
+        assert signs == {1, -1}
 
     def test_negation_shares_the_decompositions(self, workspace, eig_calls):
-        # q decomposes and -q negates, whichever of the two asks first.
+        # One of q and -q decomposes and the other negates, whichever of the
+        # two asks first.
         for first in (lambda q: q, lambda q: -q):
             f, g, h, _ = corpus.load("ex24")
             p = first(g)

@@ -3,7 +3,6 @@
 import gc
 
 import numpy as np
-import pytest
 
 from nonalter import corpus
 from nonalter.classify import (
@@ -59,13 +58,16 @@ def test_requests_leave_no_cycles():
 
 def test_nested_calls_report_as_alone():
     # A public call inside another request's workspace, after that request's
-    # work, gives the report it gives as a request of its own; the checkers
-    # of (g, h) share that request's candidate set.  These calls ask for
-    # each pencil in the orientation the solve asked for it first; the test
-    # below covers the other orientations.
-    def calls(f, g, h):
+    # work, gives the report it gives as a request of its own, whatever the
+    # orientation in which it asks for the pencils of (g, h): each read is a
+    # function of the data, not of the order of the checks.  The checkers
+    # of (g, h) share that request's candidate set.  -h is asked for as
+    # built in the call and as built outside any request, which the
+    # workspace does not know as h's negation.
+    def calls(f, g, h, neg_h):
         return [
             classify_problem(g, h, 1e-9),
+            classify_problem(h, g, 1e-9),
             check_assumption1(g, h),
             check_assumption2(g, h)[0],
             check_assumption3(g, h),
@@ -74,36 +76,16 @@ def test_nested_calls_report_as_alone():
             check_assumption5(h, g),
             solve_qp1qc(f, g),
             solve_qp1qc(h, g),
+            solve_qp1qc(g, h),
+            solve_qp1qc(-h, g),
+            solve_qp1qc(neg_h, g),
         ]
 
     for data in _instances():
         f, g, h = (QuadForm(*q) for q in data)
-        alone = [dumps_report(r) for r in calls(f, g, h)]
+        neg_h = -h
+        alone = [dumps_report(r) for r in calls(f, g, h, neg_h)]
         with Workspace():
             solve_nonalter(f, g, h)
-            nested = [dumps_report(r) for r in calls(f, g, h)]
+            nested = [dumps_report(r) for r in calls(f, g, h, neg_h)]
         assert nested == alone
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "a pair's pencil root solve is of the orientation asked for first in the "
-    "request, and the other orientations' roots are mapped from it, so their "
-    "last bits, and the witnesses read from them, depend on the order of the checks"))
-def test_nested_calls_in_other_orientations_report_as_alone():
-    # The same after the solve's work, with the pencils of (g, h) asked for
-    # swapped or negated: on ex24 classify_problem(h, g) reports an inclusion
-    # lam of -1.0000000000000007 against -1.0 alone, and on hqpd_s5a
-    # solve_qp1qc(-h, g) reports lam -0.0 against 0.0.
-    def calls(f, g, h):
-        return [classify_problem(h, g, 1e-9), solve_qp1qc(g, h), solve_qp1qc(-h, g)]
-
-    differ = []
-    for k, data in enumerate(_instances()):
-        f, g, h = (QuadForm(*q) for q in data)
-        alone = [dumps_report(r) for r in calls(f, g, h)]
-        with Workspace():
-            solve_nonalter(f, g, h)
-            classify_problem(g, h, 1e-9)
-            nested = [dumps_report(r) for r in calls(f, g, h)]
-        differ += [(k, i) for i, (a, b) in enumerate(zip(alone, nested)) if a != b]
-    assert not differ
