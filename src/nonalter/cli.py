@@ -6,6 +6,8 @@ infeasible, 4 unbounded or dual-infeasible, 5 undetermined or numerical
 failure (a LAPACK routine that did not converge also exits 5, with
 ``error: numerical failure``), 141 standard output closed before the report
 was written.
+
+Each subcommand imports the library modules its path runs, and no others.
 """
 
 from __future__ import annotations
@@ -18,18 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import canonical_reduce, companion_in_basis
-from .classify import (
-    check_assumption1,
-    check_assumption2,
-    check_assumption3,
-    check_assumption4,
-    check_assumption5,
-    classify_problem,
-)
-from .oracle import GridSpec, find_witness, grid_min
 from .problem_io import ProblemFormatError, dumps_report, parse_problem
-from .solve import solve_nonalter
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -136,6 +127,8 @@ def _fmt_vec(x) -> str:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_problem
+
     f, g, h, meta = parse_problem(args.problem)
     report = classify_problem(g, h, args.tol)
     payload = {"meta": meta, "classification": report}
@@ -151,6 +144,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .classify import (
+        check_assumption1,
+        check_assumption2,
+        check_assumption3,
+        check_assumption4,
+        check_assumption5,
+    )
+
     f, g, h, meta = parse_problem(args.problem)
     k = args.assumption
     if k == 2:
@@ -185,6 +186,8 @@ def _cmd_solve(args) -> int:
                 "infeasible": EXIT_INFEASIBLE, "unbounded_below": EXIT_UNBOUNDED,
                 "numerical_failure": EXIT_UNDETERMINED}[res.status]
 
+    from .solve import solve_nonalter
+
     report = solve_nonalter(f, g, h, args.tol, collect_trace=args.trace)
     if args.trace and report.dual is not None and report.dual.trace:
         for entry in report.dual.trace:
@@ -215,8 +218,10 @@ def _cmd_solve(args) -> int:
     return _SOLVE_EXIT[report.status]
 
 
-def _grid(args, n: int, eps: float = 1e-6) -> GridSpec:
+def _grid(args, n: int, eps: float = 1e-6):
     """The grid of --bounds and --grid-res; one GridSpec rejects is malformed input."""
+    from .oracle import GridSpec
+
     try:
         return GridSpec.cube(n, *args.bounds, args.grid_res, eps)
     except ValueError as exc:
@@ -224,6 +229,8 @@ def _grid(args, n: int, eps: float = 1e-6) -> GridSpec:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import grid_min
+
     f, g, h, meta = parse_problem(args.problem)
     lo, hi = args.bounds
     spec = _grid(args, f.n, args.eps)
@@ -246,6 +253,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .canonical import canonical_reduce, companion_in_basis
+
     f, g, h, meta = parse_problem(args.problem)
     change, form = canonical_reduce(g)
     comp = companion_in_basis(h, change)
@@ -265,6 +274,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .oracle import find_witness
+
     f, g, h, meta = parse_problem(args.problem)
     parts = [p.strip() for p in args.pattern.split(",")]
     if len(parts) != 2:
