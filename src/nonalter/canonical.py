@@ -167,6 +167,26 @@ def _householder_with_first_column(u: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / vv
 
 
+def _rank_cut(g: QuadForm, lam: np.ndarray) -> float:
+    """The cutoff at which :func:`canonical_reduce` counts an eigenvalue
+    of g.A (``lam``, all of them) as zero: ``RANK_RTOL`` times the largest
+    of max|lam|, |g.a| and |g.a0|."""
+    return RANK_RTOL * max(
+        float(np.abs(lam).max(initial=0.0)),
+        float(np.linalg.norm(g.a)),
+        abs(g.a0),
+        1e-300,
+    )
+
+
+def _negative_count(g: QuadForm) -> int:
+    """k of g's canonical form: the eigenvalues of g.A below the cutoff
+    of :func:`canonical_reduce`, read from the decomposition it reads, for
+    a caller that needs the reduction only at some k."""
+    lam = eig_of(g).values
+    return int(np.count_nonzero(lam < -_rank_cut(g, lam)))
+
+
 def canonical_reduce(g: QuadForm):
     """Reduce ``g`` to its canonical shape.
 
@@ -179,13 +199,7 @@ def canonical_reduce(g: QuadForm):
     n = g.n
     ed = eig_of(g)
     lam, V = ed.values, ed.vectors
-    gscale = max(
-        float(np.abs(lam).max(initial=0.0)),
-        float(np.linalg.norm(g.a)),
-        abs(g.a0),
-        1e-300,
-    )
-    thr = RANK_RTOL * gscale
+    thr = _rank_cut(g, lam)
     warnings = []
     borderline = (np.abs(lam) > thr) & (np.abs(lam) < 10.0 * thr)
     if borderline.any():

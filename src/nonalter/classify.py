@@ -23,6 +23,7 @@ from . import qp1qc
 from .canonical import (
     AffineChange,
     FormTag,
+    _negative_count,
     canonical_reduce,
     companion_in_basis,
 )
@@ -33,6 +34,7 @@ from .quad_core import (
     PsdStatus,
     PsdVerdict,
     QuadForm,
+    _curves_down,
     _pencil_interval,
     _status_of,
     current_workspace,
@@ -262,9 +264,10 @@ def _affine_companion(g: QuadForm, h: QuadForm):
     The pattern: g reduces to ``-y1^2 + delta*(y2^2+..+ym^2) + theta`` (FORM1,
     k = 1) and h is ``c1*y1 + delta*(c2*y2+..+cm*ym) + c0`` there, with
     c1 != 0; ``cbar`` holds (c0, c1, ..., cn).  A coefficient counts as zero
-    at ``PSD_RTOL`` times the scale of the companion.  None otherwise.
+    at ``PSD_RTOL`` times the scale of the companion.  None otherwise, and
+    without a reduction where g's inertia has no k = 1 (:func:`_negative_count`).
     """
-    if g.is_constant():
+    if _negative_count(g) != 1:
         return None
     change, form = canonical_reduce(g)
     if form.tag is not FormTag.FORM1 or form.k != 1:
@@ -367,9 +370,12 @@ class InclusionVerdict:
 
 
 def _zero_set_empty(q: QuadForm, tol: float) -> bool:
-    """Exact emptiness test for {q = 0}: q strictly one-signed everywhere."""
+    """Exact emptiness test for {q = 0}: q strictly one-signed everywhere.
+    The minimum of q or -q is computed only where the decomposition of q.A
+    does not already show it unbounded below (:func:`_curves_down`)."""
     cut = tol * (1.0 + q.data_scale())
-    return any(m.status == "attained" and m.value > cut for m in map(unconstrained_min, (q, -q)))
+    return any(not _curves_down(p) and (m := unconstrained_min(p)).status == "attained"
+               and m.value > cut for p in (q, -q))
 
 
 @in_workspace

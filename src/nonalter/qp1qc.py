@@ -16,7 +16,8 @@ complementarity fails, a kernel direction is added and scaled to reach the
 constraint boundary (the hard case).  Degenerate constraints (constants,
 everywhere-nonnegative g) are dispatched structurally before the dual is
 touched; a definite g whose minimizer, read from its Cholesky factor, is
-clearly strictly feasible goes to the dual without a decomposition of g.
+clearly strictly feasible goes to the dual without a decomposition of g, and
+a g whose decomposition shows negative curvature without its minimum.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .quad_core import (
     RANK_RTOL,
     EigenDecomp,
     QuadForm,
+    _curves_down,
     _definite_congruence,
     _min_clearly_below,
     _pencil_interval,
@@ -353,7 +355,10 @@ def solve_qp1qc(f: QuadForm, g: QuadForm, tol: float = DEFAULT_TOL) -> Qp1qcResu
             return Qp1qcResult(status="infeasible", note="constant constraint is positive")
         return _unconstrained_result(f, note="constant constraint dropped")
 
-    gmin = None if _min_clearly_below(g, tol * gscale) else unconstrained_min(g)
+    # Neither a minimum clearly below the cut nor one unbounded below along
+    # negative curvature is read further: both go to the dual.
+    clear = _min_clearly_below(g, tol * gscale) or _curves_down(g)
+    gmin = None if clear else unconstrained_min(g)
     if gmin is not None and gmin.status == "attained":
         if gmin.value > tol * gscale:
             return Qp1qcResult(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain
+from math import isfinite
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -218,10 +219,11 @@ class Workspace:
 
     def eig(self, q: QuadForm, lifted: bool = False) -> "EigenDecomp":
         """The read-only decomposition of :meth:`matrix`, -q's negated when
-        q is not canonical."""
+        q is not canonical.  Both matrices are built symmetric, finite and
+        read-only, so neither is copied, checked or symmetrized again."""
         def compute(q):
             c, s = self.canonical(q)
-            return self.eig(c, lifted).negated() if s < 0 else sym_eigen(self.matrix(q, lifted))
+            return self.eig(c, lifted).negated() if s < 0 else _decompose(self.matrix(q, lifted))
 
         return self.read("lift_eig" if lifted else "eig", compute, q)
 
@@ -279,8 +281,14 @@ def eig_of(q: QuadForm, lifted: bool = False) -> "EigenDecomp":
 
 
 def evaluate(q: QuadForm, x) -> float:
-    """q(x) = x'Ax + 2a'x + a0 for a single point."""
-    x = _to_vector(x, q.n)
+    """q(x) = x'Ax + 2a'x + a0 for a single point.
+
+    A contiguous float64 vector of length n with finite entries is read as
+    it is; any other input is converted and checked first (a copy of such
+    a vector gives the same bits)."""
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (q.n,)
+            and x.flags.c_contiguous and all(map(isfinite, x.tolist()))):
+        x = _to_vector(x, q.n)
     return float(x @ q.A @ x + 2.0 * (q.a @ x) + q.a0)
 
 
@@ -429,7 +437,11 @@ class EigenDecomp:
 def sym_eigen(M) -> EigenDecomp:
     """Full symmetric eigendecomposition; raises on LAPACK non-convergence."""
     M = _to_matrix(M)
-    M = (M + M.T) / 2.0
+    return _decompose((M + M.T) / 2.0)
+
+
+def _decompose(M: np.ndarray) -> EigenDecomp:
+    """:func:`sym_eigen` of a symmetric finite float matrix, used as it is."""
     try:
         ed = EigenDecomp.of(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -1006,6 +1018,14 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     resid = err * (top * xn + float(np.linalg.norm(q.a)))
     margin = err * (top * xn * xn + 2.0 * abs(lin) + abs(q.a0)) + resid * resid * inv_norm
     return quad + 2.0 * lin + q.a0 < -cut - margin
+
+
+def _curves_down(q: QuadForm) -> bool:
+    """True when q.A has an eigenvalue below -cut(RANK_RTOL): then
+    :func:`unconstrained_min` is unbounded below along it, which q's
+    decomposition, the one that minimum reads, shows alone."""
+    ed = eig_of(q)
+    return ed.values[0] < -ed.cut(RANK_RTOL)
 
 
 def _unconstrained_min(q: QuadForm) -> UnconstrainedMin:

@@ -362,6 +362,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0 and "form1" in out
 
+    def test_near_constant_constraint(self, tmp_path, capsys):
+        # g = 1 + 2e-12*x1 has a linear term below the rank cutoff: the
+        # reduction refuses it, and every other subcommand answers.
+        doc = {
+            "n": 2,
+            "f": {"A": [[1.0, 0.0], [0.0, 1.0]], "a": [0.0, 0.0], "a0": 0.0},
+            "g": {"A": [[0.0, 0.0], [0.0, 0.0]], "a": [1e-12, 0.0], "a0": 1.0},
+            "h": {"A": [[1.0, 0.0], [0.0, -1.0]], "a": [0.0, 0.0], "a0": -1.0},
+        }
+        path = write_problem(tmp_path, doc)
+        assert run(["classify", path]) == 0
+        assert "assumption 5: holds (pattern not applicable)" in capsys.readouterr().out.splitlines()
+        assert run(["check", "--assumption", "5", path]) == 0
+        assert capsys.readouterr().out.splitlines() == ["assumption 5: holds", "note: pattern not applicable"]
+        assert run(["solve", path]) == 5  # undetermined: assumption 3 is
+        assert "class: undetermined" in capsys.readouterr().out.splitlines()
+        assert run(["reduce", path]) == 1
+        assert "cannot reduce a constant quadratic" in capsys.readouterr().err
+
     def test_oracle(self, capsys):
         code = run(["oracle", str(corpus.corpus_path("ex25a")), "--grid-res", "201"])
         out = capsys.readouterr().out
