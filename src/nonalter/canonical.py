@@ -28,6 +28,8 @@ import numpy as np
 from .quad_core import (
     RANK_RTOL,
     QuadForm,
+    _norm,
+    _solve,
     eig_of,
     evaluate,
     restrict_affine,
@@ -81,7 +83,7 @@ class AffineChange:
 
     def coordinates(self, x) -> np.ndarray:
         """Map original coordinates x to canonical coordinates y."""
-        return np.linalg.solve(self.T, np.asarray(x, dtype=float) - self.t)
+        return _solve(self.T, np.asarray(x, dtype=float) - self.t)
 
     def pull(self, q: QuadForm) -> QuadForm:
         """The quadratic y -> q(T y + t), without the scale s."""
@@ -173,7 +175,7 @@ def _rank_cut(g: QuadForm, lam: np.ndarray) -> float:
     of max|lam|, |g.a| and |g.a0|."""
     return RANK_RTOL * max(
         float(np.abs(lam).max(initial=0.0)),
-        float(np.linalg.norm(g.a)),
+        _norm(g.a),
         abs(g.a0),
         1e-300,
     )
@@ -215,7 +217,7 @@ def canonical_reduce(g: QuadForm):
 
     if r == 0:
         # Affine function: rotate the gradient onto the first coordinate.
-        bnorm = float(np.linalg.norm(g.a))
+        bnorm = _norm(g.a)
         if bnorm <= thr:
             raise ValueError("cannot reduce a constant quadratic")
         u = g.a / bnorm
@@ -252,7 +254,7 @@ def canonical_reduce(g: QuadForm):
 
     # Linear remainder in the kernel directions.
     w = V_kernel.T @ g.a if V_kernel.shape[1] else np.zeros(0)
-    wnorm = float(np.linalg.norm(w))
+    wnorm = _norm(w)
     has_linear = wnorm > thr
 
     if k == 0:

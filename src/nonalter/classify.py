@@ -35,6 +35,7 @@ from .quad_core import (
     PsdVerdict,
     QuadForm,
     _curves_down,
+    _norm,
     _pencil_interval,
     _status_of,
     current_workspace,
@@ -115,7 +116,7 @@ def _ray_candidates(g: QuadForm, h: QuadForm, tol: float = DEFAULT_TOL) -> Candi
         if q.A.any():
             dirs.extend(eig_of(q).vectors.T)
         if q.a.any():
-            dirs.append(q.a / np.linalg.norm(q.a))
+            dirs.append(q.a / _norm(q.a))
     # min h, min -h subject to g <= 0; min g, min -g subject to h <= 0
     min_h, max_h, min_g, max_g = solves = [
         qp1qc.solve_qp1qc(r, p, tol) for p, q in ((g, h), (h, g)) for r in (q, -q)]
@@ -710,7 +711,7 @@ def _affine_pair_case(g: QuadForm, h: QuadForm, tol: float):
     if not (g.is_affine() and h.is_affine()) or g.is_constant() or h.is_constant():
         return None
     b, c = g.a, h.a
-    bn, cn = np.linalg.norm(b), np.linalg.norm(c)
+    bn, cn = _norm(b), _norm(c)
     cross = np.outer(b, c) - np.outer(c, b)
     if float(np.abs(cross).max(initial=0.0)) > tol * max(bn * cn, 1e-300):
         return None  # not parallel: the zero hyperplanes cross

@@ -40,6 +40,7 @@ from .quad_core import (
     PSD_RTOL,
     EigenDecomp,
     QuadForm,
+    _solve,
     evaluate,
     in_workspace,
     lift,
@@ -377,7 +378,7 @@ def _polish(F: QuadForm, P: QuadForm, Q: QuadForm, lam: float, mu: float):
                 B = np.column_stack([2.0 * J[1], J[0]])
                 if abs(np.linalg.det(B)) <= _POLISH_RTOL * (1.0 + np.abs(B).max()) ** 2:
                     return None
-                t, s = np.linalg.solve(B, [-evaluate(P, x), -evaluate(Q, x)])
+                t, s = _solve(B, np.array([-evaluate(P, x), -evaluate(Q, x)]))
                 ok = s >= t * t and qi.value > -np.inf and min(lam, mu) >= 0.0
                 return _Phi(mu, lam, float(qi.value), 0.0, -1.0) if ok else None
         else:
@@ -385,7 +386,7 @@ def _polish(F: QuadForm, P: QuadForm, Q: QuadForm, lam: float, mu: float):
             C = V.T @ np.column_stack([wp, wq])
             J = -2.0 * C.T @ (w[:, None] * C)
         try:
-            step = np.linalg.solve(J, -r)
+            step = _solve(J, -r, singular=True)
         except np.linalg.LinAlgError:
             return None
         if (not singular and min(lam, mu) >= 0.0
@@ -423,7 +424,7 @@ def _vertices(S: np.ndarray, rhs: np.ndarray):
     """The solutions of the nonsingular systems among S[k] x = rhs[k]
     (3 x 3), and the mask of those systems."""
     ok = np.abs(np.linalg.det(S)) > _PHASE1_RTOL * np.abs(S).max(axis=(1, 2), initial=0.0) ** 3
-    return np.linalg.solve(S[ok], rhs[ok][..., None])[..., 0], ok
+    return _solve(S[ok], rhs[ok][..., None])[..., 0], ok
 
 
 def _model_max(a: np.ndarray, G: np.ndarray, lo: np.ndarray, hi: np.ndarray):

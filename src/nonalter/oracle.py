@@ -94,9 +94,11 @@ def _scan(quads, spec: GridSpec) -> Iterator[Tuple[int, List[np.ndarray]]]:
     axes = _axes(spec)
     y = _mesh(axes[1:])
     # q(x0, y) = A00 x0^2 + 2 x0 (A[0,1:] y + a[0]) + q_rest(y), with the two
-    # functions of y evaluated once on the rest grid.
+    # functions of y evaluated once on the rest grid.  q_rest has no
+    # variable when n = 1, which construction refuses, so it is built as
+    # checked data.
     parts = [(q.A[0, 0], y @ q.A[0, 1:] + q.a[0],
-              evaluate_many(QuadForm(q.A[1:, 1:], q.a[1:], q.a0), y)) for q in quads]
+              evaluate_many(QuadForm._from_checked(q.A[1:, 1:], q.a[1:], q.a0), y)) for q in quads]
     step = max(1, _BLOCK // len(y))
     buffers = np.empty((len(quads), step, len(y)))
     for i in range(0, spec.resolution, step):

@@ -36,6 +36,7 @@ from .quad_core import (
     _curves_down,
     _definite_congruence,
     _min_clearly_below,
+    _norm,
     _pencil_interval,
     eig_of,
     evaluate,
@@ -144,7 +145,7 @@ def _kkt(f: QuadForm, g: QuadForm, lam: float, x: np.ndarray) -> KktResiduals:
     v = f.a + lam * g.a
     feas = evaluate(g, x)
     return KktResiduals(
-        stationarity=float(np.linalg.norm(Q @ x + v)),
+        stationarity=_norm(Q @ x + v),
         complementarity=abs(lam * feas),
         feasibility=feas,
     )
@@ -425,7 +426,7 @@ def _unconstrained_result(f: QuadForm, note: str = "") -> Qp1qcResult:
         x=um.x,
         lam=0.0,
         kkt=KktResiduals(
-            stationarity=float(np.linalg.norm(f.A @ um.x + f.a)),
+            stationarity=_norm(f.A @ um.x + f.a),
             complementarity=0.0,
             feasibility=-np.inf,
         ),
@@ -445,7 +446,7 @@ def solve_on_affine_subspace(f: QuadForm, x0, N) -> Qp1qcResult:
     if N.ndim == 1:
         N = N.reshape(-1, 1)
     x = np.asarray(x0, dtype=float) + N @ um.x
-    stat = float(np.linalg.norm(fr.A @ um.x + fr.a))
+    stat = _norm(fr.A @ um.x + fr.a)
     return Qp1qcResult(
         status="attained",
         value=um.value,

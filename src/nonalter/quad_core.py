@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite, isnan, sqrt
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 #: Relative cutoff below which eigenvalues / singular values count as zero.
 RANK_RTOL = 1e-10
@@ -42,6 +43,8 @@ def _to_matrix(A) -> np.ndarray:
         A = A.reshape(1, 1)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if not A.size:
+        raise DimensionError("expected at least one variable, got a 0 x 0 matrix")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     return A
@@ -159,7 +162,8 @@ class Workspace:
     by the objects it is read from, which it holds alive: decompositions
     (:func:`eig_of`), lifts, data scales, Cholesky factors, unconstrained
     minima, classification's candidate reads and the pencil root solves
-    (:meth:`pencil`).
+    (:meth:`pencil`).  ``lapack`` counts the request's calls of each
+    LAPACK routine (:data:`_ROUTINES`), one per kernel call.
 
     The outermost public call opens one (:func:`in_workspace`) and calls
     nested in it join it through a context variable; it goes, with all it
@@ -169,6 +173,7 @@ class Workspace:
     """
 
     def __init__(self):
+        self.lapack = dict.fromkeys(_ROUTINES, 0)
         self._reads = {}  # (kind, *key objects) -> value
         self._source = {}  # -q -> q
         self._pair_solves = {}  # (lifted, {x, y}) -> (p0, q0, solve, reads)
@@ -272,6 +277,139 @@ def in_workspace(fn):
             return fn(*args, **kwargs)
 
     return run
+
+
+# One kernel per LAPACK routine the library calls.  Each calls the gufunc of
+# numpy.linalg._umath_linalg that numpy.linalg calls, with the same float64
+# signature, so a float64 array gets the same driver and the same bits
+# without numpy.linalg's dispatch and error-state context; any other input
+# goes through numpy.linalg, and so does a matrix that is not square where
+# a public call can pass one (_eigh, _eigvalsh, _cholesky).  LAPACK reports
+# a failure by filling the failed matrix's output with nan (after a
+# RuntimeWarning, outside an error-state context); the kernel then asks
+# numpy.linalg again, which raises LinAlgError for a finite input and
+# returns what LAPACK gives for a nan one.  Each call counts in the open
+# request's ``Workspace.lapack``.
+
+#: The LAPACK routines behind the kernels, as ``Workspace.lapack`` counts them.
+_ROUTINES = ("eigh", "eigvalsh", "cholesky", "solve", "inv", "eigvals")
+_F64 = np.dtype(np.float64)
+
+
+def _count(routine: str) -> None:
+    ws = _CURRENT.get()
+    if ws is not None:
+        ws.lapack[routine] += 1
+
+
+def _has_nan(x: np.ndarray) -> bool:
+    """Whether a float array holds a nan, read from its sum of squares:
+    entries that are not nan never give one there."""
+    x = x.ravel()
+    return isnan(x.dot(x))
+
+
+def _eigh(M):
+    """np.linalg.eigh(M) as (values, vectors)."""
+    _count("eigh")
+    if type(M) is np.ndarray and M.dtype is _F64:
+        try:
+            w, v = _lapack.eigh_lo(M, signature="d->dd")
+        except ValueError:  # not square: numpy.linalg's error below
+            pass
+        else:
+            if not _has_nan(w):
+                return w, v
+    return tuple(np.linalg.eigh(M))
+
+
+def _eigvalsh(M) -> np.ndarray:
+    """np.linalg.eigvalsh(M)."""
+    _count("eigvalsh")
+    if type(M) is np.ndarray and M.dtype is _F64:
+        try:
+            w = _lapack.eigvalsh_lo(M, signature="d->d")
+        except ValueError:
+            pass
+        else:
+            if not _has_nan(w):
+                return w
+    return np.linalg.eigvalsh(M)
+
+
+def _cholesky(M) -> Optional[np.ndarray]:
+    """np.linalg.cholesky(M), or None where that raises LinAlgError or
+    holds a nan, as a nan in M can make it.  A failure is what the library
+    expects here, so LAPACK's report of it is ignored: the factor of a
+    failed matrix is all nan."""
+    _count("cholesky")
+    L = None
+    if type(M) is np.ndarray and M.dtype is _F64:
+        try:
+            with np.errstate(invalid="ignore"):
+                L = _lapack.cholesky_lo(M, signature="d->d")
+        except ValueError:
+            pass
+    if L is None:
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return None
+    return None if _has_nan(L) else L
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(A, B, singular: bool = False) -> np.ndarray:
+    """np.linalg.solve(A, B) for square A, B a vector when 1-D.
+    ``singular`` marks the call sites where A may be exactly singular:
+    there, as in numpy.linalg, LAPACK's report raises LinAlgError with no
+    RuntimeWarning."""
+    _count("solve")
+    if type(A) is np.ndarray and A.dtype is _F64 and type(B) is np.ndarray and B.dtype is _F64:
+        gufunc = _lapack.solve1 if B.ndim == 1 else _lapack.solve
+        if singular:
+            with np.errstate(call=_raise_singular, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                x = gufunc(A, B, signature="dd->d")
+        else:
+            x = gufunc(A, B, signature="dd->d")
+        if not _has_nan(x):
+            return x
+    return np.linalg.solve(A, B)
+
+
+def _inv(M) -> np.ndarray:
+    """np.linalg.inv(M) for square M."""
+    _count("inv")
+    if type(M) is np.ndarray and M.dtype is _F64:
+        X = _lapack.inv(M, signature="d->d")
+        if not _has_nan(X):
+            return X
+    return np.linalg.inv(M)
+
+
+def _eigvals(M) -> np.ndarray:
+    """np.linalg.eigvals(M) of one square matrix: real when every imaginary
+    part is 0.  A matrix with an entry that is not finite (or whose sum of
+    squares overflows) goes to numpy.linalg, which refuses the former."""
+    _count("eigvals")
+    if type(M) is np.ndarray and M.dtype is _F64 and M.ndim == 2:
+        x = M.ravel()
+        if isfinite(x.dot(x)):
+            w = _lapack.eigvals(M, signature="d->D")
+            if not _has_nan(w.view(_F64)):  # real and imaginary parts
+                return w if w.imag.any() else w.real
+    return np.linalg.eigvals(M)
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a float array: the root of its sum of squares,
+    summed in memory order as numpy.linalg sums it."""
+    x = x.ravel(order="K")
+    return sqrt(x.dot(x))
 
 
 def eig_of(q: QuadForm, lifted: bool = False) -> "EigenDecomp":
@@ -389,12 +527,12 @@ class EigenDecomp:
     @classmethod
     def of(cls, M) -> "EigenDecomp":
         """Decompose a symmetric matrix or a stack of them, without validation."""
-        return cls(*np.linalg.eigh(M))
+        return cls(*_eigh(M))
 
     @classmethod
     def values_of(cls, M) -> "EigenDecomp":
         """The eigenvalues alone, from LAPACK's values-only driver; no vectors."""
-        return cls(np.linalg.eigvalsh(M), None)
+        return cls(_eigvalsh(M), None)
 
     @cached_property
     def _scale(self):
@@ -560,7 +698,7 @@ class _PencilSolve(NamedTuple):
         lam) for every lam: T'QT = U'U = I and T'PT = diag(sigma) (Moré and
         Sorensen, SIAM J. Sci. Stat. Comput. 4, 1983).  T is built on each
         call, so a solve whose roots alone are read never builds it."""
-        return np.linalg.solve(self.factor.T, self.eig.vectors), self.eig.values
+        return _solve(self.factor.T, self.eig.vectors), self.eig.values
 
     def test_points(self, sign: int = 1, swap: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """The roots and test points (:func:`_pencil_test_points`) of
@@ -571,27 +709,42 @@ class _PencilSolve(NamedTuple):
         there theta = 0 gives the root 0 and lam = 0 an infinite one.  A root
         more than ``_PENCIL_FAR`` units from the shift (swapped: from 0) is
         infinite, from a rounded zero theta (swapped: lam).
+
+        A real theta is read in Python floats, the same operations in the
+        same order as on arrays; a complex one (of the shift path) with
+        numpy's complex arithmetic, keeping the real parts of the roots.
         """
         top, bottom = (self.q_max, self.p_max) if swap else (self.p_max, self.q_max)
         if not bottom:
             return np.empty(0), np.zeros(1)
         unit = top / bottom or 1.0
-        theta = self.theta
-        if swap:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                lam = theta / (self.mu * theta - 1.0)
-            lam = lam[np.abs(lam) < unit * _PENCIL_FAR]
+        far, mu, theta = unit * _PENCIL_FAR, self.mu, self.theta
+        if theta.dtype.kind == "c":
+            if swap:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    lam = theta / (mu * theta - 1.0)
+                lam = lam[np.abs(lam) < far]
+            else:
+                lam = mu - 1.0 / theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
+            lams = (sign * lam).real.tolist()
+        elif swap:
+            lams = []
+            for t in theta.tolist():
+                d = mu * t - 1.0
+                lam = t / d if d else inf  # t / 0 is infinite
+                if abs(lam) < far:
+                    lams.append(sign * lam)
         else:
-            lam = self.mu - 1.0 / theta[np.abs(theta) * unit * _PENCIL_FAR > 1.0]
-        roots = np.array(sorted(set((sign * lam).real.tolist())))
-        if not roots.size:
-            return roots, np.zeros(1)
-        reach = max(float(roots[-1] - roots[0]), float(np.abs(roots).max()), unit)
-        pts = np.empty(2 * roots.size + 1)
-        pts[1::2] = roots
-        pts[2:-1:2] = 0.5 * (roots[:-1] + roots[1:])
-        pts[0], pts[-1] = roots[0] - reach, roots[-1] + reach
-        return roots, pts
+            lams = [sign * (mu - 1.0 / t) for t in theta.tolist() if abs(t) * unit * _PENCIL_FAR > 1.0]
+        roots = sorted(set(lams))
+        if not roots:
+            return np.empty(0), np.zeros(1)
+        reach = max(roots[-1] - roots[0], max(map(abs, roots)), unit)
+        pts = [roots[0] - reach]
+        for a, b in zip(roots, roots[1:]):
+            pts += (a, 0.5 * (a + b))
+        pts += (roots[-1], roots[-1] + reach)
+        return np.array(roots), np.array(pts)
 
     def diagonal(self, sign: int, swap: bool, q_sign: int):
         """(e0, theta) of a definite solve with T'(M + lam*N)T = diag(e0 +
@@ -606,21 +759,31 @@ class _PencilSolve(NamedTuple):
         """The segment j, from root j - 1 to root j, of an orientation's test
         points ``pts`` (:meth:`test_points`) where it is definite: where
         :meth:`diagonal` is positive at pts[2j].  None for a solve that is
-        not definite, when no root is left and when no segment is."""
+        not definite, when no root is left and when no segment is.
+
+        Rounding is monotone and fl(a + b) > 0 exactly when a + b > 0, so
+        e0 + fl(t*theta) > 0 holds for every entry when it holds for the
+        least: min(e0) + t*q_sign unswapped, q_sign + fl(t*theta_min) or
+        fl(t*theta_max) by the sign of t swapped, with theta = p_sign*sigma
+        and sigma ascending."""
         if not self.definite or pts.size == 1:
             return None
-        e0, theta = self.diagonal(sign, swap, q_sign)
-        found = np.flatnonzero((e0 + pts[::2, None] * theta > 0.0).all(axis=1))
-        return int(found[0]) if found.size else None
+        sigma = self.eig.values
+        lo, hi = float(sigma[0]), float(sigma[-1])
+        if sign * q_sign < 0:
+            lo, hi = -hi, -lo
+        for j, t in enumerate(pts[::2].tolist()):
+            if (q_sign + t * (lo if t >= 0.0 else hi) if swap else lo + q_sign * t) > 0.0:
+                return j
+        return None
 
 
 def _definite_factor(Q: np.ndarray) -> Optional[np.ndarray]:
     """A read-only Cholesky factor L of Q (LL' = Q) whose smallest pivot
     L_ii^2 is above ``RANK_RTOL`` times the largest, the rcond bar of the
     shifts; None when Q has no such factor."""
-    try:
-        L = np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
+    L = _cholesky(Q)
+    if L is None:
         return None
     pivots = np.square(L.diagonal())
     if not pivots.min() > RANK_RTOL * pivots.max():
@@ -643,7 +806,7 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, L=_MISSING) -> Optional[_PencilS
     conditioned."""
     L = _definite_factor(Q) if L is _MISSING else L
     if L is not None:
-        eig = EigenDecomp.of(np.linalg.solve(L, np.linalg.solve(L, P).T))
+        eig = EigenDecomp.of(_solve(L, _solve(L, P).T))
         eig.values.setflags(write=False)
         eig.vectors.setflags(write=False)
         with np.errstate(divide="ignore", over="ignore"):
@@ -660,7 +823,7 @@ def _solve_pencil(P: np.ndarray, Q: np.ndarray, L=_MISSING) -> Optional[_PencilS
     rcond, mu = max(zip((sv[:, -1] / np.maximum(sv[:, 0], 1e-300)).tolist(), shifts.tolist()))
     if not rcond > RANK_RTOL:
         return None
-    return _PencilSolve(np.linalg.eigvals(np.linalg.solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
+    return _PencilSolve(_eigvals(_solve(Pr + mu * Qr, Qr)), mu, p_max, q_max)
 
 
 def _definite_congruence(p: QuadForm, q: QuadForm):
@@ -780,7 +943,7 @@ def _interval(P: np.ndarray, Q: np.ndarray, tol: float, solve: Optional[_PencilS
     if solve is None:
         return None, None, None
     roots, pts = solve.test_points(sign, swap)
-    clear = 2.0 * tol * (1.0 + np.linalg.norm(P) + np.abs(pts[[0, -1]]).max() * np.linalg.norm(Q))
+    clear = 2.0 * tol * (1.0 + _norm(P) + np.abs(pts[[0, -1]]).max() * _norm(Q))
     # Test point 2j is segment j, from edge j to edge j + 1; test point 2j + 1
     # is root j, which is edge j + 1.
     edges = np.concatenate([[-np.inf], roots, [np.inf]])
@@ -1008,14 +1171,14 @@ def _min_clearly_below(q: QuadForm, cut: float) -> bool:
     L = None if ws.decomposed(q) else ws.factor(q)
     if L is None:
         return False
-    Li = np.linalg.inv(L)
+    Li = _inv(L)
     inv_norm, top = float(np.square(Li).sum()), float(np.square(L).sum())
     if RANK_RTOL * (1.0 + top) * inv_norm >= 0.5:
         return False
     x = -(Li.T @ (Li @ q.a))
-    quad, lin, xn = float(x @ q.A @ x), float(q.a @ x), float(np.linalg.norm(x))
+    quad, lin, xn = float(x @ q.A @ x), float(q.a @ x), _norm(x)
     err = 8.0 * q.n * np.finfo(float).eps
-    resid = err * (top * xn + float(np.linalg.norm(q.a)))
+    resid = err * (top * xn + _norm(q.a))
     margin = err * (top * xn * xn + 2.0 * abs(lin) + abs(q.a0)) + resid * resid * inv_norm
     return quad + 2.0 * lin + q.a0 < -cut - margin
 
@@ -1038,7 +1201,7 @@ def _unconstrained_min(q: QuadForm) -> UnconstrainedMin:
     elif qi.value == -np.inf:
         w = K.T @ q.a
         um = UnconstrainedMin(status="unbounded_below", value=-np.inf,
-                              direction=-K @ (w / np.linalg.norm(w)), kind="affine", kernel=K)
+                              direction=-K @ (w / _norm(w)), kind="affine", kernel=K)
     else:
         um = UnconstrainedMin(status="attained", value=evaluate(q, qi.x), x=qi.x, kernel=K)
     for arr in (um.x, um.direction, um.kernel):

@@ -39,6 +39,9 @@ from .qp1qc import Qp1qcResult, solve_on_affine_subspace, solve_qp1qc
 from .quad_core import (
     DEFAULT_TOL,
     QuadForm,
+    _inv,
+    _norm,
+    _solve,
     evaluate,
     in_workspace,
     null_basis,
@@ -202,7 +205,7 @@ def _refine_kkt(f: QuadForm, g: QuadForm, h: QuadForm, x: np.ndarray, lam):
         J[:n, n], J[:n, n + 1] = wg, wh
         J[n, :n], J[n + 1, :n] = 2.0 * wg, 2.0 * wh
         try:
-            step = np.linalg.solve(J, -r)
+            step = _solve(J, -r, singular=True)
         except np.linalg.LinAlgError:
             return None
         x, l1, l2 = x + step[:n], l1 + float(step[n]), l2 + float(step[n + 1])
@@ -245,7 +248,7 @@ def _solve_reduction(f, g, h, hint: dict, tol: float):
         flats = [g if name == "g" else h for name in hint["flat"]]
         Astack, bstack = np.vstack([q.A for q in flats]), np.concatenate([-q.a for q in flats])
         x0, *_ = np.linalg.lstsq(Astack, bstack, rcond=None)
-        if float(np.linalg.norm(Astack @ x0 - bstack)) > 1e-6 * (1 + np.linalg.norm(bstack)):
+        if _norm(Astack @ x0 - bstack) > 1e-6 * (1 + _norm(bstack)):
             return ReducedProblem("infeasible_subspace", {}), Qp1qcResult("infeasible"), None, ()
         N = null_basis(Astack.T @ Astack)
         remaining = None if len(flats) > 1 else ("h" if hint["flat"][0] == "g" else "g")
@@ -267,7 +270,7 @@ def _solve_reduction(f, g, h, hint: dict, tol: float):
     # first row of T^{-1}(x - t), the feasible set is {xi <= -1} u {xi = 1}.
     change: AffineChange = hint["pattern"]["change"]
     n = change.n
-    row = np.linalg.inv(change.T)[0]
+    row = _inv(change.T)[0]
     halfspace = QuadForm(np.zeros((n, n)), row / 2.0, 1.0 - float(row @ change.t))  # xi + 1 <= 0
     x_plane = change.apply(np.eye(n)[0])  # the point with xi = 1 and y2 = .. = yn = 0
     N_plane = change.T[:, 1:] if n > 1 else None

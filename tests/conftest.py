@@ -70,16 +70,17 @@ def workspace():
 
 @pytest.fixture()
 def eig_calls(monkeypatch):
-    """A one-element list counting np.linalg.eigh/eigvalsh calls; reset it by hand."""
+    """A one-element list counting the library's eigh/eigvalsh kernel calls
+    (``quad_core._eigh``/``_eigvalsh``); reset it by hand."""
     count = [0]
-    for name in ("eigh", "eigvalsh"):
-        orig = getattr(np.linalg, name)
+    for name in ("_eigh", "_eigvalsh"):
+        orig = getattr(quad_core, name)
 
         def counted(*args, _orig=orig, **kwargs):
             count[0] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(quad_core, name, counted)
     return count
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonalter import corpus
+from nonalter import corpus, quad_core
 from nonalter.classify import (
     check_assumption1,
     check_assumption2,
@@ -238,7 +238,7 @@ class TestParseProblem:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(quad_core, "_eigh", no_convergence)
         assert run([command, str(corpus.corpus_path("ex24"))]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""

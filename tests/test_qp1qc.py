@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import poly1, poly2, trust_region_pair
-from nonalter import corpus, qp1qc
+from nonalter import corpus, qp1qc, quad_core
 from nonalter.duality import lagrangian_dual_value
 from nonalter.instances import random_nonalter_instance, random_quadform, random_triple
 from nonalter.oracle import GridSpec, grid_min, probe_unbounded
@@ -443,7 +443,7 @@ class TestSlaterFromFactor:
             f, g, _ = trust_region_pair(rng, 5, False)
             with Workspace(), monkeypatch.context() as mp:
                 known(g)
-                mp.setattr(np.linalg, "inv", no_inverse)
+                mp.setattr(quad_core, "_inv", no_inverse)
                 assert solve_qp1qc(f, g).status == "attained"
 
     @pytest.mark.parametrize("n", [2, 10, 50])
@@ -467,8 +467,8 @@ class TestLowerEnd:
         # The interval check at a positive lower end a decomposes
         # f.A + a*g.A, and the dual at a reads that decomposition.
         seen = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda M, *a, **k: seen.append(M.copy()) or eigh(M, *a, **k))
+        eigh = quad_core._eigh
+        monkeypatch.setattr(quad_core, "_eigh", lambda M: seen.append(M.copy()) or eigh(M))
         checked = 0
         for _ in range(20):
             f, g, _ = trust_region_pair(rng, 8, False)

@@ -266,6 +266,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuadForm([[np.inf]], [0.0], 0.0)
 
+    def test_no_variables_rejected(self):
+        # A 0 x 0 matrix once made a quadratic of no variables, on which
+        # unconstrained_min, classify_problem and solve_qp1qc raised IndexError.
+        with pytest.raises(DimensionError):
+            QuadForm(np.zeros((0, 0)), np.zeros(0), -1.0)
+        with pytest.raises(DimensionError):
+            psd_status(np.zeros((0, 0)))
+        with pytest.raises(DimensionError):
+            from_lift([[1.0]])
+
     def test_immutable(self):
         q = poly2(axx=1)
         with pytest.raises(ValueError):
@@ -626,10 +636,10 @@ class TestDefinitePencil:
     def _shift_path(monkeypatch, P, Q):
         # The general solve, with the Cholesky factor unavailable.
         def no_factor(M):
-            raise np.linalg.LinAlgError("disabled")
+            return None  # what the kernel returns where LAPACK fails
 
         with monkeypatch.context() as mp:
-            mp.setattr(np.linalg, "cholesky", no_factor)
+            mp.setattr(quad_core, "_cholesky", no_factor)
             return _solve_pencil(P, Q)
 
     def test_roots_match_the_shift_path(self, monkeypatch):
@@ -686,9 +696,9 @@ class TestDefinitePencil:
 
     def test_no_svd_when_q_is_definite(self, monkeypatch):
         calls = []
-        for name in ("svd", "eigvals"):
-            orig = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
+        for module, name in ((np.linalg, "svd"), (quad_core, "_eigvals")):
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, _o=orig, _n=name, **k: calls.append(_n) or _o(*a, **k))
         rng = np.random.default_rng(8111)
         for m in (1, 3, 50):
@@ -1171,8 +1181,10 @@ class TestSpectralPrimitive:
 
     def test_eigen_calls_only_in_quad_core(self):
         # Every symmetric eigendecomposition and pseudo-inverse goes through
-        # EigenDecomp; instances.py draws the seeded families and stays as is.
-        pattern = re.compile(r"\b(eigh|eigvalsh|pinv)\b")
+        # EigenDecomp, and every other routed LAPACK routine through its
+        # quad_core kernel, where a test's patch reaches it; instances.py
+        # draws the seeded families and stays as is.
+        pattern = re.compile(r"\b(eigh|eigvalsh|pinv)\b|\blinalg\.(cholesky|solve|inv|eigvals)\b")
         src = Path(nonalter.__file__).parent
         offenders = [
             f"{path.name}:{i}"
